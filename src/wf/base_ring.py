@@ -13,12 +13,16 @@ leave less than one tracked digit raises instead of silently lying.
 The coefficient Frobenius is the identity here (it fixes Z_p and sends
 pi to pi); the residue Frobenius x -> x^q with q = p^frob_power is what
 all higher layers twist by.
+
+Each ring here also carries the two length-two Witt laws as kernels on
+its raw coefficients (witt_add, witt_mul), which wf.witt dispatches to.
 """
 
 from __future__ import annotations
 
 import json
 
+from .bounds import is_prime
 from .errors import NotDivisible, PrecisionExceeded, SpecMismatch, WfError
 
 
@@ -31,6 +35,31 @@ def _vp(n: int, p: int) -> int:
     return v
 
 
+def _mul_coeffs(a, b, eis):
+    """Product of two coefficient tuples in Z[x]/(E), not yet reduced."""
+    e = len(a)
+    if e == 1:
+        return (a[0] * b[0],)
+    if e == 2:
+        a0, a1 = a
+        b0, b1 = b
+        c2 = a1 * b1
+        return (a0 * b0 - c2 * eis[0], a0 * b1 + a1 * b0 - c2 * eis[1])
+    conv = [0] * (2 * e - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                conv[i + j] += ai * bj
+    # fold degrees >= e down through pi^e = -(E - x^e)
+    for d in range(2 * e - 2, e - 1, -1):
+        c = conv[d]
+        if c:
+            conv[d] = 0
+            for i in range(e):
+                conv[d - e + i] -= c * eis[i]
+    return tuple(conv[:e])
+
+
 class BaseRingSpec:
     """Immutable description of one truncated base ring.
 
@@ -41,10 +70,10 @@ class BaseRingSpec:
     """
 
     __slots__ = ("p", "eisenstein", "e", "precision", "frob_power", "q",
-                 "_moduli", "_unit0_inv")
+                 "_moduli", "_unit0_inv", "_pi_coeffs")
 
     def __init__(self, p, eisenstein=None, precision=4, frob_power=1):
-        if p < 2 or any(p % d == 0 for d in range(2, min(p, 1000))):
+        if not isinstance(p, int) or not is_prime(p):
             raise WfError("p must be prime, got %r" % (p,))
         if eisenstein is None:
             eisenstein = [-p, 1]
@@ -68,6 +97,7 @@ class BaseRingSpec:
         self._moduli = {}
         # constant term is p * unit0; cache unit0 inverses per modulus
         self._unit0_inv = {}
+        self._pi_coeffs = (p,) if self.e == 1 else (0, 1) + (0,) * (self.e - 2)
 
     def moduli(self, prec):
         """Coefficient moduli p^ceil((prec-i)/e) at a given precision."""
@@ -88,6 +118,55 @@ class BaseRingSpec:
             self._unit0_inv[modulus] = inv
         return inv
 
+    def _div_pi(self, coeffs, prec):
+        """Coefficients of c/pi for c divisible by pi and known mod pi^prec.
+
+        Writing c = sum c_i pi^i and pi*d = c gives
+        c_0 = -d_{e-1} E_0 and c_i = d_{i-1} - d_{e-1} E_i for i >= 1.
+        """
+        p = self.p
+        if self.e == 1:
+            return (coeffs[0] // p,)
+        big = self.moduli(prec)[0]
+        d_top = (-(coeffs[0] // p) * self._inv_unit0(big)) % big
+        eis = self.eisenstein
+        return tuple(coeffs[i] + d_top * eis[i] for i in range(1, self.e)) + (d_top,)
+
+    def _pow_coeffs(self, a, k, m):
+        """a^k for k >= 1 on coefficient tuples, every coefficient reduced
+        mod m after each product.  m = moduli(prec)[0] is a multiple of
+        every coefficient modulus at prec, so the result is exact there."""
+        e, eis = self.e, self.eisenstein
+        if e == 1:
+            return (pow(a[0], k, m),)
+        if e == 2:
+            # (x0 + x1 pi)(y0 + y1 pi) with pi^2 = -E1 pi - E0, inlined:
+            # one _mul_coeffs call per product costs ~10% of a Witt op
+            e0, e1 = eis[0], eis[1]
+            x0, x1 = a
+            r0 = r1 = None
+            while True:
+                if k & 1:
+                    if r0 is None:
+                        r0, r1 = x0, x1
+                    else:
+                        t = r1 * x1
+                        r0, r1 = (r0 * x0 - t * e0) % m, (r0 * x1 + r1 * x0 - t * e1) % m
+                k >>= 1
+                if not k:
+                    return r0, r1
+                t = x1 * x1
+                x0, x1 = (x0 * x0 - t * e0) % m, (2 * x0 * x1 - t * e1) % m
+        result = None
+        while True:
+            if k & 1:
+                result = a if result is None else tuple(
+                    [c % m for c in _mul_coeffs(result, a, eis)])
+            k >>= 1
+            if not k:
+                return result
+            a = tuple([c % m for c in _mul_coeffs(a, a, eis)])
+
     # -- element constructors -------------------------------------------
 
     def elem(self, coeffs, prec=None):
@@ -104,11 +183,7 @@ class BaseRingSpec:
         return self.from_int(1, prec)
 
     def pi(self, prec=None):
-        if self.e == 1:
-            return self.from_int(self.p, prec)
-        c = [0] * self.e
-        c[1] = 1
-        return self.elem(c, prec)
+        return self.elem(self._pi_coeffs, prec)
 
     # -- ring-adapter protocol (shared with IntRing / IntModRing) -------
 
@@ -156,6 +231,54 @@ class BaseRingSpec:
 
     def residue(self, a):
         return a.coeffs[0] % self.p
+
+    # -- Witt laws on raw coefficients ------------------------------------
+
+    def _witt_prec(self, *coords):
+        """Tracked precision of a Witt output's second coordinate."""
+        prec = self.precision
+        for x in coords:
+            if x.__class__ is not BaseElem or (x.spec is not self and not self.same(x.spec)):
+                raise SpecMismatch("witt coordinate %r is not in %r" % (x, self))
+            if x.prec < prec:
+                prec = x.prec
+        return prec
+
+    def witt_add(self, a0, a1, b0, b1):
+        """(a0, a1) + (b0, b1) = (a0 + b0, a1 + b1 - C(a0, b0)) in W_1.
+
+        The carry C(x, y) = ((x+y)^q - x^q - y^q)/pi has the integral
+        coefficients binom(q,j)/pi, so it does not depend on the
+        representatives: the numerator is computed on the canonical
+        coefficients at precision prec+1 and divided by pi exactly, the
+        padding trick of int_div_pi.
+        """
+        prec = self._witt_prec(a0, a1, b0, b1)
+        m = self.moduli(prec + 1)[0]
+        q = self.q
+        x, y = a0.coeffs, b0.coeffs
+        s = tuple([u + v for u, v in zip(x, y)])
+        num = tuple([(u - v - w) % m for u, v, w in zip(
+            self._pow_coeffs(s, q, m), self._pow_coeffs(x, q, m),
+            self._pow_coeffs(y, q, m))])
+        carry = self._div_pi(num, prec + 1)
+        c1 = tuple([u + v - w for u, v, w in zip(a1.coeffs, b1.coeffs, carry)])
+        return (BaseElem(self, s, a0.prec if a0.prec <= b0.prec else b0.prec),
+                BaseElem(self, c1, prec))
+
+    def witt_mul(self, a0, a1, b0, b1):
+        """(a0, a1) * (b0, b1) = (a0 b0, a1 b0^q + b1 a0^q + pi a1 b1) in W_1."""
+        prec = self._witt_prec(a0, a1, b0, b1)
+        m = self.moduli(prec)[0]
+        q, eis = self.q, self.eisenstein
+        x, y = a0.coeffs, b0.coeffs
+        u, v = a1.coeffs, b1.coeffs
+        t1 = _mul_coeffs(u, self._pow_coeffs(y, q, m), eis)
+        t2 = _mul_coeffs(v, self._pow_coeffs(x, q, m), eis)
+        t3 = _mul_coeffs(_mul_coeffs(u, v, eis), self._pi_coeffs, eis)
+        return (BaseElem(self, _mul_coeffs(x, y, eis),
+                         a0.prec if a0.prec <= b0.prec else b0.prec),
+                BaseElem(self, tuple([i + j + k for i, j, k in zip(t1, t2, t3)]), prec))
 
     def to_json(self):
         return {"p": self.p, "eisenstein": list(self.eisenstein),
@@ -254,52 +377,20 @@ class BaseElem:
             other = self._join(other)
             if other is None:
                 return NotImplemented
-        spec = self.spec
-        e = spec.e
         prec = self.prec if self.prec <= other.prec else other.prec
-        if e == 1:
-            return BaseElem(spec, (self.coeffs[0] * other.coeffs[0],), prec)
-        a, b = self.coeffs, other.coeffs
-        if e == 2:
-            a0, a1 = a
-            b0, b1 = b
-            c2 = a1 * b1
-            if c2:
-                eis = spec.eisenstein
-                return BaseElem(spec, (a0 * b0 - c2 * eis[0],
-                                       a0 * b1 + a1 * b0 - c2 * eis[1]), prec)
-            return BaseElem(spec, (a0 * b0, a0 * b1 + a1 * b0), prec)
-        conv = [0] * (2 * e - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    conv[i + j] += ai * bj
-        # fold degrees >= e down through pi^e = -(E - x^e)
-        eis = spec.eisenstein
-        for d in range(2 * e - 2, e - 1, -1):
-            c = conv[d]
-            if c:
-                conv[d] = 0
-                for i in range(e):
-                    conv[d - e + i] -= c * eis[i]
-        return BaseElem(spec, tuple(conv[:e]), prec)
+        return BaseElem(self.spec, _mul_coeffs(self.coeffs, other.coeffs,
+                                               self.spec.eisenstein), prec)
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
+        spec = self.spec
         if k == 0:
-            return self.spec.one(self.prec)
-        result = None
-        base = self
-        while True:
-            if k & 1:
-                result = base if result is None else result * base
-            k >>= 1
-            if not k:
-                return result
-            base = base * base
+            return spec.one(self.prec)
+        return BaseElem(spec, spec._pow_coeffs(self.coeffs, k, spec.moduli(self.prec)[0]),
+                        self.prec)
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -338,20 +429,7 @@ class BaseElem:
             return spec.zero(self.prec - 1)
         if self.coeffs[0] % spec.p != 0:
             raise NotDivisible("element has pi-valuation zero")
-        e, p = spec.e, spec.p
-        if e == 1:
-            return BaseElem(spec, (self.coeffs[0] // p,), self.prec - 1)
-        # write a = sum c_i pi^i, seek d with pi*d = a:
-        #   c_0 = -d_{e-1} E_0,   c_i = d_{i-1} - d_{e-1} E_i  (i >= 1)
-        big = spec.moduli(self.prec)[0]
-        inv_u0 = spec._inv_unit0(big)
-        d_top = (-(self.coeffs[0] // p) * inv_u0) % big
-        eis = spec.eisenstein
-        d = [0] * e
-        d[e - 1] = d_top
-        for i in range(1, e):
-            d[i - 1] = self.coeffs[i] + d_top * eis[i]
-        return BaseElem(spec, tuple(d), self.prec - 1)
+        return BaseElem(spec, spec._div_pi(self.coeffs, self.prec), self.prec - 1)
 
     def delta(self):
         """(phi(a) - a^q)/pi with phi the identity coefficient lift."""
@@ -367,16 +445,6 @@ class BaseElem:
 
     def residue(self):
         return self.coeffs[0] % self.spec.p
-
-    def lift_prec(self, prec):
-        """Reinterpret canonical coefficients at higher precision.
-
-        Only sound for elements known exactly (e.g. freshly built from
-        integers); data that went through div_pi must not be lifted.
-        """
-        if prec < self.prec:
-            return self.reduce(prec - 1)
-        return BaseElem(self.spec, self.coeffs, prec)
 
     def inverse(self):
         if not self.is_unit():
@@ -462,6 +530,17 @@ class IntRing:
 
     int_div_pi = div_pi
 
+    def witt_add(self, a0, a1, b0, b1):
+        """(a0, a1) + (b0, b1) in W_1, carry ((a0+b0)^q - a0^q - b0^q)/p."""
+        q = self.q
+        s = a0 + b0
+        return s, a1 + b1 - (s ** q - a0 ** q - b0 ** q) // self.p
+
+    def witt_mul(self, a0, a1, b0, b1):
+        """(a0, a1) * (b0, b1) = (a0 b0, a1 b0^q + b1 a0^q + p a1 b1) in W_1."""
+        q = self.q
+        return a0 * b0, a1 * b0 ** q + b1 * a0 ** q + self.p * a1 * b1
+
     def base_delta(self, a):
         return self.div_pi(a - a ** self.q)
 
@@ -482,8 +561,8 @@ class IntModRing:
     """Z/p^k with plain int elements; the k = 1 case is the residue field.
 
     Division by pi is refused: it is not canonical on residues.  The Witt
-    structure constants are integers divided exactly *before* reduction,
-    which is what int_div_pi does.
+    structure constants and the Witt carry are integers divided exactly
+    *before* reduction, which is what int_div_pi and witt_add do.
     """
 
     __slots__ = ("p", "k", "n", "frob_power", "q")
@@ -536,6 +615,21 @@ class IntModRing:
         if v % self.p != 0:
             raise NotDivisible("%d is not divisible by %d" % (v, self.p))
         return (v // self.p) % self.n
+
+    def witt_add(self, a0, a1, b0, b1):
+        """(a0, a1) + (b0, b1) in W_1; the carry's numerator is taken
+        mod p^(k+1) and divided by p exactly before reducing mod p^k."""
+        n, p, q = self.n, self.p, self.q
+        big = n * p
+        s = a0 + b0
+        carry = (pow(s, q, big) - pow(a0, q, big) - pow(b0, q, big)) % big // p
+        return s % n, (a1 + b1 - carry) % n
+
+    def witt_mul(self, a0, a1, b0, b1):
+        """(a0, a1) * (b0, b1) = (a0 b0, a1 b0^q + b1 a0^q + p a1 b1) in W_1."""
+        n, q = self.n, self.q
+        return ((a0 * b0) % n,
+                (a1 * pow(b0, q, n) + b1 * pow(a0, q, n) + self.p * a1 * b1) % n)
 
     def base_delta(self, a):
         raise WfError("base_delta needs a precision-tracked ring")

@@ -664,66 +664,3 @@ def _unit_inverse(ring, c):
     except AttributeError:
         pass
     return None
-
-
-class PolyRing:
-    """Coefficient-ring adapter whose elements are MvPoly; lets the Witt
-    laws run over polynomial rings (used to check the prolongation is a
-    W_1 homomorphism symbolically)."""
-
-    __slots__ = ("base", "vars", "p", "q")
-
-    def __init__(self, base, vars):
-        self.base = base
-        self.vars = tuple(vars)
-        self.p = base.p
-        self.q = base.q
-
-    def zero(self):
-        return MvPoly.zero(self.base, self.vars)
-
-    def one(self):
-        return MvPoly.const(self.base, self.vars, self.base.one())
-
-    def from_int(self, n):
-        return MvPoly.const(self.base, self.vars, n)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def pow(self, a, k):
-        return a ** k
-
-    def eq(self, a, b):
-        return a == b
-
-    def is_zero(self, a):
-        return a.is_zero()
-
-    def pi(self):
-        return MvPoly.const(self.base, self.vars, self.base.pi())
-
-    def int_div_pi(self, n):
-        return MvPoly.const(self.base, self.vars, self.base.int_div_pi(n))
-
-    def div_pi(self, a):
-        return a.map_coeffs(self.base.div_pi, self.base)
-
-    def frob(self, a):
-        return a.frob_twist()
-
-    def same(self, other):
-        return (isinstance(other, PolyRing) and self.vars == other.vars
-                and self.base.same(other.base))
-
-    def __repr__(self):
-        return "PolyRing(%r, %r)" % (self.base, list(self.vars))

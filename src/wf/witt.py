@@ -1,13 +1,18 @@
 """Length-two ramified Witt vectors W_1(A) = A x A.
 
-The structure constants binom(q,j)/pi are exact integers divided by pi
-before any reduction, so the same two formulas
+The two laws are
 
-    (a0,a1) + (b0,b1) = (a0+b0, a1+b1 - sum_j (binom(q,j)/pi) a0^(q-j) b0^j)
+    (a0,a1) + (b0,b1) = (a0+b0, a1+b1 - C(a0,b0)),
+    C(a0,b0) = ((a0+b0)^q - a0^q - b0^q)/pi = sum_j (binom(q,j)/pi) a0^(q-j) b0^j
     (a0,a1) * (b0,b1) = (a0 b0, a1 b0^q + b1 a0^q + pi a1 b1)
 
-define a commutative ring over any supported coefficient ring: exact
-integers, Z/p^k, a truncated base ring, or polynomials over one of those.
+over any supported coefficient ring: exact integers, Z/p^k, or a
+truncated base ring.  binom(q,j) is divisible by p for 0 < j < q, so the
+carry C is a polynomial with integral coefficients: computed in closed
+form on exact representatives, with the division by pi done before any
+reduction, it does not depend on the representatives chosen.  Each
+coefficient ring implements both laws as one kernel on its raw
+coefficients (witt_add, witt_mul); WittVec only dispatches to them.
 Associativity and distributivity are polynomial identities with those
 integral constants, so they hold on the nose, not just mod pi.
 
@@ -19,29 +24,25 @@ for both laws.
 
 from __future__ import annotations
 
-from math import comb
-
 from .errors import SpecMismatch
 
 
 class WittContext:
-    """Coefficient ring plus q, with the law constants precomputed."""
+    """Coefficient ring with its q and pi, plus the negation constant.
 
-    __slots__ = ("ring", "q", "pi", "law", "neg_const")
+    q is always the ring's own.  neg_const is (-1 - (-1)^q)/pi, the
+    alternating sum of the carry coefficients binom(q,j)/pi, which
+    negation needs; the sum and product live on the ring's kernels.
+    """
 
-    def __init__(self, ring, q=None):
+    __slots__ = ("ring", "q", "pi", "neg_const")
+
+    def __init__(self, ring):
         self.ring = ring
-        self.q = ring.q if q is None else q
+        self.q = q = ring.q
         self.pi = ring.pi()
-        # binom(q,j) is divisible by p for 0 < j < q, so each constant is
-        # integral; int_div_pi divides the exact integer first.
-        self.law = tuple(ring.int_div_pi(comb(self.q, j)) for j in range(1, self.q))
-        # sum_j (binom(q,j)/pi) (-1)^j = (-1 - (-1)^q)/pi, needed for negation
-        acc = ring.zero()
-        for j in range(1, self.q):
-            c = self.law[j - 1]
-            acc = ring.add(acc, c) if j % 2 == 0 else ring.sub(acc, c)
-        self.neg_const = acc
+        # int_div_pi divides the exact integer before reducing
+        self.neg_const = ring.int_div_pi(-1 - (-1) ** q)
 
     def vec(self, a0, a1):
         r = self.ring
@@ -72,21 +73,8 @@ class WittVec:
 
     def __add__(self, other):
         self._check(other)
-        ctx = self.ctx
-        r = ctx.ring
-        q = ctx.q
-        a0, b0 = self.a0, other.a0
-        # powers a0^1..a0^(q-1) and b0^1..b0^(q-1), built incrementally
-        pa = [a0]
-        pb = [b0]
-        for _ in range(q - 2):
-            pa.append(r.mul(pa[-1], a0))
-            pb.append(r.mul(pb[-1], b0))
-        corr = r.zero()
-        for j in range(1, q):
-            corr = r.add(corr, r.mul(ctx.law[j - 1], r.mul(pa[q - j - 1], pb[j - 1])))
-        return WittVec(ctx, r.add(a0, b0),
-                       r.sub(r.add(self.a1, other.a1), corr))
+        c0, c1 = self.ctx.ring.witt_add(self.a0, self.a1, other.a0, other.a1)
+        return WittVec(self.ctx, c0, c1)
 
     def __neg__(self):
         ctx = self.ctx
@@ -99,13 +87,8 @@ class WittVec:
 
     def __mul__(self, other):
         self._check(other)
-        ctx = self.ctx
-        r = ctx.ring
-        q = ctx.q
-        a0, a1, b0, b1 = self.a0, self.a1, other.a0, other.a1
-        c1 = r.add(r.add(r.mul(a1, r.pow(b0, q)), r.mul(b1, r.pow(a0, q))),
-                   r.mul(ctx.pi, r.mul(a1, b1)))
-        return WittVec(ctx, r.mul(a0, b0), c1)
+        c0, c1 = self.ctx.ring.witt_mul(self.a0, self.a1, other.a0, other.a1)
+        return WittVec(self.ctx, c0, c1)
 
     def __eq__(self, other):
         if not isinstance(other, WittVec):

@@ -33,6 +33,12 @@ def test_spec_rejects_bad_input():
         BaseRingSpec(3, frob_power=0)
 
 
+def test_spec_rejects_composite_with_large_factors():
+    # 1009 * 1013: no factor below 1000, so trial division alone misses it
+    with pytest.raises(WfError):
+        BaseRingSpec(1009 * 1013)
+
+
 def test_coefficient_moduli_grading():
     # coefficient of pi^i is tracked mod p^ceil((N-i)/e)
     s = BaseRingSpec(5, [-5, 0, 1], 5)
@@ -62,6 +68,7 @@ def test_ring_axioms_random():
             assert a * spec.one() == a
             assert a - a == spec.zero()
             assert -(-a) == a
+            assert a ** 7 == a * a * a * a * a * a * a
 
 
 def test_int_mixing():

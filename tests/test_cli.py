@@ -52,6 +52,12 @@ def test_witt_rejects_composite():
     assert json.loads(proc.stdout)["error"]["type"] == "WfError"
 
 
+def test_di_rejects_composite_with_large_factors():
+    proc = run_cli("di", "a1", "--p", str(1009 * 1013))
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"]["type"] == "WfError"
+
+
 def test_big_integers_become_decimal_strings():
     big = str(10 ** 12)
     data = run_json("witt", "--p", "5", "--op", "mul",

@@ -1,6 +1,7 @@
 """Length-two Witt vectors: ring laws, ghost oracle, derivation check."""
 
 import random
+from math import comb
 
 import pytest
 
@@ -13,12 +14,17 @@ def rand_vec(ctx, rng, span=10 ** 6):
     return ctx.vec(rng.randint(-span, span), rng.randint(-span, span))
 
 
+def law(ring):
+    """The carry coefficients binom(q,j)/pi for 0 < j < q."""
+    return [ring.int_div_pi(comb(ring.q, j)) for j in range(1, ring.q)]
+
+
 def test_law_constants():
-    assert [c for c in WittContext(IntRing(2)).law] == [1]
-    assert [c for c in WittContext(IntRing(3)).law] == [1, 1]
+    assert law(IntRing(2)) == [1]
+    assert law(IntRing(3)) == [1, 1]
     # q = 4: binom(4, j)/2 for j = 1..3
-    assert [c for c in WittContext(IntRing(2, 2)).law] == [2, 3, 2]
-    assert [c for c in WittContext(IntRing(5)).law] == [1, 2, 2, 1]
+    assert law(IntRing(2, 2)) == [2, 3, 2]
+    assert law(IntRing(5)) == [1, 2, 2, 1]
 
 
 def test_neg_constant():
@@ -80,6 +86,92 @@ def test_ring_axioms_all_coefficient_rings():
             assert a * one == a
             assert a - a == zero
             assert a + (-a) == zero
+
+
+def power(r, x, k):
+    """x^k by repeated ring-adapter multiplication, independent of pow."""
+    out = x
+    for _ in range(k - 1):
+        out = r.mul(out, x)
+    return out
+
+
+def fold_add(ctx, a, b):
+    """The generic sum: the carry folded from the law constants."""
+    r, q = ctx.ring, ctx.q
+    corr = r.zero()
+    for j, c in enumerate(law(r), 1):
+        corr = r.add(corr, r.mul(c,
+                                 r.mul(power(r, a.a0, q - j), power(r, b.a0, j))))
+    return r.add(a.a0, b.a0), r.sub(r.add(a.a1, b.a1), corr)
+
+
+def fold_mul(ctx, a, b):
+    """The generic product through the ring adapter."""
+    r, q = ctx.ring, ctx.q
+    c1 = r.add(r.add(r.mul(a.a1, power(r, b.a0, q)), r.mul(b.a1, power(r, a.a0, q))),
+               r.mul(ctx.pi, r.mul(a.a1, b.a1)))
+    return r.mul(a.a0, b.a0), c1
+
+
+def rand_base_elem(spec, rng, prec=None):
+    return spec.elem([rng.randint(-10 ** 6, 10 ** 6) for _ in range(spec.e)], prec)
+
+
+BASE_RINGS = [BaseRingSpec(p, eis, n, m)
+              for p in (2, 3, 5) for m in (1, 2)
+              for eis, n in (([-p, 1], 4), ([-p, p, 1], 5), ([p, -p, 0, 1], 6))]
+
+
+def test_kernels_match_law_fold():
+    rng = random.Random(24)
+    int_rings = [IntRing(p, m) for p in (2, 3, 5) for m in (1, 2)]
+    mod_rings = [IntModRing(p, k, m) for p in (2, 3, 5) for k in (1, 4) for m in (1, 2)]
+    for ring in int_rings + mod_rings:
+        ctx = WittContext(ring)
+        for _ in range(40):
+            a, b = rand_vec(ctx, rng), rand_vec(ctx, rng)
+            s, m = a + b, a * b
+            assert (s.a0, s.a1) == fold_add(ctx, a, b)
+            assert (m.a0, m.a1) == fold_mul(ctx, a, b)
+    for spec in BASE_RINGS:
+        ctx = WittContext(spec)
+        top = spec.precision + 1
+        for _ in range(15):
+            # precisions from a random floor up to N + 1: some pairs mix
+            # precisions below N, some lie wholly above N
+            floor = rng.randint(1, top)
+            a, b = (ctx.vec(rand_base_elem(spec, rng, rng.randint(floor, top)),
+                            rand_base_elem(spec, rng, rng.randint(floor, top)))
+                    for _ in range(2))
+            s, m = a + b, a * b
+            for got, want in zip((s.a0, s.a1, m.a0, m.a1),
+                                 fold_add(ctx, a, b) + fold_mul(ctx, a, b)):
+                assert got.coeffs == want.coeffs
+                assert got.prec == want.prec
+
+
+def test_ghost_oracle_base_rings():
+    # pi*c1 is known mod pi^(N+1) when c1 is known mod pi^N, so the ghost
+    # map is taken in the same ring padded by one digit, where it sees
+    # every tracked digit of the second coordinate
+    rng = random.Random(25)
+    for spec in BASE_RINGS:
+        pad = BaseRingSpec(spec.p, spec.eisenstein, spec.precision + 1,
+                           spec.frob_power)
+        pi = pad.pi()
+
+        def g1(w):
+            return power(pad, pad.elem(w.a0.coeffs), spec.q) + pi * pad.elem(w.a1.coeffs)
+
+        ctx = WittContext(spec)
+        for _ in range(15):
+            a, b = (ctx.vec(rand_base_elem(spec, rng), rand_base_elem(spec, rng))
+                    for _ in range(2))
+            s, m = a + b, a * b
+            assert s.a0 == a.a0 + b.a0 and m.a0 == a.a0 * b.a0
+            assert g1(s) == g1(a) + g1(b)
+            assert g1(m) == g1(a) * g1(b)
 
 
 def test_context_mixing_rejected():

@@ -26,10 +26,12 @@ from .scheme import FDerSection, fder_apply, transport, twisted_gradient
 
 
 class LinearSystem:
-    """F_p system with hashable unknown and equation keys, solved densely.
+    """F_p system with hashable unknown and equation keys.
 
-    Unknown order is insertion order; equations are sorted by key before
-    the dense solve, so a fixed build sequence gives a fixed answer.
+    Unknown order is insertion order, and so is equation order.  The
+    solution does not depend on the equation order: gfp.solve returns the
+    one solution whose free variables are zero, which the row space alone
+    determines.
     """
 
     __slots__ = ("p", "cols", "col_order", "rows", "rhs")
@@ -63,9 +65,9 @@ class LinearSystem:
         n = len(self.col_order)
         dense = []
         rhs = []
-        for key in sorted(self.rows):
+        for key, entries in self.rows.items():
             row = [0] * n
-            for c, val in self.rows[key].items():
+            for c, val in entries.items():
                 row[c] = val
             dense.append(row)
             rhs.append(self.rhs.get(key, 0))
@@ -165,7 +167,7 @@ class LocalLift:
 
 def _patch_rows(pres):
     """Collapsed linear rows of the chart's generators, companion jets
-    eliminated; cached on first use per presentation object."""
+    eliminated; rebuilt on every call, since linearizing is cheap."""
     return [collapse_companion_jets(pres, row)
             for row in linearize_mod_pi(pres).rows]
 

@@ -140,15 +140,6 @@ def linearize_mod_pi(pres: Presentation) -> LinearizedJet:
     return LinearizedJet(pres, rows)
 
 
-def twisted_jacobian(pres: Presentation, g: MvPoly, name: str) -> MvPoly:
-    """Independent route to the Jacobian entry: dg/dname, exponents scaled
-    by q, reduced mod pi.  linearize_generator must agree with this."""
-    if g.vars != pres.all_vars:
-        g = g.extend_vars(pres.all_vars)
-    d = g.partial(name).q_power_vars(pres.q)
-    return pres.nf(pres.to_res(d))
-
-
 def collapse_companion_jets(pres: Presentation, row: LinearRow) -> LinearRow:
     """Eliminate companion jets via du = -u^(2q) dv (mod pi)."""
     res = pres.res

@@ -9,7 +9,8 @@ u*v = 1, and refuses anything else rather than guessing.
 
 from __future__ import annotations
 
-from .errors import NotPrepared, ParseError, VariableMismatch, WfError
+from .errors import (NotPrepared, ParseError, RewriteLimit, VariableMismatch,
+                     WfError)
 
 
 def term_key(exps):
@@ -443,6 +444,10 @@ def parse_poly(text, ring, vars):
 # -- structured ideal reduction ----------------------------------------------
 
 
+# term steps one normal form may take; reaching it raises RewriteLimit
+REWRITE_STEPS = 200000
+
+
 class ReductionContext:
     """Normal forms modulo generators monic in one variable plus u*v = 1.
 
@@ -450,7 +455,8 @@ class ReductionContext:
     leading coefficient) in some variable, all its other terms of lower
     degree in that variable.  loc_pairs: (companion, base) variable pairs
     with companion*base = 1.  Anything outside this fragment raises
-    NotPrepared at construction, never a wrong answer later.
+    NotPrepared at construction, never a wrong answer later; a normal
+    form that outruns REWRITE_STEPS raises RewriteLimit.
 
     avoid: variable names not to orient rules on when another choice
     exists.  A rule headed by an inverted variable breaks canonicity of
@@ -550,11 +556,13 @@ class ReductionContext:
         var_index = {name: self.vars.index(name) for name in self.monic_rules}
         out = {}
         work = list(f.terms.items())
-        fuel = 200000
+        bound = REWRITE_STEPS
+        fuel = bound
         while work:
             fuel -= 1
             if fuel < 0:
-                raise NotPrepared("rewriting did not terminate; relations too wild")
+                raise RewriteLimit("normal form unfinished after %d rewrite "
+                                   "steps" % bound, bound=bound)
             e, c = work.pop()
             if r.is_zero(c):
                 continue

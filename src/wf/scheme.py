@@ -203,11 +203,6 @@ class OverlapView:
         self.invert_a = invert_a
         self.invert_b = invert_b
 
-    def map_res(self, direction):
-        m = self.map_ab if direction == "ab" else self.map_ba
-        pres = self.pres_b if direction == "ab" else self.pres_a
-        return {k: pres.to_res(v) for k, v in m.items()}
-
 
 class GluedScheme:
     __slots__ = ("name", "ring", "patches", "overlaps", "genus", "family")

@@ -5,7 +5,9 @@ import os
 import subprocess
 import sys
 
+import wf.poly
 from wf.bounds import gsp_order
+from wf.cli import main
 
 
 def run_cli(*args, env_extra=None):
@@ -103,6 +105,16 @@ def test_di_inconclusive_exit_three():
     assert err["type"] == "Inconclusive"
     assert err["bound"] == 4
     assert err["threshold"] == 18
+
+
+def test_rewrite_limit_exit_three(monkeypatch, capsys):
+    # in process, with the step bound lowered so that a smooth curve hits
+    # it at once; at the real bound `di genus2 --p 7` ends the same way
+    monkeypatch.setattr(wf.poly, "REWRITE_STEPS", 20)
+    assert main(["lift", "weierstrass", "--p", "3"]) == 3
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "RewriteLimit"
+    assert err["bound"] == 20
 
 
 def test_nonsmooth_is_input_error():

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from wf.base_ring import BaseRingSpec, IntModRing, IntRing
-from wf.errors import NotPrepared, ParseError, VariableMismatch
-from wf.poly import MvPoly, ReductionContext, parse_poly
+from wf.errors import NotPrepared, ParseError, RewriteLimit, VariableMismatch
+from wf.poly import REWRITE_STEPS, MvPoly, ReductionContext, parse_poly
 
 
 def rand_poly(ring, vars, rng, deg=4, terms=6, span=9):
@@ -192,6 +192,20 @@ def test_cyclic_rules_refused():
     r2 = parse_poly("y^4 - x", ring, vars)
     with pytest.raises(NotPrepared):
         ReductionContext(ring, vars, [r1, r2])
+
+
+def test_rewrite_step_bound_is_not_an_input_error():
+    # y^2 -> x^5 - 1 rewrites y^42 along ~2^21 unmerged paths, so the
+    # step bound runs out on a relation the constructor accepted
+    ring = IntModRing(7)
+    vars = ("x", "y", "x_inv")
+    rel = parse_poly("y^2 - x^5 + 1", ring, vars)
+    red = ReductionContext(ring, vars, [rel], [("x", "x_inv")],
+                           avoid=("x",))
+    with pytest.raises(RewriteLimit) as info:
+        red.normal_form(parse_poly("y^42", ring, vars))
+    assert not isinstance(info.value, NotPrepared)
+    assert info.value.bound == REWRITE_STEPS
 
 
 def test_monomials_up_to():

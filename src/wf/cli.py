@@ -15,8 +15,8 @@ strings; everything smaller stays a JSON number.
 
 Exit codes: 0 the computation finished; 1 it finished but contradicted
 an --expect-* flag; 2 the input was rejected (bad flags, unreadable
-files, malformed polynomials, unsupported structure); 3 a search or a
-normal-form rewrite stopped at its bound without a definitive answer.
+files, malformed polynomials, unsupported structure); 3 a search stopped
+at its bound without a definitive answer.
 """
 
 import argparse
@@ -31,7 +31,7 @@ from .delta import DeltaContext
 from .di import (build_compatible_lifts, compatibility_check,
                  compute_di_class, local_frobenius_lift)
 from .errors import (Inconclusive, NonSmooth, NoSolutionAtBound, ParseError,
-                     RewriteLimit, WfError)
+                     WfError)
 from .jet import JetPresentation
 from .poly import MvPoly, parse_poly
 from .scheme import (BUILTIN_MORPHISMS, BUILTIN_SCHEMES, GluedScheme,
@@ -549,8 +549,6 @@ def main(argv=None):
     except Inconclusive as exc:
         return _fail(args, exc, 3, bound=exc.bound, threshold=exc.threshold)
     except NoSolutionAtBound as exc:
-        return _fail(args, exc, 3, bound=exc.bound)
-    except RewriteLimit as exc:
         return _fail(args, exc, 3, bound=exc.bound)
     except WfError as exc:
         return _fail(args, exc, 2)

@@ -37,18 +37,6 @@ class NotPrepared(WfError):
     """Relation set is outside the supported reduction fragment."""
 
 
-class RewriteLimit(WfError):
-    """Normal-form rewriting used up its step bound before terminating.
-
-    An internal limit, not a property of the input: the relations passed
-    the construction checks, so this is not a NotPrepared.
-    """
-
-    def __init__(self, message, bound=None):
-        super().__init__(message)
-        self.bound = bound
-
-
 class NonLinear(WfError):
     """Prolonged generator has jet-degree two or more modulo pi."""
 

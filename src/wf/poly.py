@@ -5,12 +5,25 @@ is graded lexicographic, largest first.  No Groebner machinery: ideal
 reduction is restricted to the two structured shapes the jet pipeline
 needs, generators monic in one variable and localization relations
 u*v = 1, and refuses anything else rather than guessing.
+
+Normal forms terminate by construction.  The rules are acyclic, so their
+head variables have a topological order in which each rule comes before
+every rule its right-hand side uses.  Key a monomial by its exponents of
+the head variables in that order: rewriting with rule i keeps every
+earlier component and lowers component i, and striking u*v only lowers
+components, so the key strictly decreases in the lexicographic order of
+N^k, a well-order.  Every chain of rewrites is therefore finite, and as
+each rewrite yields finitely many terms, so is the whole reduction.
+Pending monomials are popped largest key first (Monagan & Pearce's
+heap), so a monomial is never produced again once it is popped: it is
+rewritten once, with its like terms already merged.
 """
 
 from __future__ import annotations
 
-from .errors import (NotPrepared, ParseError, RewriteLimit, VariableMismatch,
-                     WfError)
+from heapq import heappop, heappush
+
+from .errors import NotPrepared, ParseError, VariableMismatch, WfError
 
 
 def term_key(exps):
@@ -68,13 +81,6 @@ class MvPoly:
 
     def is_zero(self):
         return not self.terms
-
-    def is_const(self):
-        return all(sum(e) == 0 for e in self.terms)
-
-    def const_coeff(self):
-        z = (0,) * len(self.vars)
-        return self.terms.get(z, self.ring.zero())
 
     def total_deg(self):
         return max((sum(e) for e in self.terms), default=0)
@@ -444,10 +450,6 @@ def parse_poly(text, ring, vars):
 # -- structured ideal reduction ----------------------------------------------
 
 
-# term steps one normal form may take; reaching it raises RewriteLimit
-REWRITE_STEPS = 200000
-
-
 class ReductionContext:
     """Normal forms modulo generators monic in one variable plus u*v = 1.
 
@@ -455,8 +457,10 @@ class ReductionContext:
     leading coefficient) in some variable, all its other terms of lower
     degree in that variable.  loc_pairs: (companion, base) variable pairs
     with companion*base = 1.  Anything outside this fragment raises
-    NotPrepared at construction, never a wrong answer later; a normal
-    form that outruns REWRITE_STEPS raises RewriteLimit.
+    NotPrepared at construction, never a wrong answer later.  Every normal
+    form terminates: each rewrite strictly lowers the monomial's key, the
+    rule-variable exponents in topological order, in a well-order (see
+    the module docstring).
 
     avoid: variable names not to orient rules on when another choice
     exists.  A rule headed by an inverted variable breaks canonicity of
@@ -465,7 +469,8 @@ class ReductionContext:
     inverted variables here.
     """
 
-    __slots__ = ("ring", "vars", "monic_rules", "loc_pairs", "_loc_index")
+    __slots__ = ("ring", "vars", "monic_rules", "loc_pairs", "_loc_index",
+                 "_rules", "_order")
 
     def __init__(self, ring, vars, relations=(), loc_pairs=(), avoid=()):
         self.ring = ring
@@ -484,7 +489,10 @@ class ReductionContext:
                 raise NotPrepared("two generators monic in the same variable %r" % (name,))
             rules[name] = (deg, rhs)
         self.monic_rules = rules
-        self._check_acyclic()
+        # (head index, degree, rhs terms), tried first to last
+        self._rules = tuple((self.vars.index(name), deg, tuple(rhs.terms.items()))
+                            for name, (deg, rhs) in rules.items())
+        self._order = self._check_acyclic()
 
     def _classify(self, g, avoid=frozenset()):
         if g.vars != self.vars:
@@ -524,16 +532,15 @@ class ReductionContext:
         raise NotPrepared("generator %s is not monic in any variable" % (g.to_text(),))
 
     def _check_acyclic(self):
-        # a rule variable may appear in its own right-hand side at lower
-        # degree, but distinct rules feeding each other are refused
-        deps = {}
-        for name, (_, rhs) in self.monic_rules.items():
-            used = set()
-            for other in self.monic_rules:
-                if other != name and rhs.degree_in(other) > 0:
-                    used.add(other)
-            deps[name] = used
+        """Head-variable indices with each rule before every rule its
+        right-hand side uses.  A rule variable may appear in its own
+        right-hand side at lower degree, but distinct rules feeding each
+        other are refused."""
+        deps = {name: [other for other in self.monic_rules
+                       if other != name and rhs.degree_in(other) > 0]
+                for name, (_, rhs) in self.monic_rules.items()}
         seen = {}
+        finished = []
 
         def visit(n):
             state = seen.get(n)
@@ -545,59 +552,63 @@ class ReductionContext:
             for m in deps[n]:
                 visit(m)
             seen[n] = 2
+            finished.append(n)
 
         for n in deps:
             visit(n)
+        return tuple(self.vars.index(n) for n in reversed(finished))
 
     def normal_form(self, f):
         if f.vars != self.vars:
             f = f.extend_vars(self.vars)
         r = self.ring
-        var_index = {name: self.vars.index(name) for name in self.monic_rules}
+        is_zero, add, mul = r.is_zero, r.add, r.mul
+        full = getattr(r, "precision", None)
+        rules, order, loc = self._rules, self._order, self._loc_index
         out = {}
-        work = list(f.terms.items())
-        bound = REWRITE_STEPS
-        fuel = bound
-        while work:
-            fuel -= 1
-            if fuel < 0:
-                raise RewriteLimit("normal form unfinished after %d rewrite "
-                                   "steps" % bound, bound=bound)
-            e, c = work.pop()
-            if r.is_zero(c):
+        # monomials some rule rewrites: merged coefficients, and a heap of
+        # (negated key, exponents, first matching rule), largest key first
+        pending = {}
+        heap = []
+        batch = f.terms.items()
+        while True:
+            for e, c in batch:
+                # strike companion pairs
+                struck = None
+                for iu, iv in loc:
+                    t = min(e[iu], e[iv])
+                    if t:
+                        struck = list(e) if struck is None else struck
+                        struck[iu] -= t
+                        struck[iv] -= t
+                if struck is not None:
+                    e = tuple(struck)
+                for rule in rules:
+                    if e[rule[0]] >= rule[1]:
+                        if e in pending:
+                            pending[e] = add(pending[e], c)
+                        else:
+                            pending[e] = c
+                            heappush(heap, (tuple([-e[i] for i in order]), e, rule))
+                        break
+                else:
+                    if e in out:
+                        out[e] = add(out[e], c)
+                    else:
+                        out[e] = c
+            if not heap:
+                return MvPoly(r, self.vars, out)
+            _, e, (i, deg, rhs) = heappop(heap)
+            c = pending.pop(e)
+            # a zero known only below full precision still lowers the
+            # precision of every term its rewrite is merged into
+            if is_zero(c) and (full is None or c.prec >= full):
+                batch = ()
                 continue
-            # strike companion pairs
-            struck = None
-            for iu, iv in self._loc_index:
-                t = min(e[iu], e[iv])
-                if t:
-                    struck = list(e) if struck is None else struck
-                    struck[iu] -= t
-                    struck[iv] -= t
-            if struck is not None:
-                e = tuple(struck)
-            # one monic rewrite step, then requeue
-            fired = False
-            for name, (deg, rhs) in self.monic_rules.items():
-                i = var_index[name]
-                if e[i] >= deg:
-                    base = list(e)
-                    base[i] -= deg
-                    for e2, c2 in rhs.terms.items():
-                        merged = tuple(a + b for a, b in zip(base, e2))
-                        work.append((merged, r.mul(c, c2)))
-                    fired = True
-                    break
-            if fired:
-                continue
-            if e in out:
-                out[e] = r.add(out[e], c)
-            else:
-                out[e] = c
-        return MvPoly(r, self.vars, out)
-
-    def is_zero_mod(self, f):
-        return self.normal_form(f).is_zero()
+            base = list(e)
+            base[i] -= deg
+            batch = [(tuple([a + b for a, b in zip(base, e2)]), mul(c, c2))
+                     for e2, c2 in rhs]
 
     def monomials_up_to(self, bound):
         """NF-basis exponent tuples of total degree <= bound, graded lex

@@ -5,9 +5,7 @@ import os
 import subprocess
 import sys
 
-import wf.poly
 from wf.bounds import gsp_order
-from wf.cli import main
 
 
 def run_cli(*args, env_extra=None):
@@ -107,14 +105,16 @@ def test_di_inconclusive_exit_three():
     assert err["threshold"] == 18
 
 
-def test_rewrite_limit_exit_three(monkeypatch, capsys):
-    # in process, with the step bound lowered so that a smooth curve hits
-    # it at once; at the real bound `di genus2 --p 7` ends the same way
-    monkeypatch.setattr(wf.poly, "REWRITE_STEPS", 20)
-    assert main(["lift", "weierstrass", "--p", "3"]) == 3
-    err = json.loads(capsys.readouterr().out)["error"]
-    assert err["type"] == "RewriteLimit"
-    assert err["bound"] == 20
+def test_di_genus2_p7_decides():
+    # rewriting high powers of y by y^2 -> x^5 + 2 term by term, without
+    # merging like terms, took too many steps to decide this class
+    data = run_json("di", "genus2", "--p", "7")
+    assert data["vanishes"] is False
+
+
+def test_compat_weierstrass_in_p2_p11_decides():
+    data = run_json("compat", "weierstrass_in_p2", "--p", "11")
+    assert data["compatible"] is True
 
 
 def test_nonsmooth_is_input_error():

@@ -56,9 +56,6 @@ class DeltaContext:
     def jet_var(self, name: str) -> MvPoly:
         return MvPoly.var(self.ring, self.all_vars, jet_name(name))
 
-    def base_var(self, name: str) -> MvPoly:
-        return MvPoly.var(self.ring, self.all_vars, name)
-
     # -- the three rules ----------------------------------------------------
 
     def c_pi(self, a: MvPoly, b: MvPoly) -> MvPoly:

@@ -10,6 +10,13 @@ F-twisted vector field, so the lifts of a glued scheme produce a Cech
 1-cocycle valued in F*T; the class of that cocycle is the obstruction,
 and a 0-cochain witness with controlled pole degree decides vanishing.
 
+The chart lifts, the coboundary witness and the lifts that commute with
+a morphism are all systems of such conditions, and one set of builders
+assembles them: _register adds the unknowns tag + (v, m) for a chart and
+a monomial basis, _add_jacobian adds a normal-formed Jacobian block,
+_add_affine and _add_admissibility add the constants with it, and
+_degree_ladder runs the degree-doubling search for both lift searches.
+
 Negative coboundary answers are only definitive at or above the
 completeness threshold for the family; below it the solver refuses with
 Inconclusive rather than guessing.
@@ -76,16 +83,8 @@ class LinearSystem:
             return None
         return {key: sol[i] for key, i in self.cols.items()}
 
-    def unknown_count(self):
-        return len(self.col_order)
-
 
 # -- chart lifts ---------------------------------------------------------------
-
-
-def _residue_lift(pres, g):
-    """Represent a residue polynomial over the full base ring."""
-    return g.map_coeffs(lambda c: pres.ring.from_int(c), pres.ring)
 
 
 def lift_substitution(pres, coeffs, ring=None, vars=None):
@@ -143,11 +142,7 @@ class LocalLift:
         pres2 = self.pres.at_precision(2)
         ring2 = pres2.ring
         mapping = lift_substitution(pres2, self.coeffs, ring2, pres2.all_vars)
-        gens = list(pres2.relations)
-        for u, v in pres2.loc_pairs:
-            gens.append(MvPoly.var(ring2, pres2.all_vars, u)
-                        * MvPoly.var(ring2, pres2.all_vars, v) - 1)
-        for g in gens:
+        for g in pres2.generators():
             img = g.subst(mapping, ring=ring2, vars=pres2.all_vars)
             if not pres2.nf_R(img).is_zero():
                 raise WfError("lift candidate does not preserve %s mod pi^2"
@@ -176,16 +171,68 @@ def _basis_monomial(pres, exps, c=1):
     return MvPoly.monomial(pres.res, pres.all_vars, exps, pres.res.from_int(c))
 
 
-def _coeffs_from_solution(pres, basis, sol, tag, extra=()):
+def _coeffs_from_solution(pres, basis, sol, tag):
     out = {}
     for v in pres.vars:
         g = MvPoly.zero(pres.res, pres.all_vars)
         for m in basis:
-            val = sol.get((tag,) + tuple(extra) + (v, m), 0)
+            val = sol.get(tag + (v, m), 0)
             if val:
                 g = g + _basis_monomial(pres, m, val)
         out[v] = g
     return out
+
+
+def _register(sys, tag, pres, basis):
+    """One unknown tag + (v, m) per chart variable v and basis monomial m;
+    the free-variables-zero solution depends on this column order."""
+    for v in pres.vars:
+        for m in basis:
+            sys.col(tag + (v, m))
+
+
+def _add_jacobian(sys, eq, pres, jac, tag, basis):
+    """Add sum_v jac[v] * A_v, in the chart's normal form, to the
+    equations eq + (e,), where A_v ranges over the unknowns tag + (v, m)."""
+    for v in pres.vars:
+        j = jac.get(v)
+        if j is None:
+            continue
+        for m in basis:
+            unknown = tag + (v, m)
+            prod = pres.nf(j * _basis_monomial(pres, m))
+            for e, c in prod.terms.items():
+                sys.add(eq + (e,), unknown, c)
+
+
+def _add_affine(sys, eq, pres, row, tag, basis):
+    """The condition row.const + sum_v row.jac[v] * A_v = 0."""
+    for e, c in row.const.terms.items():
+        sys.add_rhs(eq + (e,), -c)
+    _add_jacobian(sys, eq, pres, row.jac, tag, basis)
+
+
+def _add_admissibility(sys, eq, pres, rows, tag, basis):
+    """One affine condition per collapsed generator row of the chart."""
+    for ridx, row in enumerate(rows):
+        _add_affine(sys, eq + (ridx,), pres, row, tag, basis)
+
+
+def _degree_ladder(attempt, start_degree, max_degree, what):
+    """attempt(d) at d = start, 2 start, ... up to max_degree (default
+    8 * start); the first result that is not None wins, and past the cap
+    NoSolutionAtBound names what was sought and the last degree tried."""
+    if max_degree is None:
+        max_degree = 8 * start_degree
+    d = start_degree
+    while True:
+        result = attempt(d)
+        if result is not None:
+            return result
+        if d >= max_degree:
+            raise NoSolutionAtBound(
+                "no %s with coefficients of degree <= %d" % (what, d), d)
+        d = min(2 * d, max_degree)
 
 
 def local_frobenius_lift(pres, start_degree=None, max_degree=None):
@@ -198,43 +245,22 @@ def local_frobenius_lift(pres, start_degree=None, max_degree=None):
     rows = _patch_rows(pres)
     if start_degree is None:
         start_degree = max(1, pres.q * pres.max_relation_degree())
-    if max_degree is None:
-        max_degree = 8 * start_degree
-    d = start_degree
-    while True:
-        coeffs = _lift_attempt(pres, rows, d)
-        if coeffs is not None:
-            lift = LocalLift(pres, coeffs, degree=d)
-            lift.verify()
-            return lift
-        if d >= max_degree:
-            raise NoSolutionAtBound(
-                "no admissible lift on %s with coefficients of degree <= %d"
-                % (pres.name, d), d)
-        d = min(2 * d, max_degree)
 
+    def attempt(degree):
+        sys = LinearSystem(pres.ring.p)
+        basis = pres.red.monomials_up_to(degree)
+        _register(sys, ("A",), pres, basis)
+        _add_admissibility(sys, ("lift",), pres, rows, ("A",), basis)
+        sol = sys.solve()
+        if sol is None:
+            return None
+        return LocalLift(pres, _coeffs_from_solution(pres, basis, sol, ("A",)),
+                         degree=degree)
 
-def _lift_attempt(pres, rows, degree):
-    sys = LinearSystem(pres.ring.p)
-    basis = pres.red.monomials_up_to(degree)
-    for v in pres.vars:
-        for m in basis:
-            sys.col(("A", v, m))
-    for ridx, row in enumerate(rows):
-        for e, c in row.const.terms.items():
-            sys.add_rhs(("lift", ridx, e), -c)
-        for v in pres.vars:
-            jac = row.jac.get(v)
-            if jac is None:
-                continue
-            for m in basis:
-                prod = pres.nf(jac * _basis_monomial(pres, m))
-                for e, c in prod.terms.items():
-                    sys.add(("lift", ridx, e), ("A", v, m), c)
-    sol = sys.solve()
-    if sol is None:
-        return None
-    return _coeffs_from_solution(pres, basis, sol, "A")
+    lift = _degree_ladder(attempt, start_degree, max_degree,
+                          "admissible lift on %s" % (pres.name,))
+    lift.verify()
+    return lift
 
 
 # -- the Cech cocycle -----------------------------------------------------------
@@ -258,13 +284,17 @@ def express_fder(coeffs, src_pres, dst_pres, dst_to_src, src_to_dst):
     return FDerSection(dst_pres, out)
 
 
+def _overlap_difference(scheme, a, b, sec_a, sec_b):
+    """sec_a - sec_b on the (a, b) overlap, in a-side coordinates."""
+    view = scheme.view(a, b)
+    return (restrict_fder(sec_a, view.pres_a)
+            - express_fder(sec_b.coeffs, view.pres_b, view.pres_a,
+                           view.map_ab, view.map_ba))
+
+
 def di_cocycle_pair(scheme, lifts, a, b):
     """delta_a - delta_b on the (a, b) overlap, in a-side coordinates."""
-    view = scheme.view(a, b)
-    da = restrict_fder(lifts[a].fder, view.pres_a)
-    db = express_fder(lifts[b].fder.coeffs, view.pres_b, view.pres_a,
-                      view.map_ab, view.map_ba)
-    return da - db
+    return _overlap_difference(scheme, a, b, lifts[a].fder, lifts[b].fder)
 
 
 class Cochain1:
@@ -329,13 +359,9 @@ def di_cocycle(scheme, lifts, check=True):
 
 def coboundary_of(scheme, sections):
     """The 1-cochain (W_i - W_j)_{ij} of a family of patch sections."""
-    values = {}
-    for (i, j) in scheme.overlap_pairs():
-        view = scheme.view(i, j)
-        wi = restrict_fder(sections[i], view.pres_a)
-        wj = express_fder(sections[j].coeffs, view.pres_b, view.pres_a,
-                          view.map_ab, view.map_ba)
-        values[(i, j)] = wi - wj
+    values = {(i, j): _overlap_difference(scheme, i, j, sections[i],
+                                          sections[j])
+              for (i, j) in scheme.overlap_pairs()}
     return Cochain1(scheme, values)
 
 
@@ -377,22 +403,13 @@ def is_coboundary(scheme, cochain, pole_bound=None, threshold=None):
     sys = LinearSystem(p)
     bases = []
     for idx, pres in enumerate(scheme.patches):
-        basis = pres.red.monomials_up_to(pole_bound)
-        bases.append(basis)
-        for v in pres.vars:
-            for m in basis:
-                sys.col(("W", idx, v, m))
+        bases.append(pres.red.monomials_up_to(pole_bound))
+        _register(sys, ("W", idx), pres, bases[idx])
     # tangency: each section must kill the patch relations
     for idx, pres in enumerate(scheme.patches):
         for ridx, row in enumerate(_patch_rows(pres)):
-            for v in pres.vars:
-                jac = row.jac.get(v)
-                if jac is None:
-                    continue
-                for m in bases[idx]:
-                    prod = pres.nf(jac * _basis_monomial(pres, m))
-                    for e, c in prod.terms.items():
-                        sys.add(("tan", idx, ridx, e), ("W", idx, v, m), c)
+            _add_jacobian(sys, ("tan", idx, ridx), pres, row.jac, ("W", idx),
+                          bases[idx])
     # difference equations on every overlap, in a-side coordinates
     for (i, j) in scheme.overlap_pairs():
         view = scheme.view(i, j)
@@ -431,7 +448,7 @@ def is_coboundary(scheme, cochain, pole_bound=None, threshold=None):
             % (pole_bound, threshold), pole_bound, threshold)
     sections = []
     for idx, pres in enumerate(scheme.patches):
-        coeffs = _coeffs_from_solution(pres, bases[idx], sol, "W", (idx,))
+        coeffs = _coeffs_from_solution(pres, bases[idx], sol, ("W", idx))
         sections.append(FDerSection(pres, coeffs))
     back = coboundary_of(scheme, sections)
     for key, val in cochain.values.items():
@@ -654,86 +671,49 @@ def build_compatible_lifts(morphism, y_lifts=None, start_degree=None,
     kind = morphism.kind
     if kind not in ("closed_immersion", "etale", "projection"):
         raise KindMismatch("unsupported morphism kind %r" % (kind,))
-    ring = morphism.source.ring
-    q = ring.q
+    q = morphism.source.ring.q
     if start_degree is None:
         start_degree = max(
             [q * p.max_relation_degree() for p in morphism.source.patches]
             + [q * p.max_relation_degree() for p in morphism.target.patches]
             + [q])
-    if max_degree is None:
-        max_degree = 8 * start_degree
     joint = y_lifts is None
-    d = start_degree
-    while True:
-        result = _compatible_attempt(morphism, y_lifts, d, joint)
-        if result is not None:
-            x_lifts, y_out = result
-            for lift in x_lifts:
-                lift.verify()
-            for lift in y_out:
-                lift.verify()
-            disc = lift_discrepancy(morphism, x_lifts, y_out)
-            for e in disc:
-                for g in e.values():
-                    if not g.is_zero():
-                        raise WfError("compatible lift solution failed the "
-                                      "discrepancy re-check")
-            return x_lifts, y_out
-        if d >= max_degree:
-            raise NoSolutionAtBound(
-                "no compatible lifts with coefficients of degree <= %d" % (d,),
-                d)
-        d = min(2 * d, max_degree)
+    x_lifts, y_out = _degree_ladder(
+        lambda d: _compatible_attempt(morphism, y_lifts, d, joint),
+        start_degree, max_degree, "compatible lifts")
+    for lift in x_lifts:
+        lift.verify()
+    for lift in y_out:
+        lift.verify()
+    disc = lift_discrepancy(morphism, x_lifts, y_out)
+    for e in disc:
+        for g in e.values():
+            if not g.is_zero():
+                raise WfError("compatible lift solution failed the "
+                              "discrepancy re-check")
+    return x_lifts, y_out
 
 
 def _compatible_attempt(morphism, y_lifts, degree, joint):
-    ring = morphism.source.ring
-    sys = LinearSystem(ring.p)
+    sys = LinearSystem(morphism.source.ring.p)
     src_bases = []
     for idx, pres in enumerate(morphism.source.patches):
-        basis = pres.red.monomials_up_to(degree)
-        src_bases.append(basis)
-        for v in pres.vars:
-            for m in basis:
-                sys.col(("AX", idx, v, m))
+        src_bases.append(pres.red.monomials_up_to(degree))
+        _register(sys, ("AX", idx), pres, src_bases[idx])
     tgt_bases = {}
     if joint:
         for idx in sorted({c.target_index for c in morphism.charts}):
             pres = morphism.target.patches[idx]
-            basis = pres.red.monomials_up_to(degree)
-            tgt_bases[idx] = basis
-            for t in pres.vars:
-                for m in basis:
-                    sys.col(("AY", idx, t, m))
-    # admissibility of the source lifts
+            tgt_bases[idx] = pres.red.monomials_up_to(degree)
+            _register(sys, ("AY", idx), pres, tgt_bases[idx])
+    # admissibility of the source lifts, then of the target lifts
     for idx, pres in enumerate(morphism.source.patches):
-        for ridx, row in enumerate(_patch_rows(pres)):
-            for e, c in row.const.terms.items():
-                sys.add_rhs(("xlift", idx, ridx, e), -c)
-            for v in pres.vars:
-                jac = row.jac.get(v)
-                if jac is None:
-                    continue
-                for m in src_bases[idx]:
-                    prod = pres.nf(jac * _basis_monomial(pres, m))
-                    for e, c in prod.terms.items():
-                        sys.add(("xlift", idx, ridx, e), ("AX", idx, v, m), c)
-    # admissibility of the target lifts (joint mode only)
-    if joint:
-        for idx, basis in tgt_bases.items():
-            pres = morphism.target.patches[idx]
-            for ridx, row in enumerate(_patch_rows(pres)):
-                for e, c in row.const.terms.items():
-                    sys.add_rhs(("ylift", idx, ridx, e), -c)
-                for t in pres.vars:
-                    jac = row.jac.get(t)
-                    if jac is None:
-                        continue
-                    for m in basis:
-                        prod = pres.nf(jac * _basis_monomial(pres, m))
-                        for e, c in prod.terms.items():
-                            sys.add(("ylift", idx, ridx, e), ("AY", idx, t, m), c)
+        _add_admissibility(sys, ("xlift", idx), pres, _patch_rows(pres),
+                           ("AX", idx), src_bases[idx])
+    for idx, basis in tgt_bases.items():
+        pres = morphism.target.patches[idx]
+        _add_admissibility(sys, ("ylift", idx), pres, _patch_rows(pres),
+                           ("AY", idx), basis)
     # the commuting condition per chart and target variable:
     #   const(pullback(t)) + sum_v M_{t,v} A^X_v = pullback(A^Y_t)
     for idx, chart in enumerate(morphism.charts):
@@ -744,16 +724,7 @@ def _compatible_attempt(morphism, y_lifts, degree, joint):
             row = collapse_companion_jets(
                 src, linearize_generator(src, dctx, chart.pullback[t]))
             eqbase = ("compat", idx, t)
-            for e, c in row.const.terms.items():
-                sys.add_rhs(eqbase + (e,), -c)
-            for v in src.vars:
-                jac = row.jac.get(v)
-                if jac is None:
-                    continue
-                for m in src_bases[idx]:
-                    prod = src.nf(jac * _basis_monomial(src, m))
-                    for e, c in prod.terms.items():
-                        sys.add(eqbase + (e,), ("AX", idx, v, m), c)
+            _add_affine(sys, eqbase, src, row, ("AX", idx), src_bases[idx])
             if joint:
                 basis = tgt_bases[chart.target_index]
                 for m in basis:
@@ -774,14 +745,14 @@ def _compatible_attempt(morphism, y_lifts, degree, joint):
         return None
     x_lifts = []
     for idx, pres in enumerate(morphism.source.patches):
-        coeffs = _coeffs_from_solution(pres, src_bases[idx], sol, "AX", (idx,))
+        coeffs = _coeffs_from_solution(pres, src_bases[idx], sol, ("AX", idx))
         x_lifts.append(LocalLift(pres, coeffs, degree=degree))
     if joint:
         y_out = []
         for idx, pres in enumerate(morphism.target.patches):
             if idx in tgt_bases:
                 coeffs = _coeffs_from_solution(pres, tgt_bases[idx], sol,
-                                               "AY", (idx,))
+                                               ("AY", idx))
                 y_out.append(LocalLift(pres, coeffs, degree=degree))
             else:
                 y_out.append(local_frobenius_lift(pres))

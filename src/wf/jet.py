@@ -30,17 +30,8 @@ class JetPresentation:
         self.pres = pres
         self.dctx = DeltaContext(pres.ring, pres.all_vars)
         self.base_count = len(pres.all_vars)
-        gens = []
-        for g in pres.relations:
-            gens.append(g.extend_vars(self.dctx.all_vars))
-        for u, v in pres.loc_pairs:
-            prod = (MvPoly.var(pres.ring, pres.all_vars, u)
-                    * MvPoly.var(pres.ring, pres.all_vars, v) - 1)
-            gens.append(prod.extend_vars(self.dctx.all_vars))
-        originals = list(gens)
-        for g in originals:
-            gens.append(self.dctx.prolong(g))
-        self.generators = tuple(gens)
+        gens = [g.extend_vars(self.dctx.all_vars) for g in pres.generators()]
+        self.generators = tuple(gens + [self.dctx.prolong(g) for g in gens])
 
     @property
     def all_vars(self):
@@ -55,10 +46,6 @@ class JetPresentation:
     def __repr__(self):
         return "JetPresentation(%s, %d generators)" % (self.pres.name,
                                                        len(self.generators))
-
-
-def jet_presentation(pres: Presentation) -> JetPresentation:
-    return JetPresentation(pres)
 
 
 # -- linearization mod pi -----------------------------------------------------
@@ -129,15 +116,8 @@ def linearize_generator(pres: Presentation, dctx: DeltaContext, g: MvPoly) -> Li
 def linearize_mod_pi(pres: Presentation) -> LinearizedJet:
     """Linear rows for every relation and companion product of the chart."""
     dctx = DeltaContext(pres.ring, pres.all_vars)
-    rows = []
-    gens = list(pres.relations)
-    for u, v in pres.loc_pairs:
-        prod = (MvPoly.var(pres.ring, pres.all_vars, u)
-                * MvPoly.var(pres.ring, pres.all_vars, v) - 1)
-        gens.append(prod)
-    for g in gens:
-        rows.append(linearize_generator(pres, dctx, g))
-    return LinearizedJet(pres, rows)
+    return LinearizedJet(pres, [linearize_generator(pres, dctx, g)
+                                for g in pres.generators()])
 
 
 def collapse_companion_jets(pres: Presentation, row: LinearRow) -> LinearRow:

@@ -100,6 +100,13 @@ class Presentation:
                             self.ring, self.vars, self.relations,
                             self.inverted + extra)
 
+    def generators(self):
+        """The relations, then u*v - 1 for every companion pair (u, v)."""
+        return list(self.relations) + [
+            MvPoly.var(self.ring, self.all_vars, u)
+            * MvPoly.var(self.ring, self.all_vars, v) - 1
+            for u, v in self.loc_pairs]
+
     def max_relation_degree(self):
         return max((g.total_deg() for g in self.relations), default=1)
 

@@ -105,6 +105,19 @@ def test_di_inconclusive_exit_three():
     assert err["threshold"] == 18
 
 
+def test_lift_ladder_refusal_exit_three():
+    for args, message in (
+            (("lift", "weierstrass"),
+             "no admissible lift on Eaff with coefficients of degree <= 1"),
+            (("compat", "weierstrass_in_p2"),
+             "no compatible lifts with coefficients of degree <= 1")):
+        proc = run_cli(*args, "--p", "3", "--deg-bound", "1", "--max-deg", "1")
+        assert proc.returncode == 3
+        err = json.loads(proc.stdout)["error"]
+        assert err == {"type": "NoSolutionAtBound", "bound": 1,
+                       "message": message}
+
+
 def test_di_genus2_p7_decides():
     # rewriting high powers of y by y^2 -> x^5 + 2 term by term, without
     # merging like terms, took too many steps to decide this class

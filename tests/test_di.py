@@ -3,16 +3,19 @@
 import pytest
 
 from wf.base_ring import BaseRingSpec
-from wf.errors import (Inconclusive, KindMismatch, NoSolutionAtBound, WfError)
-from wf.di import (LocalLift, build_compatible_lifts, coboundary_of,
-                   compatibility_check, completeness_threshold,
+from wf.delta import DeltaContext
+from wf.errors import (Inconclusive, KindMismatch, NonSmooth,
+                       NoSolutionAtBound, WfError)
+from wf.di import (LinearSystem, LocalLift, build_compatible_lifts,
+                   coboundary_of, compatibility_check, completeness_threshold,
                    compute_di_class, di_cocycle, di_cocycle_pair, express_fder,
                    is_coboundary, lift_discrepancy, local_frobenius_lift,
                    zero_sections)
-from wf.jet import collapse_companion_jets, linearize_mod_pi
+from wf.jet import (collapse_companion_jets, linearize_generator,
+                    linearize_mod_pi)
 from wf.poly import MvPoly, parse_poly
 from wf.scheme import (BUILTIN_MORPHISMS, BUILTIN_SCHEMES, SchemeMorphism,
-                       weierstrass_curve)
+                       transport, weierstrass_curve)
 
 
 def collapsed_rows(pres):
@@ -65,6 +68,27 @@ def test_solved_lifts_satisfy_rows_and_verify():
             lift = local_frobenius_lift(pres)
             assert lift.verify() is True
             assert_admissible_by_rows(pres, lift.coeffs)
+
+
+def test_lift_ladder_doubles_to_the_cap_then_refuses():
+    pres = BUILTIN_SCHEMES["weierstrass"](BaseRingSpec(3)).patches[0]
+    # degrees 1, 2, 4: the first admissible lift needs degree 4 at p = 3
+    assert local_frobenius_lift(pres, 1, 8).degree == 4
+    with pytest.raises(NoSolutionAtBound) as exc:
+        local_frobenius_lift(pres, 1, 1)
+    assert exc.value.bound == 1
+    assert str(exc.value) == ("no admissible lift on Eaff with coefficients "
+                              "of degree <= 1")
+    # degrees 2, then 3: the last step is clamped to the cap
+    with pytest.raises(NoSolutionAtBound) as exc:
+        local_frobenius_lift(pres, 2, 3)
+    assert exc.value.bound == 3
+    m = BUILTIN_MORPHISMS["weierstrass_in_p2"](BaseRingSpec(3))
+    with pytest.raises(NoSolutionAtBound) as exc:
+        build_compatible_lifts(m, start_degree=1, max_degree=1)
+    assert exc.value.bound == 1
+    assert str(exc.value) == ("no compatible lifts with coefficients of "
+                              "degree <= 1")
 
 
 def test_zero_lift_rejected_on_weierstrass():
@@ -289,3 +313,188 @@ def test_unsupported_kind_refused():
     bare = SchemeMorphism(m.name, m.source, m.target, m.charts, kind=None)
     with pytest.raises(KindMismatch):
         build_compatible_lifts(bare)
+
+
+# -- assembly oracle: the per-system builders written out in full --------------
+#
+# These are the lift and compatible-lift attempts as they stood before the
+# builders were folded into shared helpers, kept as references: same keys,
+# same column order, so the free-variables-zero solution must be the same.
+
+
+def _ref_basis_monomial(pres, exps, c=1):
+    return MvPoly.monomial(pres.res, pres.all_vars, exps, pres.res.from_int(c))
+
+
+def _ref_coeffs_from_solution(pres, basis, sol, tag, extra=()):
+    out = {}
+    for v in pres.vars:
+        g = MvPoly.zero(pres.res, pres.all_vars)
+        for m in basis:
+            val = sol.get((tag,) + tuple(extra) + (v, m), 0)
+            if val:
+                g = g + _ref_basis_monomial(pres, m, val)
+        out[v] = g
+    return out
+
+
+def _ref_lift_attempt(pres, rows, degree):
+    sys = LinearSystem(pres.ring.p)
+    basis = pres.red.monomials_up_to(degree)
+    for v in pres.vars:
+        for m in basis:
+            sys.col(("A", v, m))
+    for ridx, row in enumerate(rows):
+        for e, c in row.const.terms.items():
+            sys.add_rhs(("lift", ridx, e), -c)
+        for v in pres.vars:
+            jac = row.jac.get(v)
+            if jac is None:
+                continue
+            for m in basis:
+                prod = pres.nf(jac * _ref_basis_monomial(pres, m))
+                for e, c in prod.terms.items():
+                    sys.add(("lift", ridx, e), ("A", v, m), c)
+    sol = sys.solve()
+    if sol is None:
+        return None
+    return _ref_coeffs_from_solution(pres, basis, sol, "A")
+
+
+def _ref_compatible_attempt(morphism, y_lifts, degree, joint):
+    ring = morphism.source.ring
+    sys = LinearSystem(ring.p)
+    src_bases = []
+    for idx, pres in enumerate(morphism.source.patches):
+        basis = pres.red.monomials_up_to(degree)
+        src_bases.append(basis)
+        for v in pres.vars:
+            for m in basis:
+                sys.col(("AX", idx, v, m))
+    tgt_bases = {}
+    if joint:
+        for idx in sorted({c.target_index for c in morphism.charts}):
+            pres = morphism.target.patches[idx]
+            basis = pres.red.monomials_up_to(degree)
+            tgt_bases[idx] = basis
+            for t in pres.vars:
+                for m in basis:
+                    sys.col(("AY", idx, t, m))
+    for idx, pres in enumerate(morphism.source.patches):
+        for ridx, row in enumerate(collapsed_rows(pres)):
+            for e, c in row.const.terms.items():
+                sys.add_rhs(("xlift", idx, ridx, e), -c)
+            for v in pres.vars:
+                jac = row.jac.get(v)
+                if jac is None:
+                    continue
+                for m in src_bases[idx]:
+                    prod = pres.nf(jac * _ref_basis_monomial(pres, m))
+                    for e, c in prod.terms.items():
+                        sys.add(("xlift", idx, ridx, e), ("AX", idx, v, m), c)
+    if joint:
+        for idx, basis in tgt_bases.items():
+            pres = morphism.target.patches[idx]
+            for ridx, row in enumerate(collapsed_rows(pres)):
+                for e, c in row.const.terms.items():
+                    sys.add_rhs(("ylift", idx, ridx, e), -c)
+                for t in pres.vars:
+                    jac = row.jac.get(t)
+                    if jac is None:
+                        continue
+                    for m in basis:
+                        prod = pres.nf(jac * _ref_basis_monomial(pres, m))
+                        for e, c in prod.terms.items():
+                            sys.add(("ylift", idx, ridx, e),
+                                    ("AY", idx, t, m), c)
+    for idx, chart in enumerate(morphism.charts):
+        src = morphism.source.patches[idx]
+        tgt = morphism.target_patch(idx)
+        dctx = DeltaContext(src.ring, src.all_vars)
+        for t in tgt.vars:
+            row = collapse_companion_jets(
+                src, linearize_generator(src, dctx, chart.pullback[t]))
+            eqbase = ("compat", idx, t)
+            for e, c in row.const.terms.items():
+                sys.add_rhs(eqbase + (e,), -c)
+            for v in src.vars:
+                jac = row.jac.get(v)
+                if jac is None:
+                    continue
+                for m in src_bases[idx]:
+                    prod = src.nf(jac * _ref_basis_monomial(src, m))
+                    for e, c in prod.terms.items():
+                        sys.add(eqbase + (e,), ("AX", idx, v, m), c)
+            if joint:
+                basis = tgt_bases[chart.target_index]
+                for m in basis:
+                    mono = MvPoly.monomial(tgt.res, tgt.all_vars, m)
+                    moved = transport(mono, tgt, chart.pullback, src,
+                                      level="res")
+                    for e, c in moved.terms.items():
+                        sys.add(eqbase + (e,),
+                                ("AY", chart.target_index, t, m), -c)
+            else:
+                ay = y_lifts[chart.target_index].fder
+                pulled = transport(ay.coeffs[t], tgt, chart.pullback, src,
+                                   level="res")
+                for e, c in pulled.terms.items():
+                    sys.add_rhs(eqbase + (e,), c)
+    sol = sys.solve()
+    if sol is None:
+        return None
+    xs = [_ref_coeffs_from_solution(pres, src_bases[idx], sol, "AX", (idx,))
+          for idx, pres in enumerate(morphism.source.patches)]
+    if not joint:
+        return xs, [lift.coeffs for lift in y_lifts]
+    ys = [_ref_coeffs_from_solution(pres, tgt_bases[idx], sol, "AY", (idx,))
+          if idx in tgt_bases else local_frobenius_lift(pres).coeffs
+          for idx, pres in enumerate(morphism.target.patches)]
+    return xs, ys
+
+
+def _builtin_charts(ring):
+    for name in sorted(BUILTIN_SCHEMES):
+        try:
+            scheme = BUILTIN_SCHEMES[name](ring)
+        except NonSmooth:
+            continue
+        yield from scheme.patches
+
+
+def test_lift_search_matches_reference_assembly():
+    for p in (3, 5):
+        for pres in _builtin_charts(BaseRingSpec(p)):
+            start = max(1, pres.q * pres.max_relation_degree())
+            for d in sorted({1, start, 2 * start}):
+                ref = _ref_lift_attempt(pres, collapsed_rows(pres), d)
+                try:
+                    got = local_frobenius_lift(pres, d, d).coeffs
+                except NoSolutionAtBound as exc:
+                    assert exc.bound == d
+                    got = None
+                assert got == ref, (pres.name, p, d)
+
+
+def test_compatible_lifts_match_reference_assembly():
+    for p in (3, 5):
+        ring = BaseRingSpec(p)
+        for name in sorted(BUILTIN_MORPHISMS):
+            m = BUILTIN_MORPHISMS[name](ring)
+            start = max([ring.q * pres.max_relation_degree()
+                         for pres in m.source.patches + m.target.patches]
+                        + [ring.q])
+            fixed = [local_frobenius_lift(pres) for pres in m.target.patches]
+            for d in sorted({1, start, 2 * start}):
+                for y_lifts in (None, fixed):
+                    ref = _ref_compatible_attempt(m, y_lifts, d,
+                                                  y_lifts is None)
+                    try:
+                        xs, ys = build_compatible_lifts(
+                            m, y_lifts, start_degree=d, max_degree=d)
+                        got = ([lift.coeffs for lift in xs],
+                               [lift.coeffs for lift in ys])
+                    except NoSolutionAtBound as exc:
+                        assert exc.bound == d
+                        got = None
+                    assert got == ref, (name, p, d, y_lifts is None)

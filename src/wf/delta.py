@@ -12,7 +12,8 @@ left fold over the canonical (graded lex, largest first) term order:
 with C_pi(a, b) = (a^q + b^q - (a+b)^q)/pi, an exact division because the
 binomial coefficients below q are divisible by p.  Folding the constant
 term last makes prolong(f + c) literally equal
-prolong(f) + base_delta(c) + c_pi(f, c), precision included.
+prolong(f) + base_delta(c) + c_pi(f, c), precision included.  The fold
+carries acc^q: one step's (acc + t)^q is the next step's acc^q.
 
 Everything here runs over either exact integers (the Fermat-quotient
 oracle lives there) or a tracked-precision base ring, where the divisions
@@ -60,12 +61,14 @@ class DeltaContext:
 
     def c_pi(self, a: MvPoly, b: MvPoly) -> MvPoly:
         """(a^q + b^q - (a+b)^q)/pi, coefficientwise exact division."""
-        q = self.q
-        num = a ** q + b ** q - (a + b) ** q
-        return num.map_coeffs(self.ring.div_pi, self.ring)
+        return self._c_pi_q(a ** self.q, b ** self.q, (a + b) ** self.q)
+
+    def _c_pi_q(self, aq, bq, sq):
+        return (aq + bq - sq).map_coeffs(self.ring.div_pi, self.ring)
 
     def prolong(self, f: MvPoly) -> MvPoly:
-        """delta(f) as a polynomial in the variables and their jets."""
+        """delta(f) as a polynomial in the variables and their jets; each
+        fold step keeps (acc + t)^q as the next step's acc^q."""
         if f.vars != self.all_vars:
             f = f.extend_vars(self.all_vars)
         n = len(self.vars)
@@ -75,16 +78,19 @@ class DeltaContext:
         if not terms:
             return MvPoly.zero(self.ring, self.all_vars)
         memo = {}
-        acc_val = None
-        acc_del = None
+        acc_val = acc_del = acc_q = None
         for e, c in terms:
             t_val = MvPoly(self.ring, self.all_vars, {e: c})
             t_del = self._delta_term(e, c, memo)
             if acc_val is None:
                 acc_val, acc_del = t_val, t_del
-            else:
-                acc_del = acc_del + t_del + self.c_pi(acc_val, t_val)
-                acc_val = acc_val + t_val
+                continue
+            if acc_q is None:
+                acc_q = acc_val ** self.q
+            acc_val = acc_val + t_val
+            s_q = acc_val ** self.q
+            acc_del = acc_del + t_del + self._c_pi_q(acc_q, t_val ** self.q, s_q)
+            acc_q = s_q
         return acc_del
 
     def _delta_term(self, e, c, memo):

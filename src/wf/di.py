@@ -130,9 +130,6 @@ class LocalLift:
     def coeffs(self):
         return self.fder.coeffs
 
-    def phi_images(self):
-        return lift_substitution(self.pres, self.coeffs)
-
     def verify(self):
         """Exact mod-pi^2 admissibility check, independent of the solver.
 

@@ -22,6 +22,7 @@ rewritten once, with its like terms already merged.
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from operator import add as _plus
 
 from .errors import NotPrepared, ParseError, VariableMismatch, WfError
 
@@ -148,13 +149,15 @@ class MvPoly:
                           {e: r.mul(c, other) for e, c in self.terms.items()})
         if self.vars != other.vars:
             raise VariableMismatch("operands over %r and %r" % (self.vars, other.vars))
+        mul, add = r.mul, r.add
+        items = list(other.terms.items())
         out = {}
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = r.mul(c1, c2)
+            for e2, c2 in items:
+                e = tuple(map(_plus, e1, e2))
+                c = mul(c1, c2)
                 if e in out:
-                    out[e] = r.add(out[e], c)
+                    out[e] = add(out[e], c)
                 else:
                     out[e] = c
         return MvPoly(r, self.vars, out)
@@ -169,8 +172,9 @@ class MvPoly:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:  # no square past the top bit: it would never be read
+                base = base * base
         return result
 
     # -- calculus ----------------------------------------------------------
@@ -288,13 +292,6 @@ class MvPoly:
                 d[i] = k
             out[tuple(d)] = c
         return MvPoly(self.ring, vars, out, _clean=False)
-
-    def rename_vars(self, table, vars=None):
-        """Rename variables through a dict; order is preserved by default."""
-        new_names = tuple(table.get(v, v) for v in self.vars)
-        if vars is None:
-            return MvPoly(self.ring, new_names, dict(self.terms), _clean=False)
-        return MvPoly(self.ring, new_names, dict(self.terms), _clean=False).extend_vars(vars)
 
     # -- text ---------------------------------------------------------------
 

@@ -9,8 +9,8 @@ from wf.errors import (Inconclusive, KindMismatch, NonSmooth,
 from wf.di import (LinearSystem, LocalLift, build_compatible_lifts,
                    coboundary_of, compatibility_check, completeness_threshold,
                    compute_di_class, di_cocycle, di_cocycle_pair, express_fder,
-                   is_coboundary, lift_discrepancy, local_frobenius_lift,
-                   zero_sections)
+                   is_coboundary, lift_discrepancy, lift_substitution,
+                   local_frobenius_lift, zero_sections)
 from wf.jet import (collapse_companion_jets, linearize_generator,
                     linearize_mod_pi)
 from wf.poly import MvPoly, parse_poly
@@ -54,7 +54,8 @@ def test_free_chart_lift_is_plain_frobenius():
     pres = BUILTIN_SCHEMES["a1"](ring).patches[0]
     lift = local_frobenius_lift(pres)
     assert lift.fder.is_zero()
-    assert lift.phi_images()["x"] == parse_poly("x^3", ring, pres.all_vars)
+    images = lift_substitution(lift.pres, lift.coeffs)
+    assert images["x"] == parse_poly("x^3", ring, pres.all_vars)
 
 
 def test_solved_lifts_satisfy_rows_and_verify():

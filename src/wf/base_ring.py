@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 
-from .bounds import is_prime
+from .bounds import require_at_least, require_prime
 from .errors import NotDivisible, PrecisionExceeded, SpecMismatch, WfError
 
 
@@ -73,8 +73,7 @@ class BaseRingSpec:
                  "_moduli", "_unit0_inv", "_pi_coeffs")
 
     def __init__(self, p, eisenstein=None, precision=4, frob_power=1):
-        if not isinstance(p, int) or not is_prime(p):
-            raise WfError("p must be prime, got %r" % (p,))
+        require_prime(p, "p")
         if eisenstein is None:
             eisenstein = [-p, 1]
         eisenstein = tuple(int(c) for c in eisenstein)
@@ -86,8 +85,7 @@ class BaseRingSpec:
             raise WfError("eisenstein constant term must have p-valuation exactly 1")
         if precision < 2:
             raise WfError("precision must be at least 2")
-        if frob_power < 1:
-            raise WfError("frob_power must be at least 1")
+        require_at_least(frob_power, 1, "frob_power")
         self.p = p
         self.eisenstein = eisenstein
         self.e = len(eisenstein) - 1
@@ -486,6 +484,8 @@ class IntRing:
     __slots__ = ("p", "frob_power", "q")
 
     def __init__(self, p, frob_power=1):
+        require_prime(p, "p")
+        require_at_least(frob_power, 1, "frob_power")
         self.p = p
         self.frob_power = frob_power
         self.q = p ** frob_power
@@ -568,6 +568,9 @@ class IntModRing:
     __slots__ = ("p", "k", "n", "frob_power", "q")
 
     def __init__(self, p, k=1, frob_power=1):
+        require_prime(p, "p")
+        require_at_least(k, 1, "k")
+        require_at_least(frob_power, 1, "frob_power")
         self.p = p
         self.k = k
         self.n = p ** k

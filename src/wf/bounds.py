@@ -48,12 +48,14 @@ def is_prime(n):
     return True
 
 
-def _require_prime(value, name):
+def require_prime(value, name):
+    """WfError unless value is a prime integer; name labels the message."""
     if not isinstance(value, int) or not is_prime(value):
         raise WfError("%s must be prime, got %r" % (name, value))
 
 
-def _require_at_least(value, floor, name):
+def require_at_least(value, floor, name):
+    """WfError unless value is an integer >= floor."""
     if not isinstance(value, int) or value < floor:
         raise WfError("%s must be an integer >= %d, got %r" % (name, floor, value))
 
@@ -97,8 +99,8 @@ class PrimePower:
 def gsp_order(g, l):
     """Order of the general symplectic group of genus g over F_l:
     l^(g^2) * (l - 1) * product of (l^(2i) - 1) for i = 1..g."""
-    _require_at_least(g, 1, "g")
-    _require_prime(l, "l")
+    require_at_least(g, 1, "g")
+    require_prime(l, "l")
     order = l ** (g * g) * (l - 1)
     for i in range(1, g + 1):
         order *= l ** (2 * i) - 1
@@ -108,8 +110,8 @@ def gsp_order(g, l):
 def e_const(g, p):
     """The auxiliary-level constant: the symplectic group order at level
     5, switched to level 7 when p = 5 so the level stays prime to p."""
-    _require_at_least(g, 1, "g")
-    _require_prime(p, "p")
+    require_at_least(g, 1, "g")
+    require_prime(p, "p")
     return gsp_order(g, 7) if p == 5 else gsp_order(g, 5)
 
 
@@ -120,7 +122,7 @@ def frob_power_bound(g, p, d):
     r_bound scales with the field-of-moduli degree d; the divisibility
     modulus n does not, so the pair is not redundant.
     """
-    _require_at_least(d, 1, "d")
+    require_at_least(d, 1, "d")
     e = e_const(g, p)
     return 2 * g * e * d, PrimePower(p, 2 * g * e)
 
@@ -128,8 +130,8 @@ def frob_power_bound(g, p, d):
 def abelian_subgroup_bound(g, l):
     """Order bound l^(g(2g+1)+1) for abelian l-subgroups of the genus-g
     symplectic group."""
-    _require_at_least(g, 1, "g")
-    _require_prime(l, "l")
+    require_at_least(g, 1, "g")
+    require_prime(l, "l")
     return l ** (g * (2 * g + 1) + 1)
 
 
@@ -140,8 +142,8 @@ def torelli_noninjective(g, p):
     a genus-g curve, the right side that of its Jacobian with its
     principal polarization; strict inequality forces a kernel.
     """
-    _require_at_least(g, 2, "g")
-    _require_prime(p, "p")
+    require_at_least(g, 2, "g")
+    require_prime(p, "p")
     h1_curve = (2 * p + 1) * (g - 1)
     h1_ab = g * g
     return h1_curve > h1_ab, h1_curve, h1_ab
@@ -152,7 +154,7 @@ def lcm_exponent_table(n):
 
     Only for enumerable n; callers gate on size first.
     """
-    _require_at_least(n, 1, "n")
+    require_at_least(n, 1, "n")
     if n > 10 ** 6:
         raise WfError("lcm table is only computed for n <= 10^6")
     sieve = bytearray(b"\x01") * (n + 1)
@@ -185,10 +187,10 @@ def lcm_recipe(g, p):
 
 def bounds_report(g, p, d, l=5):
     """All five quantities for one query, plus the lcm recipe."""
-    _require_at_least(g, 1, "g")
-    _require_prime(p, "p")
-    _require_at_least(d, 1, "d")
-    _require_prime(l, "l")
+    require_at_least(g, 1, "g")
+    require_prime(p, "p")
+    require_at_least(d, 1, "d")
+    require_prime(l, "l")
     r_bound, n = frob_power_bound(g, p, d)
     report = {
         "g": g,

@@ -26,7 +26,7 @@ import random
 import sys
 
 from .base_ring import BaseRingSpec, IntModRing, IntRing
-from .bounds import bounds_report, is_prime
+from .bounds import bounds_report
 from .delta import DeltaContext
 from .di import (build_compatible_lifts, compatibility_check,
                  compute_di_class, local_frobenius_lift)
@@ -133,34 +133,26 @@ def _base_ring(args):
     return BaseRingSpec(args.p, eis, args.precision, args.m)
 
 
+def _load(token, args, builtins, cls, validate):
+    """A builtin from the table, or a JSON document read by cls and checked
+    by validate; the messages name the kind of object cls holds."""
+    what = "scheme" if cls is GluedScheme else "morphism"
+    if token in builtins:
+        if args.p is None:
+            raise WfError("--p is required with builtin %s %r" % (what, token))
+        return builtins[token](_base_ring(args))
+    if not os.path.exists(token):
+        raise WfError("unknown %s %r: not a builtin (%s) and not a file"
+                      % (what, token, ", ".join(sorted(builtins))))
+    data = _read_json(token)
+    ring = _base_ring(args) if args.p is not None else None
+    loaded = cls.from_json(data, ring)
+    validate(loaded)
+    return loaded
+
+
 def _load_scheme(token, args):
-    if token in BUILTIN_SCHEMES:
-        if args.p is None:
-            raise WfError("--p is required with builtin scheme %r" % (token,))
-        return BUILTIN_SCHEMES[token](_base_ring(args))
-    if not os.path.exists(token):
-        raise WfError("unknown scheme %r: not a builtin (%s) and not a file"
-                      % (token, ", ".join(sorted(BUILTIN_SCHEMES))))
-    data = _read_json(token)
-    ring = _base_ring(args) if args.p is not None else None
-    scheme = GluedScheme.from_json(data, ring)
-    validate_gluing(scheme)
-    return scheme
-
-
-def _load_morphism(token, args):
-    if token in BUILTIN_MORPHISMS:
-        if args.p is None:
-            raise WfError("--p is required with builtin morphism %r" % (token,))
-        return BUILTIN_MORPHISMS[token](_base_ring(args))
-    if not os.path.exists(token):
-        raise WfError("unknown morphism %r: not a builtin (%s) and not a file"
-                      % (token, ", ".join(sorted(BUILTIN_MORPHISMS))))
-    data = _read_json(token)
-    ring = _base_ring(args) if args.p is not None else None
-    morphism = SchemeMorphism.from_json(data, ring)
-    validate_morphism(morphism)
-    return morphism
+    return _load(token, args, BUILTIN_SCHEMES, GluedScheme, validate_gluing)
 
 
 def _select_patches(scheme, name):
@@ -178,8 +170,6 @@ def _select_patches(scheme, name):
 
 
 def cmd_witt(args):
-    if not is_prime(args.p):
-        raise WfError("--p must be a prime, got %d" % args.p)
     if args.mod:
         ring = IntModRing(args.p, args.mod, args.m)
         coeffs = "Z/%d^%d" % (args.p, args.mod)
@@ -220,8 +210,6 @@ def cmd_witt(args):
 
 
 def cmd_prolong(args):
-    if not is_prime(args.p):
-        raise WfError("--p must be a prime, got %d" % args.p)
     ring = IntRing(args.p, args.m)
     names = tuple(part.strip() for part in args.vars.split(","))
     if len(set(names)) != len(names) or not all(names):
@@ -287,7 +275,8 @@ def cmd_di(args):
 
 
 def cmd_compat(args):
-    morphism = _load_morphism(args.morphism, args)
+    morphism = _load(args.morphism, args, BUILTIN_MORPHISMS, SchemeMorphism,
+                     validate_morphism)
     if args.independent:
         mode = "independent"
         x_lifts = [local_frobenius_lift(pr, args.deg_bound)

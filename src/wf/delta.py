@@ -22,6 +22,8 @@ spend one pi-digit each.
 
 from __future__ import annotations
 
+from math import comb
+
 from .errors import WfError
 from .poly import MvPoly
 
@@ -54,9 +56,6 @@ class DeltaContext:
         """View a polynomial in the base variables inside the jet space."""
         return f.extend_vars(self.all_vars)
 
-    def jet_var(self, name: str) -> MvPoly:
-        return MvPoly.var(self.ring, self.all_vars, jet_name(name))
-
     # -- the three rules ----------------------------------------------------
 
     def c_pi(self, a: MvPoly, b: MvPoly) -> MvPoly:
@@ -77,11 +76,10 @@ class DeltaContext:
         terms = f.sorted_terms()
         if not terms:
             return MvPoly.zero(self.ring, self.all_vars)
-        memo = {}
         acc_val = acc_del = acc_q = None
         for e, c in terms:
             t_val = MvPoly(self.ring, self.all_vars, {e: c})
-            t_del = self._delta_term(e, c, memo)
+            t_del = self._delta_term(e, c)
             if acc_val is None:
                 acc_val, acc_del = t_val, t_del
                 continue
@@ -93,10 +91,10 @@ class DeltaContext:
             acc_q = s_q
         return acc_del
 
-    def _delta_term(self, e, c, memo):
+    def _delta_term(self, e, c):
         # delta(c * m) = c^q delta(m) + m^q delta(c) + pi delta(c) delta(m)
         r = self.ring
-        dm = self._delta_mono(e, memo)
+        dm = self._delta_mono(e)
         dc = r.base_delta(c)
         cq = r.pow(c, self.q)
         out = dm * cq
@@ -106,36 +104,26 @@ class DeltaContext:
             out = out + mq * dc + (dm * dc) * self._pi_const
         return out
 
-    def _delta_mono(self, e, memo):
-        got = memo.get(e)
-        if got is not None:
-            return got
-        total = sum(e)
-        r = self.ring
-        if total == 0:
-            result = MvPoly.zero(r, self.all_vars)
-        elif total == 1:
-            i = e.index(1)
-            result = self.jet_var(self.all_vars[i])
-        else:
-            i = next(k for k, a in enumerate(e) if a)
-            if e[i] == total:
-                # single variable power: peel one factor
-                u = tuple(1 if k == i else 0 for k in range(len(e)))
-                v = tuple(a - 1 if k == i else a for k, a in enumerate(e))
-            else:
-                # split off the leading variable block
-                u = tuple(e[i] if k == i else 0 for k in range(len(e)))
-                v = tuple(0 if k == i else a for k, a in enumerate(e))
-            du = self._delta_mono(u, memo)
-            dv = self._delta_mono(v, memo)
-            uq = MvPoly(r, self.all_vars, {tuple(a * self.q for a in u): r.one()},
-                        _clean=False)
-            vq = MvPoly(r, self.all_vars, {tuple(a * self.q for a in v): r.one()},
-                        _clean=False)
-            result = uq * dv + vq * du + (du * dv) * self._pi_const
-        memo[e] = result
-        return result
+    def _delta_mono(self, e):
+        """delta(x^e) = (phi(x)^e - x^(qe))/pi with phi(x) = x^q + pi x',
+        expanded: the sum over 0 != k <= e of prod_i binom(e_i, k_i) times
+        pi^(|k|-1) x^(q(e-k)) x'^k.  Every coefficient is exact, so each
+        carries full precision.  Terms come in the order the product rule
+        delta(uv) = u^q delta(v) + v^q delta(u) + pi delta(u) delta(v)
+        forms them, peeling variables first to last."""
+        r, q, n = self.ring, self.q, len(self.vars)
+        zero = (0,) * n
+        ks = []  # (k, prod_i binom(e_i, k_i)), rightmost variables first
+        for i in reversed(range(n)):
+            heads = [(j, comb(e[i], j)) for j in range(1, e[i] + 1)]
+            ks += ([(zero[:i] + (j,) + zero[i + 1:], b) for j, b in heads]
+                   + [(k[:i] + (j,) + k[i + 1:], b * c)
+                      for j, b in heads for k, c in ks])
+        terms = {}
+        for k, b in ks:
+            exps = tuple([q * (a - j) for a, j in zip(e, k)]) + k
+            terms[exps] = r.mul(r.from_int(b), r.pow(self._pi_const, sum(k) - 1))
+        return MvPoly(r, self.all_vars, terms)
 
     # -- lift descriptors -----------------------------------------------------
 

@@ -24,6 +24,7 @@ Inconclusive rather than guessing.
 
 from __future__ import annotations
 
+from .bounds import require_at_least
 from .delta import DeltaContext
 from .errors import Inconclusive, KindMismatch, NoSolutionAtBound, WfError
 from .gfp import solve as gfp_solve
@@ -161,7 +162,7 @@ def _patch_rows(pres):
     """Collapsed linear rows of the chart's generators, companion jets
     eliminated; rebuilt on every call, since linearizing is cheap."""
     return [collapse_companion_jets(pres, row)
-            for row in linearize_mod_pi(pres).rows]
+            for row in linearize_mod_pi(pres)]
 
 
 def _basis_monomial(pres, exps, c=1):
@@ -217,8 +218,11 @@ def _add_admissibility(sys, eq, pres, rows, tag, basis):
 
 def _degree_ladder(attempt, start_degree, max_degree, what):
     """attempt(d) at d = start, 2 start, ... up to max_degree (default
-    8 * start); the first result that is not None wins, and past the cap
-    NoSolutionAtBound names what was sought and the last degree tried."""
+    8 * start), stepping 0 to 1; the first result that is not None wins,
+    and past the cap NoSolutionAtBound names what was sought and the
+    last degree tried.  Every step raises d until it reaches the cap, so
+    the ladder ends."""
+    require_at_least(start_degree, 0, "start degree")
     if max_degree is None:
         max_degree = 8 * start_degree
     d = start_degree
@@ -229,7 +233,7 @@ def _degree_ladder(attempt, start_degree, max_degree, what):
         if d >= max_degree:
             raise NoSolutionAtBound(
                 "no %s with coefficients of degree <= %d" % (what, d), d)
-        d = min(2 * d, max_degree)
+        d = min(2 * d or 1, max_degree)
 
 
 def local_frobenius_lift(pres, start_degree=None, max_degree=None):

@@ -10,7 +10,9 @@ On a localized chart the jet of the companion u = 1/v is not free: the
 prolonged relation u^q dv + v^q du + pi du dv = 0 determines du, and
 since pi is nilpotent at finite precision the solution is an honest
 polynomial in u and dv.  companion_jet_poly builds it; the étale
-base-change check substitutes it before solving numerically.
+base-change check substitutes it before solving numerically.  Mod pi it
+is du = -u^(2q) dv, the companion rule of wf.scheme, and
+collapse_companion_jets folds linear rows through scheme.fold_companions.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from .delta import DeltaContext, jet_name
 from .errors import NonLinear, NotEtale, WfError
 from .poly import MvPoly
-from .scheme import Presentation, relative_jacobian_unit
+from .scheme import Presentation, fold_companions, relative_jacobian_unit
 
 
 class JetPresentation:
@@ -67,14 +69,6 @@ class LinearRow:
         return "LinearRow(%s; %s)" % (self.const.to_text(), inner)
 
 
-class LinearizedJet:
-    __slots__ = ("pres", "rows")
-
-    def __init__(self, pres, rows):
-        self.pres = pres
-        self.rows = tuple(rows)
-
-
 def linearize_generator(pres: Presentation, dctx: DeltaContext, g: MvPoly) -> LinearRow:
     """Split prolong(g) mod pi into constant and Jacobian parts.
 
@@ -113,26 +107,15 @@ def linearize_generator(pres: Presentation, dctx: DeltaContext, g: MvPoly) -> Li
     return LinearRow(g, const, jac)
 
 
-def linearize_mod_pi(pres: Presentation) -> LinearizedJet:
+def linearize_mod_pi(pres: Presentation):
     """Linear rows for every relation and companion product of the chart."""
     dctx = DeltaContext(pres.ring, pres.all_vars)
-    return LinearizedJet(pres, [linearize_generator(pres, dctx, g)
-                                for g in pres.generators()])
+    return tuple(linearize_generator(pres, dctx, g) for g in pres.generators())
 
 
 def collapse_companion_jets(pres: Presentation, row: LinearRow) -> LinearRow:
     """Eliminate companion jets via du = -u^(2q) dv (mod pi)."""
-    res = pres.res
-    q = pres.q
-    jac = {v: row.jac.get(v, MvPoly.zero(res, pres.all_vars)) for v in pres.vars}
-    for u, v in pres.loc_pairs:
-        coeff = row.jac.get(u)
-        if coeff is None or coeff.is_zero():
-            continue
-        shift = MvPoly.var(res, pres.all_vars, u, 2 * q) * coeff
-        jac[v] = pres.nf(jac[v] - shift)
-    jac = {v: g for v, g in jac.items() if not g.is_zero()}
-    return LinearRow(row.generator, row.const, jac)
+    return LinearRow(row.generator, row.const, fold_companions(pres, row.jac))
 
 
 # -- companion jets at full precision ----------------------------------------

@@ -10,7 +10,10 @@ they are derived by inverting the image of the base variable.
 F-derivations (sections of F*T, Frobenius-twisted vector fields) are
 coefficient vectors over the base variables; their action follows the
 twisted Leibniz rule D(fg) = f^q D(g) + D(f) g^q, which on a localized
-ring forces D(v_inv) = -v_inv^(2q) D(v).
+ring forces D(v_inv) = -v_inv^(2q) D(v).  That companion rule lives in
+fold_companions alone: twisted_gradient folds the q-scaled partials
+through it, the étale certificate reads its Jacobian rows from
+twisted_gradient, and wf.jet folds linearized jet rows through it.
 """
 
 from __future__ import annotations
@@ -375,10 +378,6 @@ class SchemeMorphism:
     def target_patch(self, i):
         return self.target.patches[self.charts[i].target_index]
 
-    def pullback_res(self, i):
-        src = self.source.patches[i]
-        return {k: src.to_res(v) for k, v in self.charts[i].pullback.items()}
-
     def to_json(self):
         return {"name": self.name, "kind": self.kind,
                 "source": self.source.to_json(), "target": self.target.to_json(),
@@ -493,21 +492,21 @@ def _validate_kind(m: SchemeMorphism):
 def relative_jacobian_unit(m: SchemeMorphism, i):
     """Certify the twisted relative Jacobian of chart i is a unit mod pi.
 
-    Square check on base variables; NotEtale when the determinant is not
-    certified invertible in the source coordinate ring.
+    Square check on base variables, rows from twisted_gradient so that a
+    pullback through companions (t -> x_inv) is differentiated too;
+    NotEtale when the determinant is not certified invertible in the
+    source coordinate ring.
     """
     src = m.source.patches[i]
     tgt = m.target_patch(i)
     if len(src.vars) != len(tgt.vars):
         raise NotEtale("chart %d relates %d variables to %d"
                        % (i, len(src.vars), len(tgt.vars)))
-    q = src.q
-    pullback = m.pullback_res(i)
+    zero = MvPoly.zero(src.res, src.all_vars)
     rows = []
     for tname in tgt.vars:
-        img = pullback[tname]
-        rows.append([src.nf(img.partial(xname).q_power_vars(q))
-                     for xname in src.vars])
+        grad = twisted_gradient(src, m.charts[i].pullback[tname])
+        rows.append([grad.get(xname, zero) for xname in src.vars])
     det = _poly_det(rows, src)
     inv = src.red.try_invert(det)
     if inv is None:
@@ -577,33 +576,35 @@ class FDerSection:
         return "FDerSection(%s)" % (inner,)
 
 
-def twisted_gradient(pres: Presentation, f: MvPoly):
-    """Coefficients M_v with D(f) = sum_v D(v) * M_v for any F-derivation D.
+def fold_companions(pres: Presentation, table):
+    """Move entries keyed by companions onto their base variables.
 
-    M_v is df/dv with exponents q-scaled, plus the companion channel
-    -u^(2q) * (df/du with exponents q-scaled) for each pair u = 1/v.
-    Keys are the base variables; entries certainly zero are omitted.
+    table maps base and companion names to residue polynomials; the
+    entry of the companion u = 1/v joins v's as -u^(2q) * entry, which
+    is D(u) = -u^(2q) D(v).  Keys are the base variables; every entry is
+    normal-formed and entries that vanish are omitted.
     """
-    q = pres.q
-    f = pres.to_res(f)
-    grad = {}
-    for v in pres.vars:
-        d = f.partial(v)
-        if not d.is_zero():
-            grad[v] = d.q_power_vars(q)
-    for comp, v in pres.loc_pairs:
-        d = f.partial(comp)
-        if d.is_zero():
+    out = {v: table[v] for v in pres.vars if v in table}
+    for u, v in pres.loc_pairs:
+        g = table.get(u)
+        if g is None:
             continue
-        shift = MvPoly.var(pres.res, pres.all_vars, comp, 2 * q) * d.q_power_vars(q)
-        base = grad.get(v, MvPoly.zero(pres.res, pres.all_vars))
-        grad[v] = base - shift
-    out = {}
-    for v, g in grad.items():
-        g = pres.nf(g)
-        if not g.is_zero():
-            out[v] = g
-    return out
+        shift = MvPoly.var(pres.res, pres.all_vars, u, 2 * pres.q) * g
+        out[v] = out.get(v, MvPoly.zero(pres.res, pres.all_vars)) - shift
+    out = {v: pres.nf(g) for v, g in out.items()}
+    return {v: g for v, g in out.items() if not g.is_zero()}
+
+
+def twisted_gradient(pres: Presentation, f: MvPoly):
+    """Coefficients M_v with D(f) = sum_v D(v) * M_v for any F-derivation D:
+    the partials of f with exponents q-scaled, folded by fold_companions."""
+    f = pres.to_res(f)
+    partials = {}
+    for name in pres.all_vars:
+        d = f.partial(name)
+        if not d.is_zero():
+            partials[name] = d.q_power_vars(pres.q)
+    return fold_companions(pres, partials)
 
 
 def fder_apply(pres: Presentation, coeffs, f: MvPoly) -> MvPoly:

@@ -39,6 +39,15 @@ def test_spec_rejects_composite_with_large_factors():
         BaseRingSpec(1009 * 1013)
 
 
+@pytest.mark.parametrize("make", (
+    lambda: IntRing(6), lambda: IntRing(1009 * 1013), lambda: IntRing(3, 0),
+    lambda: IntModRing(4), lambda: IntModRing(3, 0), lambda: IntModRing(3, -1),
+    lambda: IntModRing(3, 1, 0), lambda: BaseRingSpec(3, frob_power=0)))
+def test_every_ring_checks_p_and_frob_power(make):
+    with pytest.raises(WfError, match="must be"):
+        make()
+
+
 def test_coefficient_moduli_grading():
     # coefficient of pi^i is tracked mod p^ceil((N-i)/e)
     s = BaseRingSpec(5, [-5, 0, 1], 5)

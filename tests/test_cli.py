@@ -8,13 +8,14 @@ import sys
 from wf.bounds import gsp_order
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, timeout=None):
     env = dict(os.environ)
     env.pop("WF_THREADS", None)
     if env_extra:
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "wf.cli", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env,
+                          timeout=timeout)
 
 
 def run_json(*args, code=0, env_extra=None):
@@ -116,6 +117,51 @@ def test_lift_ladder_refusal_exit_three():
         err = json.loads(proc.stdout)["error"]
         assert err == {"type": "NoSolutionAtBound", "bound": 1,
                        "message": message}
+
+
+def test_lift_ladder_from_degree_zero_terminates():
+    # a ladder doubling from 0 never moved; one starting below 0 ran away
+    for args, message in (
+            (("lift", "weierstrass"),
+             "no admissible lift on Einf with coefficients of degree <= 5"),
+            (("compat", "weierstrass_in_p2"),
+             "no compatible lifts with coefficients of degree <= 5")):
+        proc = run_cli(*args, "--p", "3", "--deg-bound", "0", "--max-deg", "5",
+                       timeout=60)
+        assert proc.returncode == 3, proc.stdout + proc.stderr
+        err = json.loads(proc.stdout)["error"]
+        assert err == {"type": "NoSolutionAtBound", "bound": 5,
+                       "message": message}
+        proc = run_cli(*args, "--p", "3", "--deg-bound", "-1", "--max-deg", "5",
+                       timeout=60)
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert json.loads(proc.stdout)["error"] == {
+            "type": "WfError",
+            "message": "start degree must be an integer >= 0, got -1"}
+    data = run_json("lift", "a1", "--p", "3", "--deg-bound", "0")
+    assert data["lifts"][0]["degree"] == 0
+
+
+def test_ring_parameters_checked_alike():
+    # every ring constructor refuses these; no traceback, and no q = 1
+    for args, message in (
+            (("witt", "--p", "3", "--m", "-1", "--op", "add", "--a", "1,0",
+              "--b", "1,0"), "frob_power must be an integer >= 1, got -1"),
+            (("witt", "--p", "3", "--mod", "-1", "--op", "add", "--a", "1,0",
+              "--b", "1,0"), "k must be an integer >= 1, got -1"),
+            (("prolong", "--p", "3", "--m", "-1", "x^2"),
+             "frob_power must be an integer >= 1, got -1"),
+            (("witt", "--p", "3", "--m", "0", "--op", "add", "--a", "1,0",
+              "--b", "1,0"), "frob_power must be an integer >= 1, got 0"),
+            (("prolong", "--p", "3", "--m", "0", "x^2"),
+             "frob_power must be an integer >= 1, got 0"),
+            (("di", "a1", "--p", "3", "--m", "0"),
+             "frob_power must be an integer >= 1, got 0"),
+            (("prolong", "--p", "4", "x^2"), "p must be prime, got 4")):
+        proc = run_cli(*args)
+        assert proc.returncode == 2, (args, proc.stdout + proc.stderr)
+        assert json.loads(proc.stdout)["error"] == {"type": "WfError",
+                                                    "message": message}
 
 
 def test_di_genus2_p7_decides():

@@ -41,7 +41,7 @@ def test_prolong_of_variable_and_constant():
     ring = IntRing(2)
     dctx = DeltaContext(ring, ("x",))
     x = MvPoly.var(ring, ("x",), "x")
-    assert dctx.prolong(x) == dctx.jet_var("x")
+    assert dctx.prolong(x) == MvPoly.var(ring, dctx.all_vars, jet_name("x"))
     five = MvPoly.const(ring, ("x",), 5)
     assert dctx.prolong(five) == MvPoly.const(
         ring, dctx.all_vars, ring.base_delta(5))
@@ -51,7 +51,7 @@ def test_prolong_rejects_jet_input():
     ring = IntRing(2)
     dctx = DeltaContext(ring, ("x",))
     with pytest.raises(WfError):
-        dctx.prolong(dctx.jet_var("x"))
+        dctx.prolong(MvPoly.var(ring, dctx.all_vars, jet_name("x")))
 
 
 def test_worked_square():

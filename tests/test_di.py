@@ -14,13 +14,14 @@ from wf.di import (LinearSystem, LocalLift, build_compatible_lifts,
 from wf.jet import (collapse_companion_jets, linearize_generator,
                     linearize_mod_pi)
 from wf.poly import MvPoly, parse_poly
-from wf.scheme import (BUILTIN_MORPHISMS, BUILTIN_SCHEMES, SchemeMorphism,
-                       transport, weierstrass_curve)
+from wf.scheme import (BUILTIN_MORPHISMS, BUILTIN_SCHEMES, ChartMap,
+                       GluedScheme, Presentation, SchemeMorphism, transport,
+                       validate_morphism, weierstrass_curve)
 
 
 def collapsed_rows(pres):
     return [collapse_companion_jets(pres, row)
-            for row in linearize_mod_pi(pres).rows]
+            for row in linearize_mod_pi(pres)]
 
 
 def assert_admissible_by_rows(pres, coeffs):
@@ -84,6 +85,13 @@ def test_lift_ladder_doubles_to_the_cap_then_refuses():
     with pytest.raises(NoSolutionAtBound) as exc:
         local_frobenius_lift(pres, 2, 3)
     assert exc.value.bound == 3
+    # degree 0 steps to 1, then doubles: 0, 1, 2, 4
+    assert local_frobenius_lift(pres, 0, 8).degree == 4
+    with pytest.raises(NoSolutionAtBound) as exc:
+        local_frobenius_lift(pres, 0, 3)
+    assert exc.value.bound == 3
+    with pytest.raises(WfError, match="start degree must be"):
+        local_frobenius_lift(pres, -1, 5)
     m = BUILTIN_MORPHISMS["weierstrass_in_p2"](BaseRingSpec(3))
     with pytest.raises(NoSolutionAtBound) as exc:
         build_compatible_lifts(m, start_degree=1, max_degree=1)
@@ -308,6 +316,34 @@ def test_fixed_target_lifts_solved_or_refused():
     assert compatibility_check(m, xs2, [forced]).compatible is True
 
 
+def weierstrass_origin(ring):
+    """The point (0, 0) of the weierstrass curve as a closed immersion.
+
+    Its target chart carries a relation, so the target lift's own
+    admissibility rows constrain the joint solve; every builtin
+    morphism's target charts are free, and a dominant map forces target
+    admissibility through the source rows anyway.
+    """
+    point = GluedScheme("origin", ring,
+                        [Presentation("P", ring, ("s",), relations=["s"])],
+                        family="affine")
+    curve = BUILTIN_SCHEMES["weierstrass"](ring)
+    src, tgt = point.patches[0], curve.patches[0]
+    s = parse_poly("s", ring, src.all_vars)
+    chart = ChartMap(0, pullback={"x": s, "y": s},
+                     section={"s": parse_poly("x", ring, tgt.all_vars)})
+    return SchemeMorphism("weierstrass_origin", point, curve, [chart],
+                          kind="closed_immersion")
+
+
+def test_compat_origin_needs_target_admissibility():
+    for p in (3, 5, 7):
+        m = weierstrass_origin(BaseRingSpec(p))
+        assert validate_morphism(m) is True
+        xs, ys = build_compatible_lifts(m)
+        assert compatibility_check(m, xs, ys).compatible is True
+
+
 def test_unsupported_kind_refused():
     ring = BaseRingSpec(3)
     m = BUILTIN_MORPHISMS["gm_square"](ring)
@@ -480,8 +516,9 @@ def test_lift_search_matches_reference_assembly():
 def test_compatible_lifts_match_reference_assembly():
     for p in (3, 5):
         ring = BaseRingSpec(p)
-        for name in sorted(BUILTIN_MORPHISMS):
-            m = BUILTIN_MORPHISMS[name](ring)
+        makers = dict(BUILTIN_MORPHISMS, weierstrass_origin=weierstrass_origin)
+        for name in sorted(makers):
+            m = makers[name](ring)
             start = max([ring.q * pres.max_relation_degree()
                          for pres in m.source.patches + m.target.patches]
                         + [ring.q])

@@ -6,14 +6,15 @@ import pytest
 
 from wf.base_ring import BaseRingSpec
 from wf.delta import DeltaContext, jet_name
+from wf.di import build_compatible_lifts, compatibility_check
 from wf.errors import NonLinear, NonSmooth, NotEtale
 from wf.jet import (JetPresentation, collapse_companion_jets,
                     etale_basechange_check, induced_jet_solve,
                     linearize_generator, linearize_mod_pi)
 from wf.poly import MvPoly, parse_poly
 from wf.scheme import (BUILTIN_MORPHISMS, BUILTIN_SCHEMES, ChartMap,
-                       SchemeMorphism, affine_space, multiplicative_group,
-                       validate_morphism)
+                       GluedScheme, Presentation, SchemeMorphism,
+                       affine_space, multiplicative_group, validate_morphism)
 
 
 def all_builtin_schemes(p):
@@ -54,7 +55,7 @@ def test_linearize_never_nonlinear_on_corpus():
     for p in (2, 3, 5):
         for scheme in all_builtin_schemes(p):
             for pres in scheme.patches:
-                rows = linearize_mod_pi(pres).rows
+                rows = linearize_mod_pi(pres)
                 assert len(rows) == len(pres.relations) + len(pres.loc_pairs)
             for (i, j) in scheme.overlap_pairs():
                 view = scheme.view(i, j)
@@ -122,7 +123,7 @@ def test_collapse_companion_jets_eliminates_companions():
     ring = BaseRingSpec(3)
     gm = multiplicative_group(ring)
     pres = gm.patches[0]
-    for row in linearize_mod_pi(pres).rows:
+    for row in linearize_mod_pi(pres):
         collapsed = collapse_companion_jets(pres, row)
         assert all(v in pres.vars for v in collapsed.jac)
 
@@ -166,3 +167,31 @@ def test_induced_jet_solve_round_trip():
     solved = induced_jet_solve(m, 0, point, forward)
     for v in src.vars:
         assert solved[jet_name(v)] == jets[jet_name(v)]
+
+
+def gm_self_map(ring, image):
+    """G_m -> G_m, t -> image, declared étale."""
+    src = multiplicative_group(ring)
+    tgt = GluedScheme("Gm", ring, [Presentation("Gm", ring, ("t",),
+                                                inverted=("t",))],
+                      family="torus")
+    pullback = {"t": parse_poly(image, ring, src.patches[0].all_vars)}
+    return SchemeMorphism("gm_to_" + image, src, tgt, [ChartMap(0, pullback)],
+                          kind="etale")
+
+
+def test_inversion_through_companions_is_etale():
+    # t -> x_inv differentiates only through the companion channel,
+    # D(x_inv) = -x_inv^(2q) D(x); a Jacobian over base variables alone
+    # reads 0 there and refuses an étale map
+    for p in (3, 5, 7):
+        ring = BaseRingSpec(p)
+        for image in ("x_inv", "x_inv^2"):
+            m = gm_self_map(ring, image)
+            assert validate_morphism(m) is True
+            assert etale_basechange_check(m, random.Random(54), samples=3)
+            xs, ys = build_compatible_lifts(m)
+            assert compatibility_check(m, xs, ys).compatible is True
+        for image in ("x_inv^%d" % (p,), "x^%d" % (p,)):
+            with pytest.raises(NotEtale):
+                validate_morphism(gm_self_map(ring, image))

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 
 from .bounds import require_at_least, require_prime
-from .errors import NotDivisible, PrecisionExceeded, SpecMismatch, WfError
+from .errors import NotDivisible, ParseError, PrecisionExceeded, SpecMismatch, WfError
 
 
 def _vp(n: int, p: int) -> int:
@@ -286,6 +286,8 @@ class BaseRingSpec:
     def from_json(cls, data):
         if isinstance(data, str):
             data = json.loads(data)
+        if "p" not in data:
+            raise ParseError("ring has no 'p'")
         return cls(data["p"], data.get("eisenstein"),
                    data.get("precision", 4), data.get("frob_power", 1))
 

@@ -279,9 +279,9 @@ def cmd_compat(args):
                      validate_morphism)
     if args.independent:
         mode = "independent"
-        x_lifts = [local_frobenius_lift(pr, args.deg_bound)
+        x_lifts = [local_frobenius_lift(pr, args.deg_bound, args.max_deg)
                    for pr in morphism.source.patches]
-        y_lifts = [local_frobenius_lift(pr, args.deg_bound)
+        y_lifts = [local_frobenius_lift(pr, args.deg_bound, args.max_deg)
                    for pr in morphism.target.patches]
     else:
         mode = "constructed"

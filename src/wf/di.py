@@ -88,15 +88,13 @@ class LinearSystem:
 # -- chart lifts ---------------------------------------------------------------
 
 
-def lift_substitution(pres, coeffs, ring=None, vars=None):
+def lift_substitution(pres, coeffs):
     """phi images for the chart: v -> v^q + pi A_v, companions forced.
 
     The companion image u^q - pi u^(2q) A_v is the inverse of phi(v)
     mod pi^2, which is the precision the lift lives at.
     """
-    ring = pres.ring if ring is None else ring
-    vars = pres.all_vars if vars is None else vars
-    q = pres.q
+    ring, vars, q = pres.ring, pres.all_vars, pres.q
     pi = MvPoly.const(ring, vars, ring.pi())
     mapping = {}
     for v in pres.vars:
@@ -139,7 +137,7 @@ class LocalLift:
         """
         pres2 = self.pres.at_precision(2)
         ring2 = pres2.ring
-        mapping = lift_substitution(pres2, self.coeffs, ring2, pres2.all_vars)
+        mapping = lift_substitution(pres2, self.coeffs)
         for g in pres2.generators():
             img = g.subst(mapping, ring=ring2, vars=pres2.all_vars)
             if not pres2.nf_R(img).is_zero():
@@ -218,14 +216,15 @@ def _add_admissibility(sys, eq, pres, rows, tag, basis):
 
 def _degree_ladder(attempt, start_degree, max_degree, what):
     """attempt(d) at d = start, 2 start, ... up to max_degree (default
-    8 * start), stepping 0 to 1; the first result that is not None wins,
-    and past the cap NoSolutionAtBound names what was sought and the
-    last degree tried.  Every step raises d until it reaches the cap, so
-    the ladder ends."""
+    8 * start), stepping 0 to 1; a start above the cap is lowered to it.
+    The first result that is not None wins, and past the cap
+    NoSolutionAtBound names what was sought and the last degree tried.
+    Every step raises d until it reaches the cap, so the ladder ends."""
     require_at_least(start_degree, 0, "start degree")
     if max_degree is None:
         max_degree = 8 * start_degree
-    d = start_degree
+    require_at_least(max_degree, 0, "max degree")
+    d = min(start_degree, max_degree)
     while True:
         result = attempt(d)
         if result is not None:
@@ -320,41 +319,38 @@ class Cochain1:
         return out
 
 
-def di_cocycle(scheme, lifts, check=True):
+def di_cocycle(scheme, lifts):
     """The obstruction cocycle of a family of chart lifts.
 
-    With check on, antisymmetry is confirmed by recomputing each value
-    from the other side, and the cocycle identity is confirmed on every
-    stored triple; failures raise WfError since they indicate broken
-    gluing data rather than a mathematical negative.
+    Antisymmetry is confirmed by recomputing each value from the other
+    side, and the cocycle identity is confirmed on every stored triple;
+    failures raise WfError since they indicate broken gluing data rather
+    than a mathematical negative.
     """
     values = {}
     for (i, j) in scheme.overlap_pairs():
         values[(i, j)] = di_cocycle_pair(scheme, lifts, i, j)
-    if check:
-        for (i, j) in scheme.overlap_pairs():
-            view = scheme.view(i, j)
-            dji = di_cocycle_pair(scheme, lifts, j, i)
-            moved = express_fder(dji.coeffs, view.pres_b, view.pres_a,
-                                 view.map_ab, view.map_ba)
-            if not (moved == -values[(i, j)]):
-                raise WfError("cocycle antisymmetry failed on overlap (%d,%d)"
-                              % (i, j))
-        for (i, j, k) in scheme.triples():
-            vij = scheme.view(i, j)
-            vik = scheme.view(i, k)
-            vjk = scheme.view(j, k)
-            triple_i = scheme.patches[i].localize(
-                tuple(x for x in (vij.invert_a, vik.invert_a) if x))
-            triple_j = scheme.patches[j].localize(
-                tuple(x for x in (vij.invert_b, vjk.invert_a) if x))
-            dij = restrict_fder(values[(i, j)], triple_i)
-            dik = restrict_fder(values[(i, k)], triple_i)
-            djk = express_fder(values[(j, k)].coeffs, triple_j, triple_i,
-                               vij.map_ab, vij.map_ba)
-            if not (dij + djk == dik):
-                raise WfError("cocycle identity failed on triple (%d,%d,%d)"
-                              % (i, j, k))
+    for (i, j) in scheme.overlap_pairs():
+        view = scheme.view(i, j)
+        dji = di_cocycle_pair(scheme, lifts, j, i)
+        moved = express_fder(dji.coeffs, view.pres_b, view.pres_a,
+                             view.map_ab, view.map_ba)
+        if not (moved == -values[(i, j)]):
+            raise WfError("cocycle antisymmetry failed on overlap (%d,%d)"
+                          % (i, j))
+    for (i, j, k) in scheme.triples():
+        vij = scheme.view(i, j)
+        vik = scheme.view(i, k)
+        vjk = scheme.view(j, k)
+        triple_i = scheme.patches[i].localize((vij.invert_a, vik.invert_a))
+        triple_j = scheme.patches[j].localize((vij.invert_b, vjk.invert_a))
+        dij = restrict_fder(values[(i, j)], triple_i)
+        dik = restrict_fder(values[(i, k)], triple_i)
+        djk = express_fder(values[(j, k)].coeffs, triple_j, triple_i,
+                           vij.map_ab, vij.map_ba)
+        if not (dij + djk == dik):
+            raise WfError("cocycle identity failed on triple (%d,%d,%d)"
+                          % (i, j, k))
     return Cochain1(scheme, values)
 
 
@@ -493,7 +489,7 @@ def compute_di_class(scheme, pole_bound=None, start_degree=None):
     """Chart lifts, their cocycle, and the vanishing decision in one go."""
     lifts = [local_frobenius_lift(pres, start_degree)
              for pres in scheme.patches]
-    cochain = di_cocycle(scheme, lifts, check=True)
+    cochain = di_cocycle(scheme, lifts)
     threshold = completeness_threshold(scheme)
     if pole_bound is None:
         pole_bound = threshold
@@ -637,7 +633,7 @@ def compatibility_check(morphism, x_lifts, y_lifts):
     every e_i vanishes the two cochains agree on the nose.
     """
     disc = lift_discrepancy(morphism, x_lifts, y_lifts)
-    x_cochain = di_cocycle(morphism.source, x_lifts, check=True)
+    x_cochain = di_cocycle(morphism.source, x_lifts)
     pf = pushforward_cochain(morphism, x_cochain)
     pb = pullback_cochain(morphism, y_lifts)
     pairs = []

@@ -7,6 +7,10 @@ glued scheme are further localizations of the two patches with explicit
 transition maps on base variables; companion images are never stored,
 they are derived by inverting the image of the base variable.
 
+Transition and chart maps are given as polynomial text (or polynomials).
+GluedScheme builds each overlap view once, localizing both sides and
+parsing the maps there; SchemeMorphism parses its chart maps likewise.
+
 F-derivations (sections of F*T, Frobenius-twisted vector fields) are
 coefficient vectors over the base variables; their action follows the
 twisted Leibniz rule D(fg) = f^q D(g) + D(f) g^q, which on a localized
@@ -19,10 +23,12 @@ twisted_gradient, and wf.jet folds linearized jet rows through it.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
+from itertools import combinations
 
 from .base_ring import BaseRingSpec, IntModRing
-from .errors import (KindMismatch, NonSmooth, NotEtale, TransitionError,
-                     VariableMismatch, WfError)
+from .errors import (KindMismatch, NonSmooth, NotEtale, ParseError,
+                     TransitionError, WfError)
 from .poly import MvPoly, ReductionContext, parse_poly
 
 INV_SUFFIX = "_inv"
@@ -88,12 +94,9 @@ class Presentation:
     def nf_R(self, f: MvPoly) -> MvPoly:
         return self.red_R.normal_form(f)
 
-    def poly(self, text: str, level="R") -> MvPoly:
-        ring = self.ring if level == "R" else self.res
-        return parse_poly(text, ring, self.all_vars)
-
     def localize(self, extra):
-        extra = tuple(v for v in extra if v not in self.inverted)
+        """This chart with extra inverted too; None and repeats are skipped."""
+        extra = tuple(v for v in extra if v and v not in self.inverted)
         for v in extra:
             if v not in self.vars:
                 raise WfError("cannot invert %r: not a variable" % (v,))
@@ -175,8 +178,28 @@ def transport(expr, src_pres, base_map, dst_pres, level="res"):
     return red.normal_form(expr.subst(mapping, ring=ring, vars=dst_pres.all_vars))
 
 
+def _parse_images(images, ring, pres):
+    """Images of base variables as polynomials over pres.all_vars; text
+    is parsed there, polynomials are kept as given."""
+    return {k: v if isinstance(v, MvPoly) else parse_poly(v, ring, pres.all_vars)
+            for k, v in images.items()}
+
+
+def _texts(images):
+    return {k: v.to_text() for k, v in images.items()}
+
+
+def _fields(data, what, *keys):
+    """data[key] for each key; ParseError naming the first key missing."""
+    for key in keys:
+        if key not in data:
+            raise ParseError("%s has no %r" % (what, key))
+    return [data[key] for key in keys]
+
+
 class Overlap:
-    """Gluing data for one unordered pair of patches."""
+    """Gluing data for one unordered pair of patches, as given: to_j sends
+    side-i base variables to side-j overlap polynomials (or text)."""
 
     __slots__ = ("i", "j", "invert_i", "invert_j", "to_j", "to_i")
 
@@ -187,85 +210,74 @@ class Overlap:
         self.j = j
         self.invert_i = invert_i
         self.invert_j = invert_j
-        self.to_j = dict(to_j)  # side-i base var -> poly over side-j overlap vars
+        self.to_j = dict(to_j)
         self.to_i = dict(to_i)
 
-    def to_json(self):
-        return {"i": self.i, "j": self.j,
-                "invert_i": self.invert_i, "invert_j": self.invert_j,
-                "to_j": {k: v.to_text() for k, v in self.to_j.items()},
-                "to_i": {k: v.to_text() for k, v in self.to_i.items()}}
 
-
-class OverlapView:
-    """Overlap seen from an ordered pair (a, b); flips stored data."""
-
-    __slots__ = ("a", "b", "pres_a", "pres_b", "map_ab", "map_ba",
-                 "invert_a", "invert_b")
-
-    def __init__(self, a, b, pres_a, pres_b, map_ab, map_ba, invert_a, invert_b):
-        self.a = a
-        self.b = b
-        self.pres_a = pres_a
-        self.pres_b = pres_b
-        self.map_ab = map_ab  # a-side base vars -> polys over pres_b
-        self.map_ba = map_ba
-        self.invert_a = invert_a
-        self.invert_b = invert_b
+# An overlap seen from the ordered pair (a, b): both localized sides, the
+# transition maps (map_ab: a-side base vars -> polys over pres_b) and the
+# inverted functions.
+OverlapView = namedtuple("OverlapView",
+                         "pres_a pres_b map_ab map_ba invert_a invert_b")
 
 
 class GluedScheme:
-    __slots__ = ("name", "ring", "patches", "overlaps", "genus", "family")
+    """Patches glued along overlaps.  Every OverlapView is built here,
+    once: (a, a) for each patch, and both orders of each overlap."""
+
+    __slots__ = ("name", "ring", "patches", "views", "genus", "family")
 
     def __init__(self, name, ring, patches, overlaps=(), genus=None, family=None):
         self.name = name
         self.ring = ring
         self.patches = tuple(patches)
-        table = {}
+        views = {}
+        for a, pres in enumerate(self.patches):
+            ident = {v: MvPoly.var(ring, pres.all_vars, v) for v in pres.vars}
+            views[(a, a)] = OverlapView(pres, pres, ident, dict(ident), None, None)
         for ov in overlaps:
-            table[(ov.i, ov.j)] = ov
-        self.overlaps = table
+            if ov.i < 0 or ov.j >= len(self.patches):
+                raise WfError("overlap (%d,%d) names a patch outside 0..%d"
+                              % (ov.i, ov.j, len(self.patches) - 1))
+            if (ov.i, ov.j) in views:
+                raise WfError("overlap (%d,%d) is given twice" % (ov.i, ov.j))
+            pres_i = self.patches[ov.i].localize((ov.invert_i,))
+            pres_j = self.patches[ov.j].localize((ov.invert_j,))
+            to_j = _parse_images(ov.to_j, ring, pres_j)
+            to_i = _parse_images(ov.to_i, ring, pres_i)
+            views[(ov.i, ov.j)] = OverlapView(pres_i, pres_j, to_j, to_i,
+                                              ov.invert_i, ov.invert_j)
+            views[(ov.j, ov.i)] = OverlapView(pres_j, pres_i, to_i, to_j,
+                                              ov.invert_j, ov.invert_i)
+        self.views = views
         self.genus = genus
         self.family = family
 
     def overlap_pairs(self):
-        return sorted(self.overlaps)
+        return sorted((a, b) for (a, b) in self.views if a < b)
 
     def triples(self):
-        pairs = set(self.overlaps)
-        n = len(self.patches)
-        out = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    if {(i, j), (i, k), (j, k)} <= pairs:
-                        out.append((i, j, k))
-        return out
+        pairs = set(self.overlap_pairs())
+        return [(i, j, k) for i, j, k in combinations(range(len(self.patches)), 3)
+                if {(i, j), (i, k), (j, k)} <= pairs]
 
     def view(self, a, b):
         """OverlapView for the ordered pair (a, b)."""
-        if a == b:
-            pres = self.patches[a]
-            ident = {v: MvPoly.var(self.ring, pres.all_vars, v) for v in pres.vars}
-            return OverlapView(a, b, pres, pres, dict(ident), dict(ident), None, None)
-        key = (a, b) if a < b else (b, a)
-        ov = self.overlaps.get(key)
-        if ov is None:
+        v = self.views.get((a, b))
+        if v is None:
             raise WfError("no overlap between patches %d and %d" % (a, b))
-        pres_i = self.patches[ov.i].localize((ov.invert_i,) if ov.invert_i else ())
-        pres_j = self.patches[ov.j].localize((ov.invert_j,) if ov.invert_j else ())
-        to_j = {k: v if isinstance(v, MvPoly) else parse_poly(v, self.ring, pres_j.all_vars)
-                for k, v in ov.to_j.items()}
-        to_i = {k: v if isinstance(v, MvPoly) else parse_poly(v, self.ring, pres_i.all_vars)
-                for k, v in ov.to_i.items()}
-        if a < b:
-            return OverlapView(a, b, pres_i, pres_j, to_j, to_i, ov.invert_i, ov.invert_j)
-        return OverlapView(b, a, pres_j, pres_i, to_i, to_j, ov.invert_j, ov.invert_i)
+        return v
 
     def to_json(self):
+        overlaps = []
+        for (i, j) in self.overlap_pairs():
+            v = self.views[(i, j)]
+            overlaps.append({"i": i, "j": j,
+                             "invert_i": v.invert_a, "invert_j": v.invert_b,
+                             "to_j": _texts(v.map_ab), "to_i": _texts(v.map_ba)})
         data = {"name": self.name, "ring": self.ring.to_json(),
                 "patches": [p.to_json() for p in self.patches],
-                "overlaps": [self.overlaps[k].to_json() for k in sorted(self.overlaps)]}
+                "overlaps": overlaps}
         if self.genus is not None:
             data["genus"] = self.genus
         if self.family is not None:
@@ -276,20 +288,19 @@ class GluedScheme:
     def from_json(cls, data, ring=None):
         if isinstance(data, str):
             data = json.loads(data)
+        name, patch_data = _fields(data, "scheme document", "name", "patches")
         if ring is None:
-            ring = BaseRingSpec.from_json(data["ring"])
-        patches = [Presentation(p["name"], ring, p["vars"],
-                                p.get("relations", ()), p.get("inverted", ()))
-                   for p in data["patches"]]
-        overlaps = []
-        for o in data.get("overlaps", ()):
-            i, j = o["i"], o["j"]
-            pres_i = patches[i].localize((o["invert_i"],) if o.get("invert_i") else ())
-            pres_j = patches[j].localize((o["invert_j"],) if o.get("invert_j") else ())
-            to_j = {k: parse_poly(v, ring, pres_j.all_vars) for k, v in o["to_j"].items()}
-            to_i = {k: parse_poly(v, ring, pres_i.all_vars) for k, v in o["to_i"].items()}
-            overlaps.append(Overlap(i, j, o.get("invert_i"), o.get("invert_j"), to_j, to_i))
-        return cls(data["name"], ring, patches, overlaps,
+            ring = BaseRingSpec.from_json(*_fields(data, "scheme document", "ring"))
+        patches = []
+        for p in patch_data:
+            pname, pvars = _fields(p, "patch", "name", "vars")
+            patches.append(Presentation(pname, ring, pvars, p.get("relations", ()),
+                                        p.get("inverted", ())))
+        overlaps = [Overlap(*_fields(o, "overlap", "i", "j"),
+                            o.get("invert_i"), o.get("invert_j"),
+                            *_fields(o, "overlap", "to_j", "to_i"))
+                    for o in data.get("overlaps", ())]
+        return cls(name, ring, patches, overlaps,
                    genus=data.get("genus"), family=data.get("family"))
 
     def __repr__(self):
@@ -306,30 +317,21 @@ def validate_gluing(scheme: GluedScheme):
     TransitionError with the offending data; returns True otherwise.
     """
     for (i, j) in scheme.overlap_pairs():
-        v = scheme.view(i, j)
-        for name in v.pres_a.vars:
-            img = transport(MvPoly.var(scheme.ring, v.pres_a.all_vars, name),
-                            v.pres_a, v.map_ab, v.pres_b, level="R")
-            back = transport(img, v.pres_b, v.map_ba, v.pres_a, level="R")
-            expect = v.pres_a.nf_R(MvPoly.var(scheme.ring, v.pres_a.all_vars, name))
-            if back != expect:
-                raise TransitionError(
-                    "round trip failed on overlap (%d,%d) at %r: %s != %s"
-                    % (i, j, name, back.to_text(), expect.to_text()))
-        for name in v.pres_b.vars:
-            img = transport(MvPoly.var(scheme.ring, v.pres_b.all_vars, name),
-                            v.pres_b, v.map_ba, v.pres_a, level="R")
-            back = transport(img, v.pres_a, v.map_ab, v.pres_b, level="R")
-            expect = v.pres_b.nf_R(MvPoly.var(scheme.ring, v.pres_b.all_vars, name))
-            if back != expect:
-                raise TransitionError(
-                    "round trip failed on overlap (%d,%d) at %r" % (i, j, name))
+        for v in (scheme.view(i, j), scheme.view(j, i)):
+            for name in v.pres_a.vars:
+                x = MvPoly.var(scheme.ring, v.pres_a.all_vars, name)
+                img = transport(x, v.pres_a, v.map_ab, v.pres_b, level="R")
+                back = transport(img, v.pres_b, v.map_ba, v.pres_a, level="R")
+                expect = v.pres_a.nf_R(x)
+                if back != expect:
+                    raise TransitionError(
+                        "round trip failed on overlap (%d,%d) at %r: %s != %s"
+                        % (i, j, name, back.to_text(), expect.to_text()))
     for (i, j, k) in scheme.triples():
         vij = scheme.view(i, j)
         vik = scheme.view(i, k)
         vjk = scheme.view(j, k)
-        triple_k = scheme.patches[k].localize(
-            tuple(x for x in (vik.invert_b, vjk.invert_b) if x))
+        triple_k = scheme.patches[k].localize((vik.invert_b, vjk.invert_b))
         for name in scheme.patches[i].vars:
             x = MvPoly.var(scheme.ring, vik.pres_a.all_vars, name)
             direct = transport(x, vik.pres_a, vik.map_ab, triple_k, level="R")
@@ -348,18 +350,20 @@ def validate_gluing(scheme: GluedScheme):
 
 
 class ChartMap:
+    """Target patch index, pullbacks of the target base variables and an
+    optional section, as given (polynomials or text)."""
+
     __slots__ = ("target_index", "pullback", "section")
 
     def __init__(self, target_index, pullback, section=None):
         self.target_index = target_index
-        self.pullback = dict(pullback)   # target base var -> poly over source chart
+        self.pullback = dict(pullback)
         self.section = dict(section) if section else None
 
     def to_json(self):
-        data = {"target": self.target_index,
-                "pullback": {k: v.to_text() for k, v in self.pullback.items()}}
+        data = {"target": self.target_index, "pullback": _texts(self.pullback)}
         if self.section:
-            data["section"] = {k: v.to_text() for k, v in self.section.items()}
+            data["section"] = _texts(self.section)
         return data
 
 
@@ -370,9 +374,19 @@ class SchemeMorphism:
         self.name = name
         self.source = source
         self.target = target
-        self.charts = tuple(charts)
-        if len(self.charts) != len(source.patches):
+        charts = tuple(charts)
+        if len(charts) != len(source.patches):
             raise WfError("one chart map per source patch is required")
+        for i, c in enumerate(charts):
+            if not 0 <= c.target_index < len(target.patches):
+                raise WfError("chart %d maps to target patch %d, outside 0..%d"
+                              % (i, c.target_index, len(target.patches) - 1))
+        self.charts = tuple(
+            ChartMap(c.target_index,
+                     _parse_images(c.pullback, source.ring, source.patches[i]),
+                     c.section and _parse_images(c.section, target.ring,
+                                                 target.patches[c.target_index]))
+            for i, c in enumerate(charts))
         self.kind = kind
 
     def target_patch(self, i):
@@ -387,19 +401,12 @@ class SchemeMorphism:
     def from_json(cls, data, ring=None):
         if isinstance(data, str):
             data = json.loads(data)
-        source = GluedScheme.from_json(data["source"], ring)
-        target = GluedScheme.from_json(data["target"], ring if ring else None)
-        charts = []
-        for idx, c in enumerate(data["charts"]):
-            src = source.patches[idx]
-            tgt = target.patches[c["target"]]
-            pullback = {k: parse_poly(v, source.ring, src.all_vars)
-                        for k, v in c["pullback"].items()}
-            section = None
-            if c.get("section"):
-                section = {k: parse_poly(v, target.ring, tgt.all_vars)
-                           for k, v in c["section"].items()}
-            charts.append(ChartMap(c["target"], pullback, section))
+        src, tgt, chart_data = _fields(data, "morphism document",
+                                       "source", "target", "charts")
+        source = GluedScheme.from_json(src, ring)
+        target = GluedScheme.from_json(tgt, ring)
+        charts = [ChartMap(*_fields(c, "chart", "target", "pullback"), c.get("section"))
+                  for c in chart_data]
         return cls(data.get("name", "morphism"), source, target, charts,
                    kind=data.get("kind"))
 
@@ -430,10 +437,7 @@ def validate_morphism(m: SchemeMorphism):
         tv = m.target.view(ti, tj)
         src_i = sv.pres_a
         for name in tv.pres_a.vars:
-            direct = transport(
-                m.charts[i].pullback.get(name), m.source.patches[i],
-                _identity_map(m.source.ring, m.source.patches[i], src_i),
-                src_i, level="R")
+            direct = src_i.nf_R(m.charts[i].pullback[name])
             via_j = transport(MvPoly.var(m.source.ring, tv.pres_a.all_vars, name),
                               tv.pres_a, tv.map_ab, tv.pres_b, level="R")
             pulled = transport(via_j, tv.pres_b, m.charts[j].pullback,
@@ -445,10 +449,6 @@ def validate_morphism(m: SchemeMorphism):
                     % (name, i, j, direct.to_text(), crossed.to_text()))
     _validate_kind(m)
     return True
-
-
-def _identity_map(ring, pres_from, pres_to):
-    return {v: MvPoly.var(ring, pres_to.all_vars, v) for v in pres_from.vars}
 
 
 def _validate_kind(m: SchemeMorphism):
@@ -647,11 +647,7 @@ def multiplicative_group(ring):
 def projective_line(ring):
     c0 = Presentation("U0", ring, ("x",))
     c1 = Presentation("U1", ring, ("u",))
-    p0 = c0.localize(("x",))
-    p1 = c1.localize(("u",))
-    ov = Overlap(0, 1, "x", "u",
-                 to_j={"x": parse_poly("u_inv", ring, p1.all_vars)},
-                 to_i={"u": parse_poly("x_inv", ring, p0.all_vars)})
+    ov = Overlap(0, 1, "x", "u", to_j={"x": "u_inv"}, to_i={"u": "x_inv"})
     return GluedScheme("P1", ring, [c0, c1], [ov], family="projective")
 
 
@@ -661,27 +657,15 @@ def projective_plane(ring):
     c0 = Presentation("U0", ring, ("a", "b"))
     c1 = Presentation("U1", ring, ("c", "d"))
     c2 = Presentation("U2", ring, ("e", "g"))
-    p01 = c1.localize(("c",))
-    p00 = c0.localize(("a",))
     ov01 = Overlap(0, 1, "a", "c",
-                   to_j={"a": parse_poly("c_inv", ring, p01.all_vars),
-                         "b": parse_poly("d*c_inv", ring, p01.all_vars)},
-                   to_i={"c": parse_poly("a_inv", ring, p00.all_vars),
-                         "d": parse_poly("b*a_inv", ring, p00.all_vars)})
-    p02 = c2.localize(("e",))
-    p00b = c0.localize(("b",))
+                   to_j={"a": "c_inv", "b": "d*c_inv"},
+                   to_i={"c": "a_inv", "d": "b*a_inv"})
     ov02 = Overlap(0, 2, "b", "e",
-                   to_j={"a": parse_poly("g*e_inv", ring, p02.all_vars),
-                         "b": parse_poly("e_inv", ring, p02.all_vars)},
-                   to_i={"e": parse_poly("b_inv", ring, p00b.all_vars),
-                         "g": parse_poly("a*b_inv", ring, p00b.all_vars)})
-    p12 = c2.localize(("g",))
-    p11 = c1.localize(("d",))
+                   to_j={"a": "g*e_inv", "b": "e_inv"},
+                   to_i={"e": "b_inv", "g": "a*b_inv"})
     ov12 = Overlap(1, 2, "d", "g",
-                   to_j={"c": parse_poly("e*g_inv", ring, p12.all_vars),
-                         "d": parse_poly("g_inv", ring, p12.all_vars)},
-                   to_i={"e": parse_poly("c*d_inv", ring, p11.all_vars),
-                         "g": parse_poly("d_inv", ring, p11.all_vars)})
+                   to_j={"c": "e*g_inv", "d": "g_inv"},
+                   to_i={"e": "c*d_inv", "g": "d_inv"})
     return GluedScheme("P2", ring, [c0, c1, c2], [ov01, ov02, ov12],
                        family="projective")
 
@@ -698,13 +682,9 @@ def weierstrass_curve(ring, a, b, name=None):
                        relations=["y^2 - x^3 - %d*x - %d" % (a % p, b % p)])
     inf = Presentation("Einf", ring, ("w", "z"),
                        relations=["w^3 - z + %d*w*z^2 + %d*z^3" % (a % p, b % p)])
-    paff = aff.localize(("y",))
-    pinf = inf.localize(("z",))
     ov = Overlap(0, 1, "y", "z",
-                 to_j={"x": parse_poly("w*z_inv", ring, pinf.all_vars),
-                       "y": parse_poly("-z_inv", ring, pinf.all_vars)},
-                 to_i={"w": parse_poly("-x*y_inv", ring, paff.all_vars),
-                       "z": parse_poly("-y_inv", ring, paff.all_vars)})
+                 to_j={"x": "w*z_inv", "y": "-z_inv"},
+                 to_i={"w": "-x*y_inv", "z": "-y_inv"})
     return GluedScheme(name or "E[%d,%d]" % (a % p, b % p), ring, [aff, inf], [ov],
                        genus=1, family="weierstrass")
 
@@ -777,13 +757,9 @@ def hyperelliptic_curve(ring, h_coeffs, name=None):
                        relations=["y^2 - (%s)" % (_poly_text_from_coeffs(h, "x"),)])
     inf = Presentation("Hinf", ring, ("v", "w"),
                        relations=["w^2 - (%s)" % (_poly_text_from_coeffs(ht, "v"),)])
-    paff = aff.localize(("x",))
-    pinf = inf.localize(("v",))
     ov = Overlap(0, 1, "x", "v",
-                 to_j={"x": parse_poly("v_inv", ring, pinf.all_vars),
-                       "y": parse_poly("w*v_inv^%d" % (mdeg,), ring, pinf.all_vars)},
-                 to_i={"v": parse_poly("x_inv", ring, paff.all_vars),
-                       "w": parse_poly("y*x_inv^%d" % (mdeg,), ring, paff.all_vars)})
+                 to_j={"x": "v_inv", "y": "w*v_inv^%d" % (mdeg,)},
+                 to_i={"v": "x_inv", "w": "y*x_inv^%d" % (mdeg,)})
     return GluedScheme(name or "H[deg %d]" % (d,), ring, [aff, inf], [ov],
                        genus=g, family="hyperelliptic")
 
@@ -809,13 +785,7 @@ def imm_parabola(ring):
                         [Presentation("C", ring, ("x", "y"), relations=["y - x^2"])],
                         family="affine")
     plane = affine_space(ring, 2)
-    src = curve.patches[0]
-    tgt = plane.patches[0]
-    chart = ChartMap(0,
-                     pullback={"x": parse_poly("x", ring, src.all_vars),
-                               "y": parse_poly("y", ring, src.all_vars)},
-                     section={"x": parse_poly("x", ring, tgt.all_vars),
-                              "y": parse_poly("y", ring, tgt.all_vars)})
+    chart = ChartMap(0, pullback={"x": "x", "y": "y"}, section={"x": "x", "y": "y"})
     return SchemeMorphism("parabola_in_a2", curve, plane, [chart],
                           kind="closed_immersion")
 
@@ -823,8 +793,7 @@ def imm_parabola(ring):
 def proj_plane_to_line(ring):
     plane = affine_space(ring, 2)
     line = affine_space(ring, 1)
-    chart = ChartMap(0, pullback={"x": parse_poly("x", ring,
-                                                  plane.patches[0].all_vars)})
+    chart = ChartMap(0, pullback={"x": "x"})
     return SchemeMorphism("a2_to_a1", plane, line, [chart], kind="projection")
 
 
@@ -833,26 +802,17 @@ def etale_gm_square(ring):
                       family="torus")
     tgt = GluedScheme("Gm", ring, [Presentation("Gm", ring, ("t",), inverted=("t",))],
                       family="torus")
-    chart = ChartMap(0, pullback={"t": parse_poly("x^2", ring,
-                                                  src.patches[0].all_vars)})
+    chart = ChartMap(0, pullback={"t": "x^2"})
     return SchemeMorphism("gm_square", src, tgt, [chart], kind="etale")
 
 
 def weierstrass_in_p2(ring, a=1, b=0):
     curve = weierstrass_curve(ring, a, b)
     plane = projective_plane(ring)
-    aff, inf = curve.patches
-    u0, _, u2 = plane.patches
-    chart0 = ChartMap(0,
-                      pullback={"a": parse_poly("x", ring, aff.all_vars),
-                                "b": parse_poly("y", ring, aff.all_vars)},
-                      section={"x": parse_poly("a", ring, u0.all_vars),
-                               "y": parse_poly("b", ring, u0.all_vars)})
-    chart1 = ChartMap(2,
-                      pullback={"e": parse_poly("-z", ring, inf.all_vars),
-                                "g": parse_poly("-w", ring, inf.all_vars)},
-                      section={"w": parse_poly("-g", ring, u2.all_vars),
-                               "z": parse_poly("-e", ring, u2.all_vars)})
+    chart0 = ChartMap(0, pullback={"a": "x", "b": "y"},
+                      section={"x": "a", "y": "b"})
+    chart1 = ChartMap(2, pullback={"e": "-z", "g": "-w"},
+                      section={"w": "-g", "z": "-e"})
     return SchemeMorphism("weierstrass_in_p2", curve, plane, [chart0, chart1],
                           kind="closed_immersion")
 

@@ -5,7 +5,9 @@ import os
 import subprocess
 import sys
 
+from wf.base_ring import BaseRingSpec
 from wf.bounds import gsp_order
+from wf.scheme import BUILTIN_MORPHISMS
 
 
 def run_cli(*args, env_extra=None, timeout=None):
@@ -140,6 +142,58 @@ def test_lift_ladder_from_degree_zero_terminates():
             "message": "start degree must be an integer >= 0, got -1"}
     data = run_json("lift", "a1", "--p", "3", "--deg-bound", "0")
     assert data["lifts"][0]["degree"] == 0
+
+
+def test_max_deg_is_the_ceiling_everywhere():
+    # a start above the ceiling is lowered to it, and the independent
+    # compat lifts stop at the ceiling like the constructed ones
+    for args, bound, message in (
+            (("lift", "weierstrass", "--patch", "Eaff", "--deg-bound", "4"), 2,
+             "no admissible lift on Eaff with coefficients of degree <= 2"),
+            (("compat", "weierstrass_in_p2", "--deg-bound", "9"), 2,
+             "no compatible lifts with coefficients of degree <= 2"),
+            (("compat", "weierstrass_in_p2", "--independent",
+              "--deg-bound", "1"), 1,
+             "no admissible lift on Eaff with coefficients of degree <= 1")):
+        proc = run_cli(*args, "--p", "3", "--max-deg", str(bound))
+        assert proc.returncode == 3, (args, proc.stdout + proc.stderr)
+        assert json.loads(proc.stdout)["error"] == {
+            "type": "NoSolutionAtBound", "bound": bound, "message": message}
+
+
+def refused_document(tmp_path, command, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli(command, str(path))
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    return json.loads(proc.stdout)["error"]
+
+
+LINE = {"name": "A1", "ring": {"p": 3},
+        "patches": [{"name": "A1", "vars": ["x"]}]}
+
+
+def test_scheme_document_without_patches_is_input_error(tmp_path):
+    doc = {k: v for k, v in LINE.items() if k != "patches"}
+    assert refused_document(tmp_path, "di", doc) == {
+        "type": "ParseError", "message": "scheme document has no 'patches'"}
+
+
+def test_overlap_outside_the_patches_is_input_error(tmp_path):
+    doc = dict(LINE, overlaps=[{"i": 0, "j": 3, "invert_i": "x",
+                                "invert_j": "x", "to_j": {"x": "x"},
+                                "to_i": {"x": "x"}}])
+    assert refused_document(tmp_path, "di", doc) == {
+        "type": "WfError",
+        "message": "overlap (0,3) names a patch outside 0..0"}
+
+
+def test_chart_target_outside_the_patches_is_input_error(tmp_path):
+    doc = BUILTIN_MORPHISMS["weierstrass_in_p2"](BaseRingSpec(3)).to_json()
+    doc["charts"][1]["target"] = 7
+    assert refused_document(tmp_path, "compat", doc) == {
+        "type": "WfError",
+        "message": "chart 1 maps to target patch 7, outside 0..2"}
 
 
 def test_ring_parameters_checked_alike():

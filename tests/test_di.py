@@ -1,5 +1,7 @@
 """Lift search, obstruction cocycles, coboundary decisions, compatibility."""
 
+import json
+
 import pytest
 
 from wf.base_ring import BaseRingSpec
@@ -16,7 +18,7 @@ from wf.jet import (collapse_companion_jets, linearize_generator,
 from wf.poly import MvPoly, parse_poly
 from wf.scheme import (BUILTIN_MORPHISMS, BUILTIN_SCHEMES, ChartMap,
                        GluedScheme, Presentation, SchemeMorphism, transport,
-                       validate_morphism, weierstrass_curve)
+                       validate_gluing, validate_morphism, weierstrass_curve)
 
 
 def collapsed_rows(pres):
@@ -92,6 +94,12 @@ def test_lift_ladder_doubles_to_the_cap_then_refuses():
     assert exc.value.bound == 3
     with pytest.raises(WfError, match="start degree must be"):
         local_frobenius_lift(pres, -1, 5)
+    # a start above the cap is lowered to it: degree 2 only
+    with pytest.raises(NoSolutionAtBound) as exc:
+        local_frobenius_lift(pres, 4, 2)
+    assert exc.value.bound == 2
+    with pytest.raises(WfError, match="max degree must be"):
+        local_frobenius_lift(pres, 1, -1)
     m = BUILTIN_MORPHISMS["weierstrass_in_p2"](BaseRingSpec(3))
     with pytest.raises(NoSolutionAtBound) as exc:
         build_compatible_lifts(m, start_degree=1, max_degree=1)
@@ -151,7 +159,7 @@ def test_cocycle_checks_pass_on_three_charts():
     ring = BaseRingSpec(3)
     p2 = BUILTIN_SCHEMES["p2"](ring)
     lifts = [local_frobenius_lift(pres) for pres in p2.patches]
-    cochain = di_cocycle(p2, lifts, check=True)
+    cochain = di_cocycle(p2, lifts)
     assert set(cochain.values) == {(0, 1), (0, 2), (1, 2)}
 
 
@@ -206,6 +214,55 @@ def test_genus2_definitive_negative_and_inconclusive_bound():
     assert exc.value.threshold == 18
 
 
+def hasse_invariant(p):
+    """The coefficient of x^(p-1) in (x^3 + x)^((p-1)/2) mod p, in plain
+    integers."""
+    coeffs = {0: 1}
+    for _ in range((p - 1) // 2):
+        nxt = {}
+        for e, c in coeffs.items():
+            for shift in (3, 1):
+                nxt[e + shift] = (nxt.get(e + shift, 0) + c) % p
+        coeffs = nxt
+    return coeffs.get(p - 1, 0)
+
+
+def test_weierstrass_vanishes_exactly_when_ordinary():
+    # Deuring: y^2 = x^3 + x is ordinary at p exactly when its Hasse
+    # invariant is nonzero.  Serre-Tate: an ordinary curve has a Frobenius
+    # lift mod p^2 (its canonical lift), a supersingular one has none.
+    primes = (3, 5, 7, 11, 13)
+    for p in primes:
+        rep = compute_di_class(BUILTIN_SCHEMES["weierstrass"](BaseRingSpec(p)))
+        assert rep.vanishes is (hasse_invariant(p) != 0), p
+    assert [p for p in primes if hasse_invariant(p)] == [5, 13]
+
+
+# y^2 = x^7 - 1, genus 3, glued from text the way a scheme document is
+GENUS3 = json.dumps({
+    "name": "y^2 = x^7 - 1", "ring": {"p": 3}, "genus": 3,
+    "patches": [{"name": "Haff", "vars": ["x", "y"],
+                 "relations": ["y^2 - x^7 + 1"]},
+                {"name": "Hinf", "vars": ["v", "w"],
+                 "relations": ["w^2 - v + v^8"]}],
+    "overlaps": [{"i": 0, "j": 1, "invert_i": "x", "invert_j": "v",
+                  "to_j": {"x": "v_inv", "y": "w*v_inv^4"},
+                  "to_i": {"v": "x_inv", "w": "y*x_inv^4"}}]})
+
+
+def test_higher_genus_classes_never_vanish():
+    # no curve of genus >= 2 lifts with its Frobenius mod p^2 (Raynaud)
+    for p in (3, 7):
+        rep = compute_di_class(BUILTIN_SCHEMES["genus2"](BaseRingSpec(p)))
+        assert rep.vanishes is False, p
+    for p in (3, 5):
+        curve = GluedScheme.from_json(GENUS3, BaseRingSpec(p))
+        assert validate_gluing(curve) is True
+        rep = compute_di_class(curve)
+        assert rep.threshold == 8 * p
+        assert rep.vanishes is False, p
+
+
 def test_perturbed_lift_family_same_class():
     # the class does not depend on the choice of chart lifts
     ring = BaseRingSpec(3)
@@ -215,7 +272,7 @@ def test_perturbed_lift_family_same_class():
                                                    u0.all_vars))})
     assert odd.verify() is True
     lifts = [odd, local_frobenius_lift(p1.patches[1])]
-    cochain = di_cocycle(p1, lifts, check=True)
+    cochain = di_cocycle(p1, lifts)
     assert not cochain.is_zero()
     vanishes, sections = is_coboundary(p1, cochain)
     assert vanishes is True

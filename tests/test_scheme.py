@@ -1,17 +1,19 @@
 """Glued schemes: transition sanity, morphism kinds, twisted derivations."""
 
+import json
 import random
 
 import pytest
 
 from wf.base_ring import BaseRingSpec
-from wf.errors import (KindMismatch, NonSmooth, NotEtale, TransitionError,
-                       WfError)
+from wf.errors import (KindMismatch, NonSmooth, NotEtale, ParseError,
+                       TransitionError, WfError)
 from wf.poly import MvPoly, parse_poly
 from wf.scheme import (BUILTIN_MORPHISMS, BUILTIN_SCHEMES, ChartMap,
-                       FDerSection, GluedScheme, Presentation, SchemeMorphism,
-                       affine_space, hyperelliptic_curve, transport,
-                       validate_gluing, validate_morphism, weierstrass_curve)
+                       FDerSection, GluedScheme, Overlap, Presentation,
+                       SchemeMorphism, affine_space, hyperelliptic_curve,
+                       transport, validate_gluing, validate_morphism,
+                       weierstrass_curve)
 
 
 def rand_poly(rng, ring, vars, deg=3, terms=4):
@@ -139,14 +141,39 @@ def test_view_identity_and_missing_overlap():
 
 
 def test_broken_gluing_detected():
-    # tamper with one transition entry so the round trip no longer closes
+    # P1 with one tampered transition entry: the round trip no longer closes
     ring = BaseRingSpec(3)
     p1 = BUILTIN_SCHEMES["p1"](ring)
-    ov = p1.overlaps[(0, 1)]
-    ov.to_i["u"] = parse_poly("x_inv^2", ring,
-                              p1.patches[0].localize(("x",)).all_vars)
-    with pytest.raises(TransitionError):
-        validate_gluing(p1)
+    ov = Overlap(0, 1, "x", "u", to_j={"x": "u_inv"}, to_i={"u": "x_inv^2"})
+    broken = GluedScheme("P1", ring, p1.patches, [ov])
+    with pytest.raises(TransitionError,
+                       match=r"round trip failed on overlap \(0,1\) at 'x': "
+                             r"x\^2 != x"):
+        validate_gluing(broken)
+
+
+def test_overlap_given_twice_refused():
+    ring = BaseRingSpec(3)
+    p1 = BUILTIN_SCHEMES["p1"](ring)
+    ov = Overlap(0, 1, "x", "u", to_j={"x": "u_inv"}, to_i={"u": "x_inv"})
+    with pytest.raises(WfError, match=r"overlap \(0,1\) is given twice"):
+        GluedScheme("P1", ring, p1.patches, [ov, ov])
+
+
+def test_missing_document_keys_are_parse_errors():
+    data = BUILTIN_MORPHISMS["weierstrass_in_p2"](BaseRingSpec(3)).to_json()
+    for path, key in ((("source", "ring"), "p"),
+                      (("source", "overlaps", 0), "to_i"),
+                      (("target", "patches", 1), "vars"),
+                      (("charts", 0), "pullback"),
+                      ((), "target")):
+        doc = json.loads(json.dumps(data))
+        node = doc
+        for step in path:
+            node = node[step]
+        del node[key]
+        with pytest.raises(ParseError, match="has no %r" % (key,)):
+            SchemeMorphism.from_json(doc)
 
 
 # -- serialization ----------------------------------------------------------

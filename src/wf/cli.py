@@ -134,19 +134,19 @@ def _base_ring(args):
 
 
 def _load(token, args, builtins, cls, validate):
-    """A builtin from the table, or a JSON document read by cls and checked
-    by validate; the messages name the kind of object cls holds."""
+    """A builtin from the table or a JSON document read by cls, either way
+    checked by validate; the messages name the kind of object cls holds."""
     what = "scheme" if cls is GluedScheme else "morphism"
     if token in builtins:
         if args.p is None:
             raise WfError("--p is required with builtin %s %r" % (what, token))
-        return builtins[token](_base_ring(args))
-    if not os.path.exists(token):
+        loaded = builtins[token](_base_ring(args))
+    elif not os.path.exists(token):
         raise WfError("unknown %s %r: not a builtin (%s) and not a file"
                       % (what, token, ", ".join(sorted(builtins))))
-    data = _read_json(token)
-    ring = _base_ring(args) if args.p is not None else None
-    loaded = cls.from_json(data, ring)
+    else:
+        ring = _base_ring(args) if args.p is not None else None
+        loaded = cls.from_json(_read_json(token), ring)
     validate(loaded)
     return loaded
 

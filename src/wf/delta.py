@@ -50,12 +50,6 @@ class DeltaContext:
         self.q = ring.q
         self._pi_const = ring.pi()
 
-    # -- small constructors ------------------------------------------------
-
-    def poly(self, f: MvPoly) -> MvPoly:
-        """View a polynomial in the base variables inside the jet space."""
-        return f.extend_vars(self.all_vars)
-
     # -- the three rules ----------------------------------------------------
 
     def c_pi(self, a: MvPoly, b: MvPoly) -> MvPoly:

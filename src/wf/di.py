@@ -2,13 +2,15 @@
 
 On each chart a lift is phi(v) = v^q + pi A_v with A_v over the residue
 field; it is admissible when every relation maps into (ideal, pi^2).
-The exact identity phi_A(r) = r^q + pi * prolong(r)(X, A) turns that
-into an affine condition mod pi: const_r + sum_v J_{r,v} A_v = 0 in the
-chart's normal form, which is a finite F_p linear system once A is
-confined to a degree bound.  The difference of two chart lifts is an
-F-twisted vector field, so the lifts of a glued scheme produce a Cech
-1-cocycle valued in F*T; the class of that cocycle is the obstruction,
-and a 0-cochain witness with controlled pole degree decides vanishing.
+Since phi_A(r) = r^q + pi * delta(r) with delta(r) affine in A mod pi,
+that is an affine condition mod pi: const_r + sum_v J_{r,v} A_v = 0 in
+the chart's normal form, with const_r = (r(X^q) - r^q)/pi and J_r the
+twisted partials of r (wf.jet.linearize_generator).  Once A is confined
+to a degree bound it is a finite F_p linear system.  The difference of
+two chart lifts is an F-twisted vector field, so the lifts of a glued
+scheme produce a Cech 1-cocycle valued in F*T; the class of that
+cocycle is the obstruction, and a 0-cochain witness with controlled
+pole degree decides vanishing.
 
 The chart lifts, the coboundary witness and the lifts that commute with
 a morphism are all systems of such conditions, and one set of builders
@@ -25,7 +27,6 @@ Inconclusive rather than guessing.
 from __future__ import annotations
 
 from .bounds import require_at_least
-from .delta import DeltaContext
 from .errors import Inconclusive, KindMismatch, NoSolutionAtBound, WfError
 from .gfp import solve as gfp_solve
 from .jet import collapse_companion_jets, linearize_generator, linearize_mod_pi
@@ -266,11 +267,6 @@ def local_frobenius_lift(pres, start_degree=None, max_degree=None):
 # -- the Cech cocycle -----------------------------------------------------------
 
 
-def restrict_fder(section, pres):
-    """The same coefficients read on a further-localized presentation."""
-    return FDerSection(pres, section.coeffs)
-
-
 def express_fder(coeffs, src_pres, dst_pres, dst_to_src, src_to_dst):
     """Express an F-derivation given in src coordinates in dst coordinates.
 
@@ -287,7 +283,7 @@ def express_fder(coeffs, src_pres, dst_pres, dst_to_src, src_to_dst):
 def _overlap_difference(scheme, a, b, sec_a, sec_b):
     """sec_a - sec_b on the (a, b) overlap, in a-side coordinates."""
     view = scheme.view(a, b)
-    return (restrict_fder(sec_a, view.pres_a)
+    return (FDerSection(view.pres_a, sec_a.coeffs)
             - express_fder(sec_b.coeffs, view.pres_b, view.pres_a,
                            view.map_ab, view.map_ba))
 
@@ -344,8 +340,8 @@ def di_cocycle(scheme, lifts):
         vjk = scheme.view(j, k)
         triple_i = scheme.patches[i].localize((vij.invert_a, vik.invert_a))
         triple_j = scheme.patches[j].localize((vij.invert_b, vjk.invert_a))
-        dij = restrict_fder(values[(i, j)], triple_i)
-        dik = restrict_fder(values[(i, k)], triple_i)
+        dij = FDerSection(triple_i, values[(i, j)].coeffs)
+        dik = FDerSection(triple_i, values[(i, k)].coeffs)
         djk = express_fder(values[(j, k)].coeffs, triple_j, triple_i,
                            vij.map_ab, vij.map_ba)
         if not (dij + djk == dik):
@@ -716,10 +712,9 @@ def _compatible_attempt(morphism, y_lifts, degree, joint):
     for idx, chart in enumerate(morphism.charts):
         src = morphism.source.patches[idx]
         tgt = morphism.target_patch(idx)
-        dctx = DeltaContext(src.ring, src.all_vars)
         for t in tgt.vars:
             row = collapse_companion_jets(
-                src, linearize_generator(src, dctx, chart.pullback[t]))
+                src, linearize_generator(src, chart.pullback[t]))
             eqbase = ("compat", idx, t)
             _add_affine(sys, eqbase, src, row, ("AX", idx), src_bases[idx])
             if joint:

@@ -37,10 +37,6 @@ class NotPrepared(WfError):
     """Relation set is outside the supported reduction fragment."""
 
 
-class NonLinear(WfError):
-    """Prolonged generator has jet-degree two or more modulo pi."""
-
-
 class NonSmooth(WfError):
     """Requested variety fails its smoothness certificate."""
 

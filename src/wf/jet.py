@@ -2,9 +2,12 @@
 
 The jet space of one chart adjoins a jet variable per coordinate
 (companions included) and imposes the prolonged relations next to the
-original ones.  Everything here is exact over the base ring; the mod-pi
-linearization splits each prolonged relation into a constant part and a
-twisted Jacobian row, which is the data the lift solver consumes.
+original ones; `wf jet` prints it and the étale base-change check
+solves in it.  The lift solver needs only delta(g) mod pi, an affine
+function of the jets, and reads it in closed form without prolonging:
+the constant part is (g(X^q) - g^q)/pi and the Jacobian row is
+scheme.twisted_partials, the partials of g with exponents q-scaled
+(Buium, Arithmetic Differential Equations, ch. 2).
 
 On a localized chart the jet of the companion u = 1/v is not free: the
 prolonged relation u^q dv + v^q du + pi du dv = 0 determines du, and
@@ -18,9 +21,10 @@ collapse_companion_jets folds linear rows through scheme.fold_companions.
 from __future__ import annotations
 
 from .delta import DeltaContext, jet_name
-from .errors import NonLinear, NotEtale, WfError
+from .errors import NotEtale, WfError
 from .poly import MvPoly
-from .scheme import Presentation, fold_companions, relative_jacobian_unit
+from .scheme import (Presentation, fold_companions, relative_jacobian_unit,
+                     twisted_partials)
 
 
 class JetPresentation:
@@ -56,10 +60,9 @@ class JetPresentation:
 class LinearRow:
     """delta(g) = const + sum_v jac[v] * (jet of v), taken mod pi."""
 
-    __slots__ = ("generator", "const", "jac")
+    __slots__ = ("const", "jac")
 
-    def __init__(self, generator, const, jac):
-        self.generator = generator
+    def __init__(self, const, jac):
         self.const = const
         self.jac = jac  # base-or-companion variable name -> residue poly
 
@@ -69,53 +72,28 @@ class LinearRow:
         return "LinearRow(%s; %s)" % (self.const.to_text(), inner)
 
 
-def linearize_generator(pres: Presentation, dctx: DeltaContext, g: MvPoly) -> LinearRow:
-    """Split prolong(g) mod pi into constant and Jacobian parts.
+def linearize_generator(pres: Presentation, g: MvPoly) -> LinearRow:
+    """delta(g) mod pi in closed form, without prolonging g.
 
-    Raises NonLinear if any jet-degree >= 2 term survives mod pi; the
-    prolongation of a polynomial never produces one, so this only fires
-    on hand-supplied generators that are not honest prolongations.
+    With every jet zero the lift is X -> X^q, so the constant part is
+    (g(X^q) - g^q)/pi (the coefficient Frobenius is the identity), taken
+    in normal form; the Jacobian is twisted_partials, raw until
+    collapse_companion_jets folds it.
     """
-    dg = dctx.prolong(g)
-    n = len(pres.all_vars)
-    res = pres.res
-    const_terms = {}
-    jac_terms = {name: {} for name in pres.all_vars}
-    for e, c in dg.terms.items():
-        cr = c.residue()
-        if res.is_zero(cr):
-            continue
-        jdeg = sum(e[n:])
-        base = e[:n]
-        if jdeg == 0:
-            const_terms[base] = res.add(const_terms.get(base, 0), cr)
-        elif jdeg == 1:
-            j = next(k for k in range(n) if e[n + k])
-            name = pres.all_vars[j]
-            bucket = jac_terms[name]
-            bucket[base] = res.add(bucket.get(base, 0), cr)
-        else:
-            raise NonLinear(
-                "prolonged generator %s has a mod-pi term of jet degree %d"
-                % (g.to_text(), jdeg))
-    const = pres.nf(MvPoly(res, pres.all_vars, const_terms))
-    jac = {}
-    for name, bucket in jac_terms.items():
-        poly = pres.nf(MvPoly(res, pres.all_vars, bucket))
-        if not poly.is_zero():
-            jac[name] = poly
-    return LinearRow(g, const, jac)
+    ring = pres.ring
+    lifted = (g.q_power_vars(pres.q) - g ** pres.q).map_coeffs(ring.div_pi, ring)
+    return LinearRow(pres.nf(pres.to_res(lifted)), twisted_partials(pres, g))
 
 
 def linearize_mod_pi(pres: Presentation):
     """Linear rows for every relation and companion product of the chart."""
-    dctx = DeltaContext(pres.ring, pres.all_vars)
-    return tuple(linearize_generator(pres, dctx, g) for g in pres.generators())
+    return tuple(linearize_generator(pres, g) for g in pres.generators())
 
 
 def collapse_companion_jets(pres: Presentation, row: LinearRow) -> LinearRow:
-    """Eliminate companion jets via du = -u^(2q) dv (mod pi)."""
-    return LinearRow(row.generator, row.const, fold_companions(pres, row.jac))
+    """Eliminate companion jets via du = -u^(2q) dv (mod pi); each folded
+    Jacobian entry is normal-formed once, vanishing ones are dropped."""
+    return LinearRow(row.const, fold_companions(pres, row.jac))
 
 
 # -- companion jets at full precision ----------------------------------------

@@ -216,21 +216,13 @@ class MvPoly:
 
     # -- substitution -------------------------------------------------------
 
-    def subst(self, mapping, ring=None, vars=None):
-        """Substitute every variable; images are MvPoly over one space.
+    def subst(self, mapping, ring, vars):
+        """Substitute every variable; the images live over (ring, vars).
 
-        mapping maps variable names to MvPoly (or bare coefficients /
-        ints, read as constants).  The target space is taken from the
-        first MvPoly image unless (ring, vars) is given.  Any variable of
-        self that actually occurs must be covered by mapping.
+        mapping maps variable names to MvPoly over that space (or bare
+        coefficients / ints, read as constants).  Any variable of self
+        that actually occurs must be covered by mapping.
         """
-        if ring is None or vars is None:
-            for val in mapping.values():
-                if isinstance(val, MvPoly):
-                    ring, vars = val.ring, val.vars
-                    break
-            else:
-                raise WfError("substitution target space is undetermined")
         vars = tuple(vars)
         images = {}
         for name, val in mapping.items():
@@ -253,7 +245,7 @@ class MvPoly:
         return out
 
     def _convert_coeff(self, c, ring):
-        if ring is self.ring or (hasattr(ring, "same") and ring.same(self.ring)):
+        if ring is self.ring or ring.same(self.ring):
             return c
         raise WfError("cannot move coefficients between unrelated rings")
 
@@ -441,6 +433,8 @@ class _Parser:
 
 def parse_poly(text, ring, vars):
     """Parse the term grammar: c*x1^2*x2 with integer or pi coefficients."""
+    if not isinstance(text, str):
+        raise ParseError("expected polynomial text, got %r" % (text,))
     return _Parser(text, ring, vars).parse()
 
 

@@ -15,9 +15,11 @@ F-derivations (sections of F*T, Frobenius-twisted vector fields) are
 coefficient vectors over the base variables; their action follows the
 twisted Leibniz rule D(fg) = f^q D(g) + D(f) g^q, which on a localized
 ring forces D(v_inv) = -v_inv^(2q) D(v).  That companion rule lives in
-fold_companions alone: twisted_gradient folds the q-scaled partials
-through it, the étale certificate reads its Jacobian rows from
-twisted_gradient, and wf.jet folds linearized jet rows through it.
+fold_companions alone, and every twisted Jacobian is built from
+twisted_partials (the partials with exponents q-scaled):
+twisted_gradient folds them through it, the étale certificate reads its
+rows from twisted_gradient, and wf.jet linearizes a relation mod pi
+with them and folds the row through it.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ class Presentation:
         self.loc_pairs = tuple(zip(self.companions, self.inverted))
         rel = []
         for g in relations:
-            if isinstance(g, str):
+            if not isinstance(g, MvPoly):
                 g = parse_poly(g, ring, self.all_vars)
             elif g.vars != self.all_vars:
                 g = g.extend_vars(self.all_vars)
@@ -197,6 +199,13 @@ def _fields(data, what, *keys):
     return [data[key] for key in keys]
 
 
+def _index(value, what):
+    """value if it is an int and not a bool; ParseError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError("%s must be an integer, got %r" % (what, value))
+    return value
+
+
 class Overlap:
     """Gluing data for one unordered pair of patches, as given: to_j sends
     side-i base variables to side-j overlap polynomials (or text)."""
@@ -204,7 +213,7 @@ class Overlap:
     __slots__ = ("i", "j", "invert_i", "invert_j", "to_j", "to_i")
 
     def __init__(self, i, j, invert_i, invert_j, to_j, to_i):
-        if not (i < j):
+        if not (_index(i, "overlap index i") < _index(j, "overlap index j")):
             raise WfError("store overlaps with i < j")
         self.i = i
         self.j = j
@@ -356,7 +365,7 @@ class ChartMap:
     __slots__ = ("target_index", "pullback", "section")
 
     def __init__(self, target_index, pullback, section=None):
-        self.target_index = target_index
+        self.target_index = _index(target_index, "chart target")
         self.pullback = dict(pullback)
         self.section = dict(section) if section else None
 
@@ -549,9 +558,6 @@ class FDerSection:
             table[v] = pres.nf(g)
         self.coeffs = table
 
-    def apply(self, f: MvPoly) -> MvPoly:
-        return fder_apply(self.pres, self.coeffs, f)
-
     def is_zero(self):
         return all(g.is_zero() for g in self.coeffs.values())
 
@@ -595,16 +601,22 @@ def fold_companions(pres: Presentation, table):
     return {v: g for v, g in out.items() if not g.is_zero()}
 
 
-def twisted_gradient(pres: Presentation, f: MvPoly):
-    """Coefficients M_v with D(f) = sum_v D(v) * M_v for any F-derivation D:
-    the partials of f with exponents q-scaled, folded by fold_companions."""
+def twisted_partials(pres: Presentation, f: MvPoly):
+    """Residue partials of f over pres.all_vars, companions included, with
+    exponents q-scaled; vanishing ones are omitted, none is normal-formed."""
     f = pres.to_res(f)
     partials = {}
     for name in pres.all_vars:
         d = f.partial(name)
         if not d.is_zero():
             partials[name] = d.q_power_vars(pres.q)
-    return fold_companions(pres, partials)
+    return partials
+
+
+def twisted_gradient(pres: Presentation, f: MvPoly):
+    """Coefficients M_v with D(f) = sum_v D(v) * M_v for any F-derivation D:
+    the twisted partials of f folded by fold_companions."""
+    return fold_companions(pres, twisted_partials(pres, f))
 
 
 def fder_apply(pres: Presentation, coeffs, f: MvPoly) -> MvPoly:

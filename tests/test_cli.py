@@ -1,13 +1,16 @@
-"""End-to-end runs of the command line through a real subprocess."""
+"""End-to-end runs of the command line, through a real subprocess unless
+a builtin table is patched for the run."""
 
 import json
 import os
 import subprocess
 import sys
 
+import wf.cli
 from wf.base_ring import BaseRingSpec
 from wf.bounds import gsp_order
-from wf.scheme import BUILTIN_MORPHISMS
+from wf.scheme import (BUILTIN_MORPHISMS, BUILTIN_SCHEMES, GluedScheme,
+                       Overlap, SchemeMorphism, weierstrass_in_p2)
 
 
 def run_cli(*args, env_extra=None, timeout=None):
@@ -194,6 +197,58 @@ def test_chart_target_outside_the_patches_is_input_error(tmp_path):
     assert refused_document(tmp_path, "compat", doc) == {
         "type": "WfError",
         "message": "chart 1 maps to target patch 7, outside 0..2"}
+
+
+def test_document_values_of_the_wrong_type_are_input_errors(tmp_path):
+    ring = BaseRingSpec(3)
+    p1 = BUILTIN_SCHEMES["p1"](ring).to_json()
+    doc = json.loads(json.dumps(p1))
+    doc["overlaps"][0].update(i="0", j="1")
+    assert refused_document(tmp_path, "di", doc) == {
+        "type": "ParseError",
+        "message": "overlap index i must be an integer, got '0'"}
+    doc = json.loads(json.dumps(p1))
+    doc["overlaps"][0]["to_j"] = {"x": 3}
+    assert refused_document(tmp_path, "di", doc) == {
+        "type": "ParseError", "message": "expected polynomial text, got 3"}
+    doc = BUILTIN_SCHEMES["weierstrass"](ring).to_json()
+    doc["patches"][0]["relations"] = [5]
+    assert refused_document(tmp_path, "di", doc) == {
+        "type": "ParseError", "message": "expected polynomial text, got 5"}
+    doc = BUILTIN_MORPHISMS["weierstrass_in_p2"](ring).to_json()
+    doc["charts"][1]["target"] = True
+    assert refused_document(tmp_path, "compat", doc) == {
+        "type": "ParseError",
+        "message": "chart target must be an integer, got True"}
+
+
+def test_builtins_are_validated_like_documents(tmp_path):
+    # x -> x^2 is not étale at p = 2, whether named or read from a file
+    proc = run_cli("compat", "gm_square", "--p", "2")
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    err = json.loads(proc.stdout)["error"]
+    doc = BUILTIN_MORPHISMS["gm_square"](BaseRingSpec(2)).to_json()
+    assert err["type"] == "NotEtale"
+    assert refused_document(tmp_path, "compat", doc) == err
+
+
+def test_reglued_builtin_morphism_is_refused(monkeypatch, capsys):
+    # y -> z_inv, w -> x*y_inv, z -> y_inv is a valid gluing of the curve,
+    # but the chart maps into P2 no longer agree on the overlap
+    def reglued(ring):
+        m = weierstrass_in_p2(ring)
+        ov = Overlap(0, 1, "y", "z", to_j={"x": "w*z_inv", "y": "z_inv"},
+                     to_i={"w": "x*y_inv", "z": "y_inv"})
+        curve = GluedScheme(m.source.name, ring, m.source.patches, [ov],
+                            genus=1, family="weierstrass")
+        return SchemeMorphism(m.name, curve, m.target, m.charts, kind=m.kind)
+
+    monkeypatch.setitem(BUILTIN_MORPHISMS, "weierstrass_in_p2", reglued)
+    monkeypatch.delenv("WF_THREADS", raising=False)
+    assert wf.cli.main(["compat", "weierstrass_in_p2", "--p", "3"]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "TransitionError"
+    assert "pullbacks of 'b' disagree" in err["message"]
 
 
 def test_ring_parameters_checked_alike():

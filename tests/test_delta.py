@@ -70,8 +70,8 @@ def test_sum_and_product_rules():
     for _ in range(50):
         f = rand_poly(ring, vars, rng, deg=3)
         g = rand_poly(ring, vars, rng, deg=3)
-        fa = dctx.poly(f)
-        ga = dctx.poly(g)
+        fa = f.extend_vars(dctx.all_vars)
+        ga = g.extend_vars(dctx.all_vars)
         lhs = dctx.prolong(f + g)
         rhs = dctx.prolong(f) + dctx.prolong(g) + dctx.c_pi(fa, ga)
         assert lhs == rhs
@@ -164,5 +164,6 @@ def test_prolong_linear_over_constant_shift():
     lhs = dctx.prolong(f + c)
     rhs = (dctx.prolong(f)
            + MvPoly.const(ring, dctx.all_vars, ring.base_delta(7))
-           + dctx.c_pi(dctx.poly(f), dctx.poly(c)))
+           + dctx.c_pi(f.extend_vars(dctx.all_vars),
+                       c.extend_vars(dctx.all_vars)))
     assert lhs == rhs

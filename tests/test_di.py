@@ -5,7 +5,6 @@ import json
 import pytest
 
 from wf.base_ring import BaseRingSpec
-from wf.delta import DeltaContext
 from wf.errors import (Inconclusive, KindMismatch, NonSmooth,
                        NoSolutionAtBound, WfError)
 from wf.di import (LinearSystem, LocalLift, build_compatible_lifts,
@@ -504,10 +503,9 @@ def _ref_compatible_attempt(morphism, y_lifts, degree, joint):
     for idx, chart in enumerate(morphism.charts):
         src = morphism.source.patches[idx]
         tgt = morphism.target_patch(idx)
-        dctx = DeltaContext(src.ring, src.all_vars)
         for t in tgt.vars:
             row = collapse_companion_jets(
-                src, linearize_generator(src, dctx, chart.pullback[t]))
+                src, linearize_generator(src, chart.pullback[t]))
             eqbase = ("compat", idx, t)
             for e, c in row.const.terms.items():
                 sys.add_rhs(eqbase + (e,), -c)

@@ -7,18 +7,19 @@ import pytest
 from wf.base_ring import BaseRingSpec
 from wf.delta import DeltaContext, jet_name
 from wf.di import build_compatible_lifts, compatibility_check
-from wf.errors import NonLinear, NonSmooth, NotEtale
+from wf.errors import NonSmooth, NotEtale
 from wf.jet import (JetPresentation, collapse_companion_jets,
                     etale_basechange_check, induced_jet_solve,
                     linearize_generator, linearize_mod_pi)
 from wf.poly import MvPoly, parse_poly
 from wf.scheme import (BUILTIN_MORPHISMS, BUILTIN_SCHEMES, ChartMap,
                        GluedScheme, Presentation, SchemeMorphism,
-                       affine_space, multiplicative_group, validate_morphism)
+                       affine_space, fold_companions, multiplicative_group,
+                       validate_morphism)
 
 
-def all_builtin_schemes(p):
-    ring = BaseRingSpec(p)
+def all_builtin_schemes(p, ring=None):
+    ring = ring or BaseRingSpec(p)
     out = []
     for name in sorted(BUILTIN_SCHEMES):
         try:
@@ -51,16 +52,29 @@ def test_jet_presentation_doubles_generators():
     assert len(jp2.generators) == 2
 
 
+def chart_sides(scheme):
+    """Every patch of the scheme, then both sides of each overlap."""
+    out = list(scheme.patches)
+    for (i, j) in scheme.overlap_pairs():
+        view = scheme.view(i, j)
+        out += [view.pres_a, view.pres_b]
+    return out
+
+
 def test_linearize_never_nonlinear_on_corpus():
+    # the closed form assumes delta(g) is affine in the jets mod pi: every
+    # term of prolong(g) of jet degree 2 or more carries a factor pi
     for p in (2, 3, 5):
         for scheme in all_builtin_schemes(p):
-            for pres in scheme.patches:
+            for pres in chart_sides(scheme):
                 rows = linearize_mod_pi(pres)
                 assert len(rows) == len(pres.relations) + len(pres.loc_pairs)
-            for (i, j) in scheme.overlap_pairs():
-                view = scheme.view(i, j)
-                linearize_mod_pi(view.pres_a)
-                linearize_mod_pi(view.pres_b)
+                dctx = DeltaContext(pres.ring, pres.all_vars)
+                n = len(pres.all_vars)
+                for g in pres.generators():
+                    for e, c in dctx.prolong(g).terms.items():
+                        if not pres.res.is_zero(c.residue()):
+                            assert sum(e[n:]) <= 1, (pres.name, g.to_text())
 
 
 def test_jacobian_matches_symbolic_route():
@@ -73,17 +87,16 @@ def test_jacobian_matches_symbolic_route():
         q = ring.q
         for scheme in all_builtin_schemes(p):
             for pres in scheme.patches:
-                dctx = DeltaContext(ring, pres.all_vars)
                 for _ in range(4):
                     g = rand_poly(ring, pres.all_vars, rng)
-                    row = linearize_generator(pres, dctx, g)
+                    row = linearize_generator(pres, g)
                     for v in pres.all_vars:
                         expect = pres.nf(pres.to_res(
                             g.frob_twist().partial(v).q_power_vars(q)))
                         got = row.jac.get(v)
-                        assert expect == (got if got is not None
-                                          else MvPoly.zero(expect.ring,
-                                                           expect.vars))
+                        if got is None:
+                            got = MvPoly.zero(expect.ring, expect.vars)
+                        assert expect == pres.nf(got)
                     count += 1
     assert count >= 60
 
@@ -94,7 +107,7 @@ def test_linearize_constant_part_is_delta_at_qth_powers():
     pres = affine_space(ring, 2).patches[0]
     dctx = DeltaContext(ring, pres.all_vars)
     g = parse_poly("x^2*y + 2*x", ring, pres.all_vars)
-    row = linearize_generator(pres, dctx, g)
+    row = linearize_generator(pres, g)
     dg = dctx.prolong(g)
     zeroed = {v: MvPoly.var(ring, pres.all_vars, v) for v in pres.all_vars}
     zeroed.update({jet_name(v): MvPoly.zero(ring, pres.all_vars)
@@ -103,20 +116,73 @@ def test_linearize_constant_part_is_delta_at_qth_powers():
     assert row.const == pres.nf(pres.to_res(collapsed))
 
 
-def test_nonlinear_rejected():
-    # honest prolongations are jet-linear mod pi, so the degree guard can
-    # only fire on a context that hands back something quadratic in jets
-    ring = BaseRingSpec(2)
-    pres = affine_space(ring, 1, name="A1").patches[0]
+def oracle_linearize(pres, g):
+    """The prolongation route: prolong g over the base ring, keep the
+    residue terms of jet degree 0 (const) and 1 (jac), normal-formed."""
+    dctx = DeltaContext(pres.ring, pres.all_vars)
+    dg = dctx.prolong(g)
+    n = len(pres.all_vars)
+    res = pres.res
+    const_terms = {}
+    jac_terms = {name: {} for name in pres.all_vars}
+    for e, c in dg.terms.items():
+        cr = c.residue()
+        if res.is_zero(cr):
+            continue
+        jdeg = sum(e[n:])
+        base = e[:n]
+        if jdeg == 0:
+            const_terms[base] = res.add(const_terms.get(base, 0), cr)
+        else:
+            assert jdeg == 1, g.to_text()
+            j = next(k for k in range(n) if e[n + k])
+            bucket = jac_terms[pres.all_vars[j]]
+            bucket[base] = res.add(bucket.get(base, 0), cr)
+    const = pres.nf(MvPoly(res, pres.all_vars, const_terms))
+    jac = {}
+    for name, bucket in jac_terms.items():
+        poly = pres.nf(MvPoly(res, pres.all_vars, bucket))
+        if not poly.is_zero():
+            jac[name] = poly
+    return const, jac
 
-    class RawCtx(DeltaContext):
-        def prolong(self, f):
-            return MvPoly.var(ring, self.all_vars, "x_dot") ** 2
 
-    dctx = RawCtx(ring, pres.all_vars)
-    g = MvPoly.var(ring, pres.all_vars, "x")
-    with pytest.raises(NonLinear):
-        linearize_generator(pres, dctx, g)
+ORACLE_RINGS = ([BaseRingSpec(p) for p in (2, 3, 5, 7)]
+                + [BaseRingSpec(3, frob_power=2),
+                   BaseRingSpec(3, [-3, 0, 1]),
+                   BaseRingSpec(5, precision=2)])
+
+
+@pytest.mark.parametrize("ring", ORACLE_RINGS,
+                         ids=["p=2", "p=3", "p=5", "p=7", "q=9", "x^2-3",
+                              "precision=2"])
+def test_closed_form_matches_prolongation_oracle(ring):
+    # relations, companion products, chart pullbacks and random
+    # polynomials on every builtin chart and overlap side
+    rng = random.Random(ring.p * 100 + ring.q + ring.precision)
+    cases = []
+    for scheme in all_builtin_schemes(ring.p, ring):
+        for pres in chart_sides(scheme):
+            cases += [(pres, g) for g in pres.generators()]
+            cases += [(pres, rand_poly(ring, pres.all_vars, rng))
+                      for _ in range(2)]
+    for name in sorted(BUILTIN_MORPHISMS):
+        try:
+            m = BUILTIN_MORPHISMS[name](ring)
+        except NonSmooth:
+            continue
+        for i, chart in enumerate(m.charts):
+            src = m.source.patches[i]
+            cases += [(src, img) for img in chart.pullback.values()]
+    assert len(cases) >= 40
+    for pres, g in cases:
+        const, jac = oracle_linearize(pres, g)
+        row = linearize_generator(pres, g)
+        assert row.const == const, (pres.name, g.to_text())
+        assert {v: pres.nf(h) for v, h in row.jac.items()
+                if not pres.nf(h).is_zero()} == jac, (pres.name, g.to_text())
+        folded = collapse_companion_jets(pres, row).jac
+        assert folded == fold_companions(pres, jac), (pres.name, g.to_text())
 
 
 def test_collapse_companion_jets_eliminates_companions():

@@ -102,7 +102,7 @@ def test_subst_and_evaluate_agree():
         f = rand_poly(ring, vars, rng, deg=3)
         gx = rand_poly(ring, vars, rng, deg=2, terms=3)
         gy = rand_poly(ring, vars, rng, deg=2, terms=3)
-        h = f.subst({"x": gx, "y": gy})
+        h = f.subst({"x": gx, "y": gy}, ring, vars)
         pt = {"x": rng.randint(-9, 9), "y": rng.randint(-9, 9)}
         inner = {"x": gx.evaluate(pt), "y": gy.evaluate(pt)}
         assert h.evaluate(pt) == f.evaluate(inner)

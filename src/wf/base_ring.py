@@ -20,9 +20,7 @@ its raw coefficients (witt_add, witt_mul), which wf.witt dispatches to.
 
 from __future__ import annotations
 
-import json
-
-from .bounds import require_at_least, require_prime
+from .bounds import require_at_least, require_prime, require_type
 from .errors import NotDivisible, ParseError, PrecisionExceeded, SpecMismatch, WfError
 
 
@@ -83,8 +81,7 @@ class BaseRingSpec:
             raise WfError("all lower eisenstein coefficients must be divisible by p")
         if eisenstein[0] == 0 or _vp(eisenstein[0], p) != 1:
             raise WfError("eisenstein constant term must have p-valuation exactly 1")
-        if precision < 2:
-            raise WfError("precision must be at least 2")
+        require_at_least(precision, 2, "precision")
         require_at_least(frob_power, 1, "frob_power")
         self.p = p
         self.eisenstein = eisenstein
@@ -227,9 +224,6 @@ class BaseRingSpec:
         a = BaseElem(self, (n,) + (0,) * (self.e - 1), pad)
         return a.div_pi().reduce(self.precision - 1)
 
-    def residue(self, a):
-        return a.coeffs[0] % self.p
-
     # -- Witt laws on raw coefficients ------------------------------------
 
     def _witt_prec(self, *coords):
@@ -284,12 +278,17 @@ class BaseRingSpec:
 
     @classmethod
     def from_json(cls, data):
-        if isinstance(data, str):
-            data = json.loads(data)
+        require_type(data, dict, "ring")
         if "p" not in data:
             raise ParseError("ring has no 'p'")
-        return cls(data["p"], data.get("eisenstein"),
-                   data.get("precision", 4), data.get("frob_power", 1))
+        eisenstein = data.get("eisenstein")
+        if eisenstein is not None:
+            for c in require_type(eisenstein, list, "ring eisenstein"):
+                require_type(c, int, "eisenstein coefficient")
+        p, precision, frob_power = (
+            require_type(data.get(key, default), int, "ring " + key)
+            for key, default in (("p", None), ("precision", 4), ("frob_power", 1)))
+        return cls(p, eisenstein, precision, frob_power)
 
     def same(self, other):
         return (self is other
@@ -549,9 +548,6 @@ class IntRing:
     def frob(self, a):
         return a
 
-    def residue(self, a):
-        return a % self.p
-
     def same(self, other):
         return isinstance(other, IntRing) and self.p == other.p and self.q == other.q
 
@@ -644,9 +640,6 @@ class IntModRing:
 
     def inv(self, a):
         return pow(a, -1, self.n)
-
-    def residue(self, a):
-        return a % self.p
 
     def same(self, other):
         return isinstance(other, IntModRing) and self.n == other.n and self.q == other.q

@@ -17,7 +17,7 @@ enough to enumerate.
 
 from __future__ import annotations
 
-from .errors import WfError
+from .errors import ParseError, WfError
 
 # largest digit count we are willing to expand into decimal
 _EXPAND_DIGITS = 64
@@ -58,6 +58,17 @@ def require_at_least(value, floor, name):
     """WfError unless value is an integer >= floor."""
     if not isinstance(value, int) or value < floor:
         raise WfError("%s must be an integer >= %d, got %r" % (name, floor, value))
+
+
+_KINDS = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
+
+
+def require_type(value, kind, name):
+    """value if it is a kind (a bool is never an integer); ParseError
+    otherwise, as for any other malformed document."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ParseError("%s must be %s, got %r" % (name, _KINDS[kind], value))
+    return value
 
 
 class PrimePower:

@@ -60,6 +60,11 @@ def _scrub(value):
     return value
 
 
+def _dumps(report):
+    """The report's bytes: scrubbed, sorted keys, two-space indent."""
+    return json.dumps(_scrub(report), indent=2, sort_keys=True) + "\n"
+
+
 def _thread_cap():
     raw = os.environ.get("WF_THREADS", "")
     try:
@@ -76,7 +81,7 @@ def _envelope(command, payload):
 
 
 def _emit(report, args):
-    text = json.dumps(_scrub(report), indent=2, sort_keys=True) + "\n"
+    text = _dumps(report)
     output = getattr(args, "output", None)
     if output:
         with open(output, "w") as fh:
@@ -94,7 +99,7 @@ def _fail(args, exc, code, **extra):
               "command": getattr(args, "command", None),
               "error": err}
     # error reports always go to stdout; --output is reserved for results
-    sys.stdout.write(json.dumps(_scrub(report), indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(_dumps(report))
     return code
 
 

@@ -61,7 +61,6 @@ class LinearSystem:
         return idx
 
     def add(self, eq, unknown, coeff):
-        coeff %= self.p
         row = self.rows.setdefault(eq, {})
         c = self.col(unknown)
         row[c] = (row.get(c, 0) + coeff) % self.p
@@ -71,16 +70,10 @@ class LinearSystem:
         self.rhs[eq] = (self.rhs.get(eq, 0) + value) % self.p
 
     def solve(self):
-        n = len(self.col_order)
-        dense = []
-        rhs = []
-        for key, entries in self.rows.items():
-            row = [0] * n
-            for c, val in entries.items():
-                row[c] = val
-            dense.append(row)
-            rhs.append(self.rhs.get(key, 0))
-        sol = gfp_solve(self.p, dense, rhs, n)
+        rows = [[(c, v) for c, v in entries.items() if v]
+                for entries in self.rows.values()]
+        rhs = [self.rhs.get(key, 0) for key in self.rows]
+        sol = gfp_solve(self.p, rows, rhs, len(self.col_order))
         if sol is None:
             return None
         return {key: sol[i] for key, i in self.cols.items()}
@@ -164,20 +157,11 @@ def _patch_rows(pres):
             for row in linearize_mod_pi(pres)]
 
 
-def _basis_monomial(pres, exps, c=1):
-    return MvPoly.monomial(pres.res, pres.all_vars, exps, pres.res.from_int(c))
-
-
 def _coeffs_from_solution(pres, basis, sol, tag):
-    out = {}
-    for v in pres.vars:
-        g = MvPoly.zero(pres.res, pres.all_vars)
-        for m in basis:
-            val = sol.get(tag + (v, m), 0)
-            if val:
-                g = g + _basis_monomial(pres, m, val)
-        out[v] = g
-    return out
+    res = pres.res
+    return {v: MvPoly(res, pres.all_vars,
+                      {m: res.from_int(sol.get(tag + (v, m), 0)) for m in basis})
+            for v in pres.vars}
 
 
 def _register(sys, tag, pres, basis):
@@ -197,7 +181,7 @@ def _add_jacobian(sys, eq, pres, jac, tag, basis):
             continue
         for m in basis:
             unknown = tag + (v, m)
-            prod = pres.nf(j * _basis_monomial(pres, m))
+            prod = pres.nf(j * MvPoly.monomial(pres.res, pres.all_vars, m))
             for e, c in prod.terms.items():
                 sys.add(eq + (e,), unknown, c)
 
@@ -378,7 +362,7 @@ def completeness_threshold(scheme):
     return q * (maxdeg + 2)
 
 
-def is_coboundary(scheme, cochain, pole_bound=None, threshold=None):
+def is_coboundary(scheme, cochain, pole_bound=None):
     """Decide whether a 1-cochain is the coboundary of patch sections.
 
     Returns (True, sections) with an honestly re-verified witness, or
@@ -386,8 +370,7 @@ def is_coboundary(scheme, cochain, pole_bound=None, threshold=None):
     is at or past the completeness threshold.  A negative result under
     the threshold raises Inconclusive instead of guessing.
     """
-    if threshold is None:
-        threshold = completeness_threshold(scheme)
+    threshold = completeness_threshold(scheme)
     if pole_bound is None:
         pole_bound = threshold
     if not scheme.overlap_pairs():
@@ -489,7 +472,7 @@ def compute_di_class(scheme, pole_bound=None, start_degree=None):
     threshold = completeness_threshold(scheme)
     if pole_bound is None:
         pole_bound = threshold
-    vanishes, witness = is_coboundary(scheme, cochain, pole_bound, threshold)
+    vanishes, witness = is_coboundary(scheme, cochain, pole_bound)
     return DIClassReport(scheme, lifts, cochain, vanishes, witness,
                          pole_bound, threshold)
 

@@ -16,8 +16,6 @@ variable set to zero the solution is therefore unique.
 
 from __future__ import annotations
 
-from itertools import compress
-
 
 def _sub_multiple(p, r, f, row):
     """r -= f * row over F_p, in place, keeping only nonzero entries."""
@@ -64,12 +62,12 @@ def rref(p, rows, ncols):
 def solve(p, rows, rhs, ncols):
     """One solution of rows * x = rhs, or None; free variables are zero.
 
-    rows: dense lists of ncols integers; rhs: one integer per row.
+    rows: lists of (column, value) pairs, columns distinct and in
+    range(ncols), zero values left out; rhs: one integer per row.
     """
-    cols = range(ncols)
     aug = []
     for row, b in zip(rows, rhs):
-        entries = {c: row[c] for c in compress(cols, row)}
+        entries = dict(row)
         if b:
             entries[ncols] = b
         aug.append(entries)

@@ -30,12 +30,11 @@ from .scheme import (Presentation, fold_companions, relative_jacobian_unit,
 class JetPresentation:
     """Chart of the jet space: doubled variables, prolonged relations."""
 
-    __slots__ = ("pres", "dctx", "generators", "base_count")
+    __slots__ = ("pres", "dctx", "generators")
 
     def __init__(self, pres: Presentation):
         self.pres = pres
         self.dctx = DeltaContext(pres.ring, pres.all_vars)
-        self.base_count = len(pres.all_vars)
         gens = [g.extend_vars(self.dctx.all_vars) for g in pres.generators()]
         self.generators = tuple(gens + [self.dctx.prolong(g) for g in gens])
 

@@ -29,6 +29,7 @@ from collections import namedtuple
 from itertools import combinations
 
 from .base_ring import BaseRingSpec, IntModRing
+from .bounds import require_at_least, require_type
 from .errors import (KindMismatch, NonSmooth, NotEtale, ParseError,
                      TransitionError, WfError)
 from .poly import MvPoly, ReductionContext, parse_poly
@@ -192,18 +193,21 @@ def _texts(images):
 
 
 def _fields(data, what, *keys):
-    """data[key] for each key; ParseError naming the first key missing."""
+    """data[key] for each key; ParseError unless data is an object with
+    every key, naming the first key missing."""
+    require_type(data, dict, what)
     for key in keys:
         if key not in data:
             raise ParseError("%s has no %r" % (what, key))
     return [data[key] for key in keys]
 
 
-def _index(value, what):
-    """value if it is an int and not a bool; ParseError otherwise."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError("%s must be an integer, got %r" % (what, value))
-    return value
+def _names(value, what):
+    """A list of variable names as a tuple; ParseError otherwise, so a
+    string is not read one character per name."""
+    for name in require_type(value, list, what):
+        require_type(name, str, what + " entry")
+    return tuple(value)
 
 
 class Overlap:
@@ -213,14 +217,15 @@ class Overlap:
     __slots__ = ("i", "j", "invert_i", "invert_j", "to_j", "to_i")
 
     def __init__(self, i, j, invert_i, invert_j, to_j, to_i):
-        if not (_index(i, "overlap index i") < _index(j, "overlap index j")):
+        if not (require_type(i, int, "overlap index i")
+                < require_type(j, int, "overlap index j")):
             raise WfError("store overlaps with i < j")
         self.i = i
         self.j = j
         self.invert_i = invert_i
         self.invert_j = invert_j
-        self.to_j = dict(to_j)
-        self.to_i = dict(to_i)
+        self.to_j = dict(require_type(to_j, dict, "overlap to_j"))
+        self.to_i = dict(require_type(to_i, dict, "overlap to_i"))
 
 
 # An overlap seen from the ordered pair (a, b): both localized sides, the
@@ -301,16 +306,22 @@ class GluedScheme:
         if ring is None:
             ring = BaseRingSpec.from_json(*_fields(data, "scheme document", "ring"))
         patches = []
-        for p in patch_data:
+        for p in require_type(patch_data, list, "scheme patches"):
             pname, pvars = _fields(p, "patch", "name", "vars")
-            patches.append(Presentation(pname, ring, pvars, p.get("relations", ()),
-                                        p.get("inverted", ())))
+            patches.append(Presentation(
+                pname, ring, _names(pvars, "patch vars"),
+                require_type(p.get("relations", []), list, "patch relations"),
+                _names(p.get("inverted", []), "patch inverted")))
         overlaps = [Overlap(*_fields(o, "overlap", "i", "j"),
                             o.get("invert_i"), o.get("invert_j"),
                             *_fields(o, "overlap", "to_j", "to_i"))
-                    for o in data.get("overlaps", ())]
+                    for o in require_type(data.get("overlaps", []), list,
+                                          "scheme overlaps")]
+        genus = data.get("genus")
+        if genus is not None:
+            require_at_least(require_type(genus, int, "genus"), 0, "genus")
         return cls(name, ring, patches, overlaps,
-                   genus=data.get("genus"), family=data.get("family"))
+                   genus=genus, family=data.get("family"))
 
     def __repr__(self):
         return "GluedScheme(%s, %d patches)" % (self.name, len(self.patches))
@@ -365,9 +376,10 @@ class ChartMap:
     __slots__ = ("target_index", "pullback", "section")
 
     def __init__(self, target_index, pullback, section=None):
-        self.target_index = _index(target_index, "chart target")
-        self.pullback = dict(pullback)
-        self.section = dict(section) if section else None
+        self.target_index = require_type(target_index, int, "chart target")
+        self.pullback = dict(require_type(pullback, dict, "chart pullback"))
+        self.section = (dict(require_type(section, dict, "chart section"))
+                        if section else None)
 
     def to_json(self):
         data = {"target": self.target_index, "pullback": _texts(self.pullback)}
@@ -412,10 +424,10 @@ class SchemeMorphism:
             data = json.loads(data)
         src, tgt, chart_data = _fields(data, "morphism document",
                                        "source", "target", "charts")
-        source = GluedScheme.from_json(src, ring)
-        target = GluedScheme.from_json(tgt, ring)
+        source = GluedScheme.from_json(require_type(src, dict, "morphism source"), ring)
+        target = GluedScheme.from_json(require_type(tgt, dict, "morphism target"), ring)
         charts = [ChartMap(*_fields(c, "chart", "target", "pullback"), c.get("section"))
-                  for c in chart_data]
+                  for c in require_type(chart_data, list, "morphism charts")]
         return cls(data.get("name", "morphism"), source, target, charts,
                    kind=data.get("kind"))
 

@@ -170,9 +170,8 @@ def test_base_delta_fermat_quotient():
 
 def test_residue_map():
     s = BaseRingSpec(5, [-5, 0, 1], 4)
-    assert s.residue(s.from_int(12)) == 2
-    assert s.residue(s.pi()) == 0
     assert s.from_int(12).residue() == 2
+    assert s.pi().residue() == 0
 
 
 def test_inverse_of_units():

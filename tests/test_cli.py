@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import wf.cli
 from wf.base_ring import BaseRingSpec
 from wf.bounds import gsp_order
@@ -220,6 +222,42 @@ def test_document_values_of_the_wrong_type_are_input_errors(tmp_path):
     assert refused_document(tmp_path, "compat", doc) == {
         "type": "ParseError",
         "message": "chart target must be an integer, got True"}
+    # a string was decoded again as a JSON document
+    doc = BUILTIN_MORPHISMS["weierstrass_in_p2"](ring).to_json()
+    doc["source"] = json.dumps(doc["source"])
+    assert refused_document(tmp_path, "compat", doc)["message"].startswith(
+        "morphism source must be an object, got '{")
+    # a negative genus gave a negative completeness threshold
+    doc = dict(BUILTIN_SCHEMES["weierstrass"](ring).to_json(), genus=-1)
+    assert refused_document(tmp_path, "di", doc) == {
+        "type": "WfError", "message": "genus must be an integer >= 0, got -1"}
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("patches",), 5, "scheme patches must be a list, got 5"),
+    (("overlaps",), 5, "scheme overlaps must be a list, got 5"),
+    (("patches", 0, "inverted"), 5, "patch inverted must be a list, got 5"),
+    (("ring",), 3, "ring must be an object, got 3"),
+    (("ring",), "3", "ring must be an object, got '3'"),
+    (("ring", "precision"), "4", "ring precision must be an integer, got '4'"),
+    (("ring", "eisenstein"), [None, 1],
+     "eisenstein coefficient must be an integer, got None"),
+    (("genus",), "1", "genus must be an integer, got '1'"),
+    # strings were read one character per name or relation
+    (("patches", 0, "vars"), "xy", "patch vars must be a list, got 'xy'"),
+    (("patches", 0, "relations"), "x",
+     "patch relations must be a list, got 'x'"),
+])
+def test_wrong_typed_scheme_values_are_parse_errors(tmp_path, path, value,
+                                                    message):
+    doc = BUILTIN_SCHEMES["p1"](BaseRingSpec(3)).to_json()
+    *parents, key = path
+    node = doc
+    for k in parents:
+        node = node[k]
+    node[key] = value
+    assert refused_document(tmp_path, "di", doc) == {
+        "type": "ParseError", "message": message}
 
 
 def test_builtins_are_validated_like_documents(tmp_path):

@@ -213,15 +213,15 @@ def test_genus2_definitive_negative_and_inconclusive_bound():
     assert exc.value.threshold == 18
 
 
-def hasse_invariant(p):
-    """The coefficient of x^(p-1) in (x^3 + x)^((p-1)/2) mod p, in plain
-    integers."""
+def hasse_invariant(p, a=1, b=0):
+    """The coefficient of x^(p-1) in (x^3 + a x + b)^((p-1)/2) mod p, in
+    plain integers."""
     coeffs = {0: 1}
     for _ in range((p - 1) // 2):
         nxt = {}
         for e, c in coeffs.items():
-            for shift in (3, 1):
-                nxt[e + shift] = (nxt.get(e + shift, 0) + c) % p
+            for shift, f in ((3, 1), (1, a), (0, b)):
+                nxt[e + shift] = (nxt.get(e + shift, 0) + c * f) % p
         coeffs = nxt
     return coeffs.get(p - 1, 0)
 
@@ -235,6 +235,41 @@ def test_weierstrass_vanishes_exactly_when_ordinary():
         rep = compute_di_class(BUILTIN_SCHEMES["weierstrass"](BaseRingSpec(p)))
         assert rep.vanishes is (hasse_invariant(p) != 0), p
     assert [p for p in primes if hasse_invariant(p)] == [5, 13]
+
+
+def weierstrass_lift(p, a, b, a1, b1):
+    """y^2 = x^3 + A x + B with A = a + p a1 and B = b + p b1.  A builder
+    reduces its coefficients mod p, which loses the lift, so the lift is
+    written into both chart relations of the builder's document."""
+    doc = weierstrass_curve(BaseRingSpec(p), a, b).to_json()
+    A, B = a + p * a1, b + p * b1
+    doc["patches"][0]["relations"] = ["y^2 - x^3 - %d*x - %d" % (A, B)]
+    doc["patches"][1]["relations"] = ["w^3 - z + %d*w*z^2 + %d*z^3" % (A, B)]
+    return GluedScheme.from_json(doc)
+
+
+@pytest.mark.parametrize("a, b, ordinary", [(1, 1, True), (1, 0, True),
+                                            (0, 1, False)])
+def test_serre_tate_lift_sweep(a, b, ordinary):
+    # Serre-Tate: of the p^2 lifts of an ordinary curve to Z/p^2 exactly
+    # the canonical lift's class carries a Frobenius lift.  That class is
+    # the orbit of x -> u^2 x, y -> u^3 y with u = 1 + p t, which moves
+    # (a1, b1) by t (4a, 6b), a line of p lifts.  A supersingular curve
+    # has no such lift.
+    p = 5
+    assert (hasse_invariant(p, a, b) != 0) is ordinary
+    vanishing = sorted(
+        (a1, b1) for a1 in range(p) for b1 in range(p)
+        if compute_di_class(weierstrass_lift(p, a, b, a1, b1)).vanishes)
+    if not ordinary:
+        assert vanishing == []
+        return
+    assert len(vanishing) == p
+    a0, b0 = vanishing[0]
+    assert vanishing == sorted(((a0 + 4 * a * t) % p, (b0 + 6 * b * t) % p)
+                               for t in range(p))
+    if (a, b) == (1, 1):
+        assert vanishing == [(0, 3), (1, 2), (2, 1), (3, 0), (4, 4)]
 
 
 # y^2 = x^7 - 1, genus 3, glued from text the way a scheme document is

@@ -1,4 +1,8 @@
-"""Sparse F_p elimination against a dense row-reduction oracle."""
+"""Sparse F_p elimination against a dense row-reduction oracle.
+
+The generators build dense rows for the oracle; solve receives the same
+rows as (column, value) pairs and rref as dicts.
+"""
 
 import random
 
@@ -80,25 +84,29 @@ def sparse(rows):
     return [{c: v for c, v in enumerate(row) if v} for row in rows]
 
 
+def pairs(rows):
+    return [[(c, v) for c, v in enumerate(row) if v] for row in rows]
+
+
 def test_edge_shapes():
     for p in PRIMES:
         assert solve(p, [], [], 0) == []
         assert solve(p, [], [], 3) == [0, 0, 0]
         assert solve(p, [[], []], [0, p], 0) == []
         assert solve(p, [[], []], [0, 1], 0) is None
-        assert solve(p, [[0, p, -p]], [-2 * p], 3) == [0, 0, 0]
-        assert solve(p, [[0, p, -p]], [1], 3) is None
+        assert solve(p, [[(1, p), (2, -p)]], [-2 * p], 3) == [0, 0, 0]
+        assert solve(p, [[(1, p), (2, -p)]], [1], 3) is None
         rows = []
         assert rref(p, rows, 4) == [] and rows == []
 
 
 def test_small_worked_values():
     # x + y = 1, y = 3 over F_5: y = 3, x = 3
-    assert solve(5, [[1, 1], [0, 1]], [1, 3], 2) == [3, 3]
+    assert solve(5, [[(0, 1), (1, 1)], [(1, 1)]], [1, 3], 2) == [3, 3]
     # 2x + 4y = 2 over F_7: y is free (0), x = 1
-    assert solve(7, [[2, 4], [4, 8]], [2, 4], 2) == [1, 0]
+    assert solve(7, [[(0, 2), (1, 4)], [(0, 4), (1, 8)]], [2, 4], 2) == [1, 0]
     # x + y = 0 and x + y = 1 over F_2 are inconsistent
-    assert solve(2, [[1, 1], [3, -1]], [0, 1], 2) is None
+    assert solve(2, [[(0, 1), (1, 1)], [(0, 3), (1, -1)]], [0, 1], 2) is None
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -108,7 +116,7 @@ def test_solve_matches_dense_oracle(p):
     for _ in range(400):
         rows, rhs, ncols = random_system(rng, p)
         want = dense_solve(p, [list(r) for r in rows], rhs, ncols)
-        got = solve(p, [list(r) for r in rows], rhs, ncols)
+        got = solve(p, pairs(rows), rhs, ncols)
         assert got == want, (p, rows, rhs)
         inconsistent += want is None
         if want is not None:
@@ -117,7 +125,7 @@ def test_solve_matches_dense_oracle(p):
         order = list(range(len(rows)))
         for _ in range(3):
             rng.shuffle(order)
-            shuffled = solve(p, [list(rows[i]) for i in order],
+            shuffled = solve(p, pairs(rows[i] for i in order),
                              [rhs[i] for i in order], ncols)
             assert shuffled == want, (p, rows, rhs, order)
     assert 40 < inconsistent < 360

@@ -9,6 +9,9 @@ executed in a fresh namespace; nothing is written next to it.
 import importlib
 from pathlib import Path
 
+from wf.base_ring import BaseRingSpec
+from wf.scheme import BUILTIN_SCHEMES
+
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
@@ -34,3 +37,30 @@ def test_counter_hooks_resolve():
     di = importlib.import_module("wf.di")
     assert callable(gfp.rref)
     assert di.gfp_solve is gfp.solve
+
+
+def test_gfp_solve_receives_sparse_pair_rows(monkeypatch):
+    """The tracer counts a row's nonzeros as len(row) - row.count(0); that
+    is exact when each row is a list of (column, value) pairs with
+    distinct columns and values in [1, p)."""
+    gfp = importlib.import_module("wf.gfp")
+    di = importlib.import_module("wf.di")
+    calls = []
+
+    def recording_solve(p, rows, rhs, ncols):
+        calls.append((p, rows, ncols))
+        return gfp.solve(p, rows, rhs, ncols)
+
+    monkeypatch.setattr(di, "gfp_solve", recording_solve)
+    di.compute_di_class(BUILTIN_SCHEMES["genus2"](BaseRingSpec(3)))
+    assert calls
+    for p, rows, ncols in calls:
+        assert p == 3
+        for row in rows:
+            assert isinstance(row, list)
+            assert all(isinstance(e, tuple) and len(e) == 2 for e in row)
+            cols = [c for c, _ in row]
+            assert len(set(cols)) == len(cols)
+            assert all(0 <= c < ncols for c in cols)
+            assert all(1 <= v < p for _, v in row)
+            assert len(row) - row.count(0) == len(row)

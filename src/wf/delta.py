@@ -118,39 +118,3 @@ class DeltaContext:
             exps = tuple([q * (a - j) for a, j in zip(e, k)]) + k
             terms[exps] = r.mul(r.from_int(b), r.pow(self._pi_const, sum(k) - 1))
         return MvPoly(r, self.all_vars, terms)
-
-    # -- lift descriptors -----------------------------------------------------
-
-    def lift_from_delta(self, assignment):
-        """phi(x) = x^q + pi * delta(x) from a delta-value table.
-
-        assignment maps variable names to polynomials in the base
-        variables; the result maps each variable to its phi image.
-        """
-        out = {}
-        for name in self.vars:
-            if name not in assignment:
-                raise WfError("no delta value for variable %r" % (name,))
-            dval = assignment[name]
-            if dval.vars != self.vars:
-                dval = dval.extend_vars(self.vars)
-            xq = MvPoly.var(self.ring, self.vars, name, self.q)
-            out[name] = xq + dval * self._pi_const
-        return out
-
-    def delta_from_lift(self, phi):
-        """Invert lift_from_delta; NotDivisible flags a non-lift.
-
-        Each coefficient division is exact only when phi(x) = x^q mod pi,
-        which is exactly the Frobenius-lift condition.
-        """
-        out = {}
-        for name in self.vars:
-            if name not in phi:
-                raise WfError("no phi image for variable %r" % (name,))
-            img = phi[name]
-            if img.vars != self.vars:
-                img = img.extend_vars(self.vars)
-            xq = MvPoly.var(self.ring, self.vars, name, self.q)
-            out[name] = (img - xq).map_coeffs(self.ring.div_pi, self.ring)
-        return out

@@ -19,6 +19,19 @@ a monomial basis, _add_jacobian adds a normal-formed Jacobian block,
 _add_affine and _add_admissibility add the constants with it, and
 _degree_ladder runs the degree-doubling search for both lift searches.
 
+At the residue level normal form and transport are ring maps onto the
+normal-form basis, so the images of basis monomials come from
+wf.scheme.MonomialImages tables (the multiplication-matrix idea of
+Faugere, Gianni, Lazard & Mora's FGLM): each entry is one product of a
+cached smaller entry by a variable's image, normal-formed once.  The
+tables are built per call.  In is_coboundary each overlap (i, j) keeps
+one table for the a-side basis, one seeded with each twisted-gradient
+entry for nf_b(mat * x^m), and one transport table for pb -> pa; the
+joint compatible-lift system keeps one transport table per chart.  A
+moved polynomial is sum c * T[e] over its terms: each T[e] is a normal
+form and sums of normal forms are normal forms, so the sum takes no
+normal_form call.
+
 Negative coboundary answers are only definitive at or above the
 completeness threshold for the family; below it the solver refuses with
 Inconclusive rather than guessing.
@@ -31,7 +44,8 @@ from .errors import Inconclusive, KindMismatch, NoSolutionAtBound, WfError
 from .gfp import solve as gfp_solve
 from .jet import collapse_companion_jets, linearize_generator, linearize_mod_pi
 from .poly import MvPoly
-from .scheme import FDerSection, fder_apply, transport, twisted_gradient
+from .scheme import (FDerSection, MonomialImages, fder_apply, transport,
+                     twisted_gradient)
 
 
 class LinearSystem:
@@ -390,26 +404,29 @@ def is_coboundary(scheme, cochain, pole_bound=None):
     for (i, j) in scheme.overlap_pairs():
         view = scheme.view(i, j)
         pa, pb = view.pres_a, view.pres_b
-        pi_patch, pj_patch = scheme.patches[i], scheme.patches[j]
+        one = MvPoly.const(pa.res, pa.all_vars, 1)
+        nf_a = MonomialImages.shifted(pa, scheme.patches[i].all_vars, one)
+        images_a = [nf_a[m] for m in bases[i]]
         for v in pa.vars:
-            for m in bases[i]:
-                mono = (MvPoly.monomial(pi_patch.res, pi_patch.all_vars, m)
-                        .extend_vars(pa.all_vars))
-                for e, c in pa.nf(mono).terms.items():
+            for m, img in zip(bases[i], images_a):
+                for e, c in img.terms.items():
                     sys.add(("pair", i, j, v, e), ("W", i, v, m), c)
-        grads = {v: twisted_gradient(pb, pb.to_res(view.map_ab[v]))
-                 for v in pa.vars}
+        # moved(nf_b(mat * x^m)) from a seeded table per (v, w) and one
+        # transport table for the map pb -> pa
+        to_a = MonomialImages.transported(pb, view.map_ba, pa)
+        shifted_b = {}
+        for v in pa.vars:
+            grad = twisted_gradient(pb, pb.to_res(view.map_ab[v]))
+            for w, mat in grad.items():
+                shifted_b[(v, w)] = MonomialImages.shifted(
+                    pb, scheme.patches[j].all_vars, mat)
         for w in pb.vars:
             for m in bases[j]:
-                mono = (MvPoly.monomial(pj_patch.res, pj_patch.all_vars, m)
-                        .extend_vars(pb.all_vars))
                 for v in pa.vars:
-                    mat = grads[v].get(w)
-                    if mat is None:
+                    table = shifted_b.get((v, w))
+                    if table is None:
                         continue
-                    moved = transport(pb.nf(mat * mono), pb, view.map_ba, pa,
-                                      level="res")
-                    for e, c in moved.terms.items():
+                    for e, c in to_a.apply(table[m]).terms.items():
                         sys.add(("pair", i, j, v, e), ("W", j, w, m), -c)
         dval = cochain.values[(i, j)]
         for v in pa.vars:
@@ -695,18 +712,16 @@ def _compatible_attempt(morphism, y_lifts, degree, joint):
     for idx, chart in enumerate(morphism.charts):
         src = morphism.source.patches[idx]
         tgt = morphism.target_patch(idx)
+        if joint:
+            pulled_back = MonomialImages.transported(tgt, chart.pullback, src)
         for t in tgt.vars:
             row = collapse_companion_jets(
                 src, linearize_generator(src, chart.pullback[t]))
             eqbase = ("compat", idx, t)
             _add_affine(sys, eqbase, src, row, ("AX", idx), src_bases[idx])
             if joint:
-                basis = tgt_bases[chart.target_index]
-                for m in basis:
-                    mono = MvPoly.monomial(tgt.res, tgt.all_vars, m)
-                    moved = transport(mono, tgt, chart.pullback, src,
-                                      level="res")
-                    for e, c in moved.terms.items():
+                for m in tgt_bases[chart.target_index]:
+                    for e, c in pulled_back[m].terms.items():
                         sys.add(eqbase + (e,),
                                 ("AY", chart.target_index, t, m), -c)
             else:

@@ -31,7 +31,7 @@ from itertools import combinations
 from .base_ring import BaseRingSpec, IntModRing
 from .bounds import require_at_least, require_type
 from .errors import (KindMismatch, NonSmooth, NotEtale, ParseError,
-                     TransitionError, WfError)
+                     SpecMismatch, TransitionError, WfError)
 from .poly import MvPoly, ReductionContext, parse_poly
 
 INV_SUFFIX = "_inv"
@@ -145,14 +145,36 @@ def _at_level(poly, pres, level):
     return pres.to_res(poly)
 
 
+def _variable_image(name, src_pres, base_map, dst_pres, level="res"):
+    """Image over dst_pres.all_vars of one src variable under base_map.
+
+    A base variable's image is read from base_map; a companion's is the
+    inverse in dst of its base variable's image, and TransitionError is
+    raised when that image is not certified invertible or no image is
+    given.
+    """
+    if name in base_map:
+        return _at_level(base_map[name], dst_pres, level)
+    base = dict(src_pres.loc_pairs).get(name)  # companion -> base var
+    if base is None:
+        raise TransitionError("no image for variable %r" % (name,))
+    if base not in base_map:
+        raise TransitionError("no image for %r or its base %r" % (name, base))
+    red = dst_pres.red_R if level == "R" else dst_pres.red
+    inv = red.try_invert(_at_level(base_map[base], dst_pres, level))
+    if inv is None:
+        raise TransitionError("image of %r is not certified invertible" % (base,))
+    return inv
+
+
 def transport(expr, src_pres, base_map, dst_pres, level="res"):
     """Move expr from src coordinates to dst coordinates.
 
     base_map sends src base variables to polynomials over dst.all_vars;
-    companion images are derived by inverting the mapped base variable
-    in dst, raising TransitionError when the image is not certified
-    invertible.  level selects exact base-ring coefficients ("R") or the
-    residue field ("res"); inputs are coerced to that level.
+    the image of each variable that occurs comes from _variable_image,
+    which MonomialImages.transported shares.
+    level selects exact base-ring coefficients ("R") or the residue
+    field ("res"); inputs are coerced to that level.
     """
     ring = dst_pres.ring if level == "R" else dst_pres.res
     red = dst_pres.red_R if level == "R" else dst_pres.red
@@ -162,23 +184,73 @@ def transport(expr, src_pres, base_map, dst_pres, level="res"):
         for name, k in zip(expr.vars, e):
             if k:
                 used.add(name)
-    inv_of = dict(src_pres.loc_pairs)  # companion -> base var
-    mapping = {}
-    for name in used:
-        if name in base_map:
-            mapping[name] = _at_level(base_map[name], dst_pres, level)
-        elif name in inv_of:
-            z = inv_of[name]
-            if z not in base_map:
-                raise TransitionError("no image for %r or its base %r" % (name, z))
-            img_z = _at_level(base_map[z], dst_pres, level)
-            inv = red.try_invert(img_z)
-            if inv is None:
-                raise TransitionError("image of %r is not certified invertible" % (z,))
-            mapping[name] = inv
-        else:
-            raise TransitionError("no image for variable %r" % (name,))
+    mapping = {name: _variable_image(name, src_pres, base_map, dst_pres, level)
+               for name in used}
     return red.normal_form(expr.subst(mapping, ring=ring, vars=dst_pres.all_vars))
+
+
+class MonomialImages:
+    """Residue normal forms nf(seed * prod_n image_of(n)^e_n) in pres, by
+    exponent tuple e over names, filled lazily for one call.
+
+    image_of(n) is called once per name, the first time an exponent
+    needs it, so a name that never occurs never raises.  A new entry is
+    the cached entry one lower in its last nonzero exponent times one
+    image, normal-formed once.  The residue normal form is canonical, so
+    that equals normal-forming the whole product at once.  No table
+    outlives the call that builds it.
+    """
+
+    __slots__ = ("pres", "names", "image_of", "images", "entries")
+
+    def __init__(self, pres, names, image_of, seed):
+        self.pres = pres
+        self.names = tuple(names)
+        self.image_of = image_of
+        self.images = [None] * len(self.names)
+        self.entries = {(0,) * len(self.names): pres.nf(seed)}
+
+    @classmethod
+    def shifted(cls, pres, names, seed):
+        """nf(seed * x^e) in pres, for monomials over names, a subset of
+        pres.all_vars."""
+        return cls(pres, names,
+                   lambda name: MvPoly.var(pres.res, pres.all_vars, name), seed)
+
+    @classmethod
+    def transported(cls, src_pres, base_map, dst_pres):
+        """transport(x^e, src_pres, base_map, dst_pres) at the residue
+        level, for monomials over src_pres.all_vars."""
+        return cls(dst_pres, src_pres.all_vars,
+                   lambda name: _variable_image(name, src_pres, base_map, dst_pres),
+                   MvPoly.const(dst_pres.res, dst_pres.all_vars, 1))
+
+    def __getitem__(self, e):
+        entries = self.entries
+        chain = []
+        while e not in entries:
+            k = max(i for i, a in enumerate(e) if a)
+            chain.append((e, k))
+            e = e[:k] + (e[k] - 1,) + e[k + 1:]
+        val = entries[e]
+        for e, k in reversed(chain):
+            img = self.images[k]
+            if img is None:
+                img = self.images[k] = self.image_of(self.names[k])
+            val = entries[e] = self.pres.nf(val * img)
+        return val
+
+    def apply(self, f):
+        """sum c * self[e] over the terms c x^e of the residue polynomial
+        f: the table's map applied to f.  Each entry is a normal form, so
+        the sum is one and takes no normal_form call."""
+        r = self.pres.res
+        add, mul = r.add, r.mul
+        out = {}
+        for e, c in f.terms.items():
+            for e2, c2 in self[e].terms.items():
+                out[e2] = add(out[e2], mul(c, c2)) if e2 in out else mul(c, c2)
+        return MvPoly(r, self.pres.all_vars, out)
 
 
 def _parse_images(images, ring, pres):
@@ -392,6 +464,10 @@ class SchemeMorphism:
     __slots__ = ("name", "source", "target", "charts", "kind")
 
     def __init__(self, name, source, target, charts, kind=None):
+        if not source.ring.same(target.ring):
+            # coefficients cannot move between the two sides
+            raise SpecMismatch("morphism source ring %r differs from its "
+                               "target ring %r" % (source.ring, target.ring))
         self.name = name
         self.source = source
         self.target = target

@@ -17,9 +17,8 @@ Associativity and distributivity are polynomial identities with those
 integral constants, so they hold on the nose, not just mod pi.
 
 A pi-derivation delta on A is the same thing as a ring homomorphism
-x -> (g(x), delta(x)) into W_1(B); is_pi_derivation checks that shape on
-a sample, and the ghost map (a0, a0^q + pi a1) is the torsion-free oracle
-for both laws.
+x -> (g(x), delta(x)) into W_1(B), and the ghost map (a0, a0^q + pi a1)
+is the torsion-free oracle for both laws.
 """
 
 from __future__ import annotations
@@ -108,29 +107,3 @@ def ghost(w: WittVec):
     """Ghost coordinates (a0, a0^q + pi a1); componentwise oracle."""
     r = w.ctx.ring
     return (w.a0, r.add(r.pow(w.a0, w.ctx.q), r.mul(w.ctx.pi, w.a1)))
-
-
-def hom_from_delta(ctx: WittContext, g, delta):
-    """The map x -> (g(x), delta(x)) into W_1 over ctx's ring."""
-
-    def f(x):
-        return WittVec(ctx, g(x), delta(x))
-
-    return f
-
-
-def is_pi_derivation(src_ring, ctx: WittContext, g, delta, pairs):
-    """Check x -> (g(x), delta(x)) is a ring hom on the given sample pairs.
-
-    src_ring supplies the source arithmetic; pairs is an iterable of
-    (x, y) source elements.  Unit and zero are always checked.
-    """
-    f = hom_from_delta(ctx, g, delta)
-    if f(src_ring.one()) != ctx.one() or f(src_ring.zero()) != ctx.zero():
-        return False
-    for x, y in pairs:
-        if f(src_ring.add(x, y)) != f(x) + f(y):
-            return False
-        if f(src_ring.mul(x, y)) != f(x) * f(y):
-            return False
-    return True

@@ -270,6 +270,36 @@ def test_builtins_are_validated_like_documents(tmp_path):
     assert refused_document(tmp_path, "compat", doc) == err
 
 
+def test_morphism_ring_mismatch_is_refused_at_load(tmp_path, monkeypatch,
+                                                   capsys):
+    # a source precision of 3 against a target of 4 ran to "compatible":
+    # true; both rings are named now
+    doc = BUILTIN_MORPHISMS["gm_square"](BaseRingSpec(5)).to_json()
+    doc["source"]["ring"]["precision"] = 3
+    assert refused_document(tmp_path, "compat", doc) == {
+        "type": "SpecMismatch",
+        "message": "morphism source ring BaseRingSpec(p=5, eisenstein=[-5, 1], "
+                   "precision=3, frob_power=1) differs from its target ring "
+                   "BaseRingSpec(p=5, eisenstein=[-5, 1], precision=4, "
+                   "frob_power=1)"}
+    # q = 5^7 on the source only: refused before any lift search starts
+    doc["source"]["ring"].update(precision=4, frob_power=7)
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(doc))
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("lift search ran on a refused morphism")
+
+    monkeypatch.setattr(wf.cli, "build_compatible_lifts", no_search)
+    monkeypatch.setattr(wf.cli, "local_frobenius_lift", no_search)
+    for extra in ([], ["--independent"]):
+        assert wf.cli.main(["compat", str(path)] + extra) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "SpecMismatch"
+        assert "frob_power=7" in err["message"]
+        assert "frob_power=1" in err["message"]
+
+
 def test_reglued_builtin_morphism_is_refused(monkeypatch, capsys):
     # y -> z_inv, w -> x*y_inv, z -> y_inv is a valid gluing of the curve,
     # but the chart maps into P2 no longer agree on the overlap

@@ -1,13 +1,14 @@
 """Lift search, obstruction cocycles, coboundary decisions, compatibility."""
 
 import json
+import random
 
 import pytest
 
 from wf.base_ring import BaseRingSpec
 from wf.errors import (Inconclusive, KindMismatch, NonSmooth,
                        NoSolutionAtBound, WfError)
-from wf.di import (LinearSystem, LocalLift, build_compatible_lifts,
+from wf.di import (Cochain1, LinearSystem, LocalLift, build_compatible_lifts,
                    coboundary_of, compatibility_check, completeness_threshold,
                    compute_di_class, di_cocycle, di_cocycle_pair, express_fder,
                    is_coboundary, lift_discrepancy, lift_substitution,
@@ -16,8 +17,9 @@ from wf.jet import (collapse_companion_jets, linearize_generator,
                     linearize_mod_pi)
 from wf.poly import MvPoly, parse_poly
 from wf.scheme import (BUILTIN_MORPHISMS, BUILTIN_SCHEMES, ChartMap,
-                       GluedScheme, Presentation, SchemeMorphism, transport,
-                       validate_gluing, validate_morphism, weierstrass_curve)
+                       FDerSection, GluedScheme, Presentation, SchemeMorphism,
+                       transport, twisted_gradient, validate_gluing,
+                       validate_morphism, weierstrass_curve)
 
 
 def collapsed_rows(pres):
@@ -445,9 +447,10 @@ def test_unsupported_kind_refused():
 
 # -- assembly oracle: the per-system builders written out in full --------------
 #
-# These are the lift and compatible-lift attempts as they stood before the
-# builders were folded into shared helpers, kept as references: same keys,
-# same column order, so the free-variables-zero solution must be the same.
+# These are the lift, compatible-lift and witness assemblies as they stood
+# before the builders were folded into shared helpers and before the
+# monomial image tables, kept as references: same keys, same column order,
+# so the free-variables-zero solution must be the same.
 
 
 def _ref_basis_monomial(pres, exps, c=1):
@@ -580,6 +583,69 @@ def _ref_compatible_attempt(morphism, y_lifts, degree, joint):
     return xs, ys
 
 
+def _ref_is_coboundary(scheme, cochain, pole_bound=None):
+    # each basis monomial normal-formed once per chart variable, and each
+    # shifted monomial normal-formed and transported from scratch
+    threshold = completeness_threshold(scheme)
+    if pole_bound is None:
+        pole_bound = threshold
+    if not scheme.overlap_pairs():
+        return True, [sec.coeffs for sec in zero_sections(scheme)]
+    p = scheme.ring.p
+    sys = LinearSystem(p)
+    bases = []
+    for idx, pres in enumerate(scheme.patches):
+        bases.append(pres.red.monomials_up_to(pole_bound))
+        for v in pres.vars:
+            for m in bases[idx]:
+                sys.col(("W", idx, v, m))
+    for idx, pres in enumerate(scheme.patches):
+        for ridx, row in enumerate(collapsed_rows(pres)):
+            for v in pres.vars:
+                jac = row.jac.get(v)
+                if jac is None:
+                    continue
+                for m in bases[idx]:
+                    prod = pres.nf(jac * _ref_basis_monomial(pres, m))
+                    for e, c in prod.terms.items():
+                        sys.add(("tan", idx, ridx, e), ("W", idx, v, m), c)
+    for (i, j) in scheme.overlap_pairs():
+        view = scheme.view(i, j)
+        pa, pb = view.pres_a, view.pres_b
+        pi_patch, pj_patch = scheme.patches[i], scheme.patches[j]
+        for v in pa.vars:
+            for m in bases[i]:
+                mono = (MvPoly.monomial(pi_patch.res, pi_patch.all_vars, m)
+                        .extend_vars(pa.all_vars))
+                for e, c in pa.nf(mono).terms.items():
+                    sys.add(("pair", i, j, v, e), ("W", i, v, m), c)
+        grads = {v: twisted_gradient(pb, pb.to_res(view.map_ab[v]))
+                 for v in pa.vars}
+        for w in pb.vars:
+            for m in bases[j]:
+                mono = (MvPoly.monomial(pj_patch.res, pj_patch.all_vars, m)
+                        .extend_vars(pb.all_vars))
+                for v in pa.vars:
+                    mat = grads[v].get(w)
+                    if mat is None:
+                        continue
+                    moved = transport(pb.nf(mat * mono), pb, view.map_ba, pa,
+                                      level="res")
+                    for e, c in moved.terms.items():
+                        sys.add(("pair", i, j, v, e), ("W", j, w, m), -c)
+        dval = cochain.values[(i, j)]
+        for v in pa.vars:
+            for e, c in dval.coeffs[v].terms.items():
+                sys.add_rhs(("pair", i, j, v, e), c)
+    sol = sys.solve()
+    if sol is None:
+        if pole_bound >= threshold:
+            return False, None
+        raise Inconclusive("no witness", pole_bound, threshold)
+    return True, [_ref_coeffs_from_solution(pres, bases[idx], sol, "W", (idx,))
+                  for idx, pres in enumerate(scheme.patches)]
+
+
 def _builtin_charts(ring):
     for name in sorted(BUILTIN_SCHEMES):
         try:
@@ -603,8 +669,23 @@ def test_lift_search_matches_reference_assembly():
                 assert got == ref, (pres.name, p, d)
 
 
-def test_compatible_lifts_match_reference_assembly():
-    for p in (3, 5):
+def recorded_systems(monkeypatch):
+    """Each LinearSystem solved from now on, as (rows, rhs, col_order)."""
+    seen = []
+    solve = LinearSystem.solve
+
+    def recording(self):
+        seen.append(({key: dict(row) for key, row in self.rows.items()},
+                     dict(self.rhs), list(self.col_order)))
+        return solve(self)
+
+    monkeypatch.setattr(LinearSystem, "solve", recording)
+    return seen
+
+
+def test_compatible_lifts_match_reference_assembly(monkeypatch):
+    seen = recorded_systems(monkeypatch)
+    for p in (3, 5, 7):
         ring = BaseRingSpec(p)
         makers = dict(BUILTIN_MORPHISMS, weierstrass_origin=weierstrass_origin)
         for name in sorted(makers):
@@ -615,8 +696,11 @@ def test_compatible_lifts_match_reference_assembly():
             fixed = [local_frobenius_lift(pres) for pres in m.target.patches]
             for d in sorted({1, start, 2 * start}):
                 for y_lifts in (None, fixed):
+                    seen.clear()
                     ref = _ref_compatible_attempt(m, y_lifts, d,
                                                   y_lifts is None)
+                    ref_systems = list(seen)
+                    seen.clear()
                     try:
                         xs, ys = build_compatible_lifts(
                             m, y_lifts, start_degree=d, max_degree=d)
@@ -626,3 +710,59 @@ def test_compatible_lifts_match_reference_assembly():
                         assert exc.bound == d
                         got = None
                     assert got == ref, (name, p, d, y_lifts is None)
+                    assert seen == ref_systems, (name, p, d, y_lifts is None)
+
+
+def _random_sections(scheme, rng, degree=3):
+    sections = []
+    for pres in scheme.patches:
+        basis = pres.red.monomials_up_to(degree)
+        coeffs = {v: MvPoly(pres.res, pres.all_vars,
+                            {m: rng.randrange(pres.ring.p)
+                             for m in rng.sample(basis, min(3, len(basis)))})
+                  for v in pres.vars}
+        sections.append(FDerSection(pres, coeffs))
+    return sections
+
+
+def _witness_cases(ring, rng):
+    """The obstruction cocycle of every builtin, an exact cochain
+    coboundary_of(random sections), and that cochain perturbed by a
+    random section on every overlap.  On a curve the random sections
+    need not be tangent, so its exact cochain need not vanish."""
+    for name in sorted(BUILTIN_SCHEMES):
+        try:
+            scheme = BUILTIN_SCHEMES[name](ring)
+        except NonSmooth:
+            continue
+        lifts = [local_frobenius_lift(pres) for pres in scheme.patches]
+        yield name, scheme, di_cocycle(scheme, lifts)
+        exact = coboundary_of(scheme, _random_sections(scheme, rng))
+        yield name + " exact", scheme, exact
+        perturbed = {}
+        for (i, j), val in exact.values.items():
+            noise = _random_sections(scheme, rng, 2)[i].coeffs
+            perturbed[(i, j)] = val + FDerSection(val.pres, noise)
+        yield name + " perturbed", scheme, Cochain1(scheme, perturbed)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_witness_matches_reference_assembly(monkeypatch, p):
+    seen = recorded_systems(monkeypatch)
+    verdicts = {}
+    for name, scheme, cochain in _witness_cases(BaseRingSpec(p),
+                                                random.Random(p)):
+        seen.clear()
+        ref = _ref_is_coboundary(scheme, cochain)
+        ref_systems = list(seen)
+        assert ref_systems or not scheme.overlap_pairs()
+        seen.clear()
+        vanishes, witness = is_coboundary(scheme, cochain)
+        assert seen == ref_systems, (name, p)
+        got = [sec.coeffs for sec in witness] if vanishes else None
+        assert (vanishes, got) == ref, (name, p)
+        verdicts[name] = vanishes
+    # with no relations every random section is tangent, so the exact
+    # cochains vanish; perturbing them breaks that
+    assert verdicts["p1 exact"] and verdicts["p2 exact"]
+    assert not verdicts["p2 perturbed"]

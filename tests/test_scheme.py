@@ -10,8 +10,8 @@ from wf.errors import (KindMismatch, NonSmooth, NotEtale, ParseError,
                        TransitionError, WfError)
 from wf.poly import MvPoly, parse_poly
 from wf.scheme import (BUILTIN_MORPHISMS, BUILTIN_SCHEMES, ChartMap,
-                       FDerSection, GluedScheme, Overlap, Presentation,
-                       SchemeMorphism, affine_space, fder_apply,
+                       FDerSection, GluedScheme, MonomialImages, Overlap,
+                       Presentation, SchemeMorphism, affine_space, fder_apply,
                        hyperelliptic_curve, transport, validate_gluing,
                        validate_morphism, weierstrass_curve)
 
@@ -113,6 +113,12 @@ def test_transport_missing_image_raises():
     with pytest.raises(TransitionError):
         transport(f, a2, {"x": parse_poly("x", ring, a1.all_vars)}, a1,
                   level="R")
+    # a table asks for an image only when an exponent needs it
+    table = MonomialImages.transported(
+        a2, {"x": parse_poly("x", ring, a1.all_vars)}, a1)
+    assert table[(2, 0)].to_text() == "x^2"
+    with pytest.raises(TransitionError):
+        table[(1, 1)]
 
 
 def test_transport_noninvertible_companion_raises():
@@ -125,6 +131,43 @@ def test_transport_noninvertible_companion_raises():
     with pytest.raises(TransitionError):
         transport(f, gm, {"x": parse_poly("x", ring, a1.all_vars)}, a1,
                   level="R")
+    table = MonomialImages.transported(
+        gm, {"x": parse_poly("x", ring, a1.all_vars)}, a1)
+    assert table[(3, 0)].to_text() == "x^3"
+    with pytest.raises(TransitionError):
+        table[(0, 1)]
+
+
+def _transition_maps(p):
+    """(src, base_map, dst) for both orders of every builtin overlap and
+    every builtin morphism's chart pullbacks."""
+    ring = BaseRingSpec(p)
+    for scheme in smooth_builtins(p).values():
+        for (a, b), v in sorted(scheme.views.items()):
+            if a != b:
+                yield v.pres_a, v.map_ab, v.pres_b
+    for make in BUILTIN_MORPHISMS.values():
+        m = make(ring)
+        for i, chart in enumerate(m.charts):
+            yield m.target_patch(i), chart.pullback, m.source.patches[i]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_monomial_tables_match_transport_and_normal_form(p):
+    rng = random.Random(p)
+    for src, base_map, dst in _transition_maps(p):
+        table = MonomialImages.transported(src, base_map, dst)
+        basis = src.red.monomials_up_to(2 * p)
+        for m in basis:
+            mono = MvPoly.monomial(src.res, src.all_vars, m)
+            assert table[m] == transport(mono, src, base_map, dst), (src, m)
+        f = src.nf(rand_poly(rng, src.res, src.all_vars, deg=p))
+        assert table.apply(f) == transport(f, src, base_map, dst)
+        seed = dst.nf(rand_poly(rng, dst.res, dst.all_vars))
+        shifted = MonomialImages.shifted(dst, dst.all_vars, seed)
+        for m in dst.red.monomials_up_to(2 * p):
+            assert shifted[m] == dst.nf(
+                seed * MvPoly.monomial(dst.res, dst.all_vars, m)), (dst, m)
 
 
 def test_view_identity_and_missing_overlap():

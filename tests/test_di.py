@@ -299,6 +299,24 @@ def test_higher_genus_classes_never_vanish():
         assert rep.vanishes is False, p
 
 
+@pytest.mark.parametrize("name, p, eisenstein", [
+    ("weierstrass", 3, (-3, 0, 1)),
+    ("genus2", 3, (-3, 0, 1)),
+    ("genus2", 7, (-7, 0, 1)),
+    ("weierstrass", 5, (-5, 5, 1)),
+    ("weierstrass", 3, (-3, 0, 0, 1)),
+])
+def test_ramified_base_classes_vanish(name, p, eisenstein):
+    # With ramification index e >= 2, pi^2 divides p, so f(x^q) = f(x)^q
+    # mod pi^2 for f with Z_p coefficients: x -> x^q lifts Frobenius on
+    # every chart and commutes with the gluing, and the class vanishes
+    # even where it does not over Z_p (genus 2, supersingular p = 3).
+    e = len(eisenstein) - 1
+    rep = compute_di_class(BUILTIN_SCHEMES[name](BaseRingSpec(p, eisenstein)))
+    assert rep.vanishes is (e >= 2)
+    assert rep.witness is not None
+
+
 def test_perturbed_lift_family_same_class():
     # the class does not depend on the choice of chart lifts
     ring = BaseRingSpec(3)

@@ -1,13 +1,18 @@
 """Sparse F_p elimination against a dense row-reduction oracle.
 
 The generators build dense rows for the oracle; solve receives the same
-rows as (column, value) pairs and rref as dicts.
+rows as (column, value) pairs and rref as dicts.  Besides random small
+systems, the oracle checks the systems the engine itself solves.
 """
 
+import io
 import random
+from contextlib import redirect_stdout
 
 import pytest
 
+import wf.cli
+import wf.di
 from wf.gfp import rref, solve
 
 PRIMES = (2, 3, 5, 7, 11)
@@ -143,3 +148,55 @@ def test_rref_matches_dense_oracle(p):
         assert got_rows == sparse(dense[:len(want)]), (p, rows)
         rng.shuffle(rows)
         assert rref(p, sparse(rows), ncols) == want, (p, rows)
+
+
+# Commands whose every F_p system is recorded; genus2 is not smooth at
+# p = 5, so it runs at p = 3 only.
+ENGINE_COMMANDS = (
+    ("di", "weierstrass", "--p", "3"),
+    ("di", "weierstrass", "--p", "5"),
+    ("di", "genus2", "--p", "3"),
+    ("compat", "weierstrass_in_p2", "--p", "3"),
+    ("compat", "weierstrass_in_p2", "--p", "5"),
+)
+
+
+@pytest.fixture(scope="module")
+def engine_systems():
+    """(p, pair rows, rhs, ncols) of every system the commands solve."""
+    calls = []
+
+    def recording_solve(p, rows, rhs, ncols):
+        calls.append((p, [list(row) for row in rows], list(rhs), ncols))
+        return solve(p, rows, rhs, ncols)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wf.di, "gfp_solve", recording_solve)
+        for argv in ENGINE_COMMANDS:
+            with redirect_stdout(io.StringIO()):
+                assert wf.cli.main(list(argv)) == 0, argv
+    return calls
+
+
+def test_engine_systems_match_dense_oracle(engine_systems):
+    """The augmented systems rref sees inside solve, in assembly order,
+    reversed and shuffled, reduce to the dense oracle's pivots and rows;
+    these have hundreds of rows, where the row order changes the path."""
+    rng = random.Random(12)
+    assert max(len(rows) for _, rows, _, _ in engine_systems) > 500
+    for p, rows, rhs, ncols in engine_systems:
+        aug = [dict(row) for row in rows]
+        for entries, b in zip(aug, rhs):
+            if b:
+                entries[ncols] = b
+        dense = [[r.get(c, 0) for c in range(ncols + 1)] for r in aug]
+        dense_rows = [d[:ncols] for d in dense]
+        want = dense_rref(p, dense, ncols + 1)
+        want_rows = sparse(dense[:len(want)])
+        shuffled = list(aug)
+        rng.shuffle(shuffled)
+        for order in (aug, aug[::-1], shuffled):
+            got_rows = [dict(r) for r in order]
+            assert rref(p, got_rows, ncols + 1) == want, (p, ncols)
+            assert got_rows == want_rows, (p, ncols)
+        assert solve(p, rows, rhs, ncols) == dense_solve(p, dense_rows, rhs, ncols)

@@ -32,11 +32,25 @@ def test_traced_names_exist():
         assert getattr(importlib.import_module(modname), table)
 
 
-def test_counter_hooks_resolve():
+def test_counter_hooks_resolve(monkeypatch):
+    """The tracer counts gfp.rank by wrapping gfp.rref, so solve must reach
+    rref through the module attribute; a solve that stopped calling it
+    would leave the count at zero without an error."""
     gfp = importlib.import_module("wf.gfp")
     di = importlib.import_module("wf.di")
     assert callable(gfp.rref)
     assert di.gfp_solve is gfp.solve
+    rref = gfp.rref
+    ranks = []
+
+    def counted_rref(p, rows, ncols):
+        pivots = rref(p, rows, ncols)
+        ranks.append(len(pivots))
+        return pivots
+
+    monkeypatch.setattr(gfp, "rref", counted_rref)
+    assert gfp.solve(5, [[(0, 1), (1, 1)], [(1, 2)]], [1, 3], 2) == [2, 4]
+    assert ranks == [2]
 
 
 def test_gfp_solve_receives_sparse_pair_rows(monkeypatch):

@@ -24,7 +24,11 @@ normal-form basis, so the images of basis monomials come from
 wf.scheme.MonomialImages tables (the multiplication-matrix idea of
 Faugere, Gianni, Lazard & Mora's FGLM): each entry is one product of a
 cached smaller entry by a variable's image, normal-formed once.  The
-tables are built per call.  In is_coboundary each overlap (i, j) keeps
+tables are built per call.  Every assembled system (a lift attempt,
+the witness's tangency rows, a compatible-lift attempt) keeps one
+_nf_table per chart, nf(x^e) by exponent tuple, and _add_jacobian takes
+each block entry nf(J_v * x^m) as the sum of c * T[e + m] over the
+terms c x^e of J_v.  In is_coboundary each overlap (i, j) also keeps
 one table for the a-side basis, one seeded with each twisted-gradient
 entry for nf_b(mat * x^m), and one transport table for pb -> pa; the
 joint compatible-lift system keeps one transport table per chart.  A
@@ -78,6 +82,14 @@ class LinearSystem:
         row = self.rows.setdefault(eq, {})
         c = self.col(unknown)
         row[c] = (row.get(c, 0) + coeff) % self.p
+
+    def add_terms(self, eq, unknown, poly, sign=1):
+        """add(eq + (e,), unknown, sign * c) for each term c x^e of poly."""
+        rows, p = self.rows, self.p
+        c = self.col(unknown)
+        for e, v in poly.terms.items():
+            row = rows.setdefault(eq + (e,), {})
+            row[c] = (row.get(c, 0) + sign * v) % p
 
     def add_rhs(self, eq, value):
         self.rows.setdefault(eq, {})
@@ -143,7 +155,7 @@ class LocalLift:
         Works in a precision-2 clone of the chart so that large solver
         outputs cannot blow up intermediate powers.
         """
-        pres2 = self.pres.at_precision(2)
+        pres2 = self.pres.mod_pi2()
         ring2 = pres2.ring
         mapping = lift_substitution(pres2, self.coeffs)
         for g in pres2.generators():
@@ -166,8 +178,7 @@ class LocalLift:
 
 def _patch_rows(pres):
     """Collapsed linear rows of the chart's generators, companion jets
-    eliminated.  The constants (g(X^q) - g^q)/pi are the costly part at
-    q = p^2, so callers that read only the Jacobians use
+    eliminated.  Callers that read only the Jacobians use
     twisted_gradient instead."""
     return [collapse_companion_jets(pres, row)
             for row in linearize_mod_pi(pres)]
@@ -188,31 +199,38 @@ def _register(sys, tag, pres, basis):
             sys.col(tag + (v, m))
 
 
-def _add_jacobian(sys, eq, pres, jac, tag, basis):
+def _nf_table(pres):
+    """nf(x^e) for every exponent tuple e over the chart's variables, one
+    product by a variable per new entry; built per assembled system."""
+    return MonomialImages.shifted(pres, pres.all_vars,
+                                  MvPoly.const(pres.res, pres.all_vars, 1))
+
+
+def _add_jacobian(sys, eq, table, jac, tag, basis):
     """Add sum_v jac[v] * A_v, in the chart's normal form, to the
-    equations eq + (e,), where A_v ranges over the unknowns tag + (v, m)."""
-    for v in pres.vars:
+    equations eq + (e,), where A_v ranges over the unknowns tag + (v, m).
+    table is the chart's _nf_table: each entry nf(jac[v] * x^m) is
+    table.apply(jac[v], m), the sum of c * table[e + m] over the terms
+    c x^e of jac[v]."""
+    for v in table.pres.vars:
         j = jac.get(v)
         if j is None:
             continue
         for m in basis:
-            unknown = tag + (v, m)
-            prod = pres.nf(j * MvPoly.monomial(pres.res, pres.all_vars, m))
-            for e, c in prod.terms.items():
-                sys.add(eq + (e,), unknown, c)
+            sys.add_terms(eq, tag + (v, m), table.apply(j, m))
 
 
-def _add_affine(sys, eq, pres, row, tag, basis):
+def _add_affine(sys, eq, table, row, tag, basis):
     """The condition row.const + sum_v row.jac[v] * A_v = 0."""
     for e, c in row.const.terms.items():
         sys.add_rhs(eq + (e,), -c)
-    _add_jacobian(sys, eq, pres, row.jac, tag, basis)
+    _add_jacobian(sys, eq, table, row.jac, tag, basis)
 
 
-def _add_admissibility(sys, eq, pres, rows, tag, basis):
+def _add_admissibility(sys, eq, table, rows, tag, basis):
     """One affine condition per collapsed generator row of the chart."""
     for ridx, row in enumerate(rows):
-        _add_affine(sys, eq + (ridx,), pres, row, tag, basis)
+        _add_affine(sys, eq + (ridx,), table, row, tag, basis)
 
 
 def _degree_ladder(attempt, start_degree, max_degree, what):
@@ -251,7 +269,8 @@ def local_frobenius_lift(pres, start_degree=None, max_degree=None):
         sys = LinearSystem(pres.ring.p)
         basis = pres.red.monomials_up_to(degree)
         _register(sys, ("A",), pres, basis)
-        _add_admissibility(sys, ("lift",), pres, rows, ("A",), basis)
+        _add_admissibility(sys, ("lift",), _nf_table(pres), rows, ("A",),
+                           basis)
         sol = sys.solve()
         if sol is None:
             return None
@@ -400,8 +419,9 @@ def is_coboundary(scheme, cochain, pole_bound=None):
     # tangency: each section must kill the patch relations; only the
     # Jacobians enter, so no constant (g(X^q) - g^q)/pi is computed
     for idx, pres in enumerate(scheme.patches):
+        table = _nf_table(pres)
         for ridx, g in enumerate(pres.generators()):
-            _add_jacobian(sys, ("tan", idx, ridx), pres,
+            _add_jacobian(sys, ("tan", idx, ridx), table,
                           twisted_gradient(pres, g), ("W", idx), bases[idx])
     # difference equations on every overlap, in a-side coordinates
     for (i, j) in scheme.overlap_pairs():
@@ -412,8 +432,7 @@ def is_coboundary(scheme, cochain, pole_bound=None):
         images_a = [nf_a[m] for m in bases[i]]
         for v in pa.vars:
             for m, img in zip(bases[i], images_a):
-                for e, c in img.terms.items():
-                    sys.add(("pair", i, j, v, e), ("W", i, v, m), c)
+                sys.add_terms(("pair", i, j, v), ("W", i, v, m), img)
         # moved(nf_b(mat * x^m)) from a seeded table per (v, w) and one
         # transport table for the map pb -> pa
         to_a = MonomialImages.transported(pb, view.map_ba, pa)
@@ -429,8 +448,8 @@ def is_coboundary(scheme, cochain, pole_bound=None):
                     table = shifted_b.get((v, w))
                     if table is None:
                         continue
-                    for e, c in to_a.apply(table[m]).terms.items():
-                        sys.add(("pair", i, j, v, e), ("W", j, w, m), -c)
+                    sys.add_terms(("pair", i, j, v), ("W", j, w, m),
+                                  to_a.apply(table[m]), -1)
         dval = cochain.values[(i, j)]
         for v in pa.vars:
             for e, c in dval.coeffs[v].terms.items():
@@ -703,13 +722,14 @@ def _compatible_attempt(morphism, y_lifts, degree, joint):
             tgt_bases[idx] = pres.red.monomials_up_to(degree)
             _register(sys, ("AY", idx), pres, tgt_bases[idx])
     # admissibility of the source lifts, then of the target lifts
+    src_tables = [_nf_table(pres) for pres in morphism.source.patches]
     for idx, pres in enumerate(morphism.source.patches):
-        _add_admissibility(sys, ("xlift", idx), pres, _patch_rows(pres),
-                           ("AX", idx), src_bases[idx])
+        _add_admissibility(sys, ("xlift", idx), src_tables[idx],
+                           _patch_rows(pres), ("AX", idx), src_bases[idx])
     for idx, basis in tgt_bases.items():
         pres = morphism.target.patches[idx]
-        _add_admissibility(sys, ("ylift", idx), pres, _patch_rows(pres),
-                           ("AY", idx), basis)
+        _add_admissibility(sys, ("ylift", idx), _nf_table(pres),
+                           _patch_rows(pres), ("AY", idx), basis)
     # the commuting condition per chart and target variable:
     #   const(pullback(t)) + sum_v M_{t,v} A^X_v = pullback(A^Y_t)
     for idx, chart in enumerate(morphism.charts):
@@ -721,12 +741,12 @@ def _compatible_attempt(morphism, y_lifts, degree, joint):
             row = collapse_companion_jets(
                 src, linearize_generator(src, chart.pullback[t]))
             eqbase = ("compat", idx, t)
-            _add_affine(sys, eqbase, src, row, ("AX", idx), src_bases[idx])
+            _add_affine(sys, eqbase, src_tables[idx], row, ("AX", idx),
+                        src_bases[idx])
             if joint:
                 for m in tgt_bases[chart.target_index]:
-                    for e, c in pulled_back[m].terms.items():
-                        sys.add(eqbase + (e,),
-                                ("AY", chart.target_index, t, m), -c)
+                    sys.add_terms(eqbase, ("AY", chart.target_index, t, m),
+                                  pulled_back[m], -1)
             else:
                 ay = y_lifts[chart.target_index].fder
                 pulled = transport(ay.coeffs[t], tgt, chart.pullback, src,

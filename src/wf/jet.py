@@ -7,7 +7,12 @@ solves in it.  The lift solver needs only delta(g) mod pi, an affine
 function of the jets, and reads it in closed form without prolonging:
 the constant part is (g(X^q) - g^q)/pi and the Jacobian row is
 scheme.twisted_partials, the partials of g with exponents q-scaled
-(Buium, Arithmetic Differential Equations, ch. 2).
+(Buium, Arithmetic Differential Equations, ch. 2).  The constant is
+read mod pi, so its numerator is needed mod pi^2 only: it is computed
+in the chart's precision-2 clone, normal-formed after every product.
+That gives the same residue because the quotient over R/pi^2 is flat
+(free on the normal-form monomials) and the residue normal form is
+canonical; see _lift_constant.
 
 On a localized chart the jet of the companion u = 1/v is not free: the
 prolonged relation u^q dv + v^q du + pi du dv = 0 determines du, and
@@ -76,12 +81,48 @@ def linearize_generator(pres: Presentation, g: MvPoly) -> LinearRow:
 
     With every jet zero the lift is X -> X^q, so the constant part is
     (g(X^q) - g^q)/pi (the coefficient Frobenius is the identity), taken
-    in normal form; the Jacobian is twisted_partials, raw until
-    collapse_companion_jets folds it.
+    in normal form and computed in the chart mod pi^2 (_lift_constant);
+    the Jacobian is twisted_partials, raw until collapse_companion_jets
+    folds it.
     """
-    ring = pres.ring
-    lifted = (g.q_power_vars(pres.q) - g ** pres.q).map_coeffs(ring.div_pi, ring)
-    return LinearRow(pres.nf(pres.to_res(lifted)), twisted_partials(pres, g))
+    return LinearRow(_lift_constant(pres, g), twisted_partials(pres, g))
+
+
+def _lift_constant(pres: Presentation, g: MvPoly) -> MvPoly:
+    """nf((g(X^q) - g^q)/pi mod pi), reducing as it goes.
+
+    Only the numerator mod pi^2 is read, so it is computed in the chart's
+    precision-2 clone: A = nf_R(g(X^q)), and B = nf_R(g^q) by
+    square-and-multiply with nf_R after every product.  For g in the
+    ideal B is 0 after the first normal form, so g^q is never expanded.
+    The rules over R/pi^2 are monic in distinct variables, so the
+    quotient is free on the normal-form monomials, hence flat, and its
+    normal form is canonical mod pi as well.  So A - B vanishes mod pi,
+    and (A - B)/pi = (g(X^q) - g^q)/pi modulo (ideal, pi); the residue
+    normal form is canonical, so both give the same constant.
+    """
+    pres2 = pres.mod_pi2()
+    ring2 = pres2.ring
+    g = g.map_coeffs(lambda c: ring2.elem(c.coeffs, min(c.prec, 2)), ring2)
+    a = pres2.nf_R(g.q_power_vars(pres.q))
+    b = _power_nf(pres2, g, pres.q)
+    return pres.nf(pres.to_res((a - b).map_coeffs(ring2.div_pi, ring2)))
+
+
+def _power_nf(pres: Presentation, f: MvPoly, k: int) -> MvPoly:
+    """nf_R(f^k) for k >= 1 by square-and-multiply, normal-forming every
+    product; zero as soon as a square is."""
+    base = pres.nf_R(f)
+    result = None
+    while True:
+        if k & 1:
+            result = base if result is None else pres.nf_R(result * base)
+        k >>= 1
+        if not k:
+            return result
+        if base.is_zero():
+            return base
+        base = pres.nf_R(base * base)
 
 
 def linearize_mod_pi(pres: Presentation):

@@ -150,6 +150,12 @@ class MvPoly:
         if self.vars != other.vars:
             raise VariableMismatch("operands over %r and %r" % (self.vars, other.vars))
         mul, add = r.mul, r.add
+        if len(other.terms) == 1:
+            # adding one exponent tuple is injective: no two terms merge
+            (e2, c2), = other.terms.items()
+            return MvPoly(r, self.vars,
+                          {tuple(map(_plus, e1, e2)): mul(c1, c2)
+                           for e1, c1 in self.terms.items()})
         items = list(other.terms.items())
         out = {}
         for e1, c1 in self.terms.items():

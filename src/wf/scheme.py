@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from itertools import combinations
+from operator import add as _plus
 
 from .base_ring import BaseRingSpec, IntModRing
 from .bounds import require_at_least, require_type
@@ -46,7 +47,7 @@ class Presentation:
 
     __slots__ = ("name", "ring", "vars", "inverted", "companions", "all_vars",
                  "relations", "res", "relations_res", "red", "red_R",
-                 "loc_pairs")
+                 "loc_pairs", "_mod_pi2")
 
     def __init__(self, name, ring, vars, relations=(), inverted=()):
         self.name = name
@@ -78,6 +79,7 @@ class Presentation:
         self.red_R = ReductionContext(ring, self.all_vars,
                                       self.relations, self.loc_pairs,
                                       avoid=self.inverted)
+        self._mod_pi2 = None
 
     @property
     def q(self):
@@ -126,6 +128,13 @@ class Presentation:
         rel2 = [r.map_coeffs(lambda c: ring2.elem(c.coeffs), ring2)
                 for r in self.relations]
         return Presentation(self.name, ring2, self.vars, rel2, self.inverted)
+
+    def mod_pi2(self):
+        """at_precision(2), built on the first call and kept with this
+        chart; the clone holds no reference back to it."""
+        if self._mod_pi2 is None:
+            self._mod_pi2 = self.at_precision(2)
+        return self._mod_pi2
 
     def to_json(self):
         return {"name": self.name, "vars": list(self.vars),
@@ -240,15 +249,22 @@ class MonomialImages:
             val = entries[e] = self.pres.nf(val * img)
         return val
 
-    def apply(self, f):
+    def apply(self, f, shift=None):
         """sum c * self[e] over the terms c x^e of the residue polynomial
-        f: the table's map applied to f.  Each entry is a normal form, so
+        f: the table's map applied to f, or to f * x^shift when an
+        exponent tuple shift is given.  Each entry is a normal form, so
         the sum is one and takes no normal_form call."""
         r = self.pres.res
         add, mul = r.add, r.mul
+        entries = self.entries
         out = {}
         for e, c in f.terms.items():
-            for e2, c2 in self[e].terms.items():
+            if shift is not None:
+                e = tuple(map(_plus, e, shift))
+            img = entries.get(e)
+            if img is None:
+                img = self[e]
+            for e2, c2 in img.terms.items():
                 out[e2] = add(out[e2], mul(c, c2)) if e2 in out else mul(c, c2)
         return MvPoly(r, self.pres.all_vars, out)
 

@@ -1,5 +1,6 @@
 """Jet-space charts, mod-pi linearization, and etale base change."""
 
+import gc
 import random
 
 import pytest
@@ -183,6 +184,86 @@ def test_closed_form_matches_prolongation_oracle(ring):
                 if not pres.nf(h).is_zero()} == jac, (pres.name, g.to_text())
         folded = collapse_companion_jets(pres, row).jac
         assert folded == fold_companions(pres, jac), (pres.name, g.to_text())
+
+
+def oracle_constant(pres, g):
+    """(g(X^q) - g^q)/pi expanded over the full precision-N ring, then
+    reduced mod pi and normal-formed: no normal form before the end."""
+    ring = pres.ring
+    lifted = (g.q_power_vars(pres.q) - g ** pres.q).map_coeffs(ring.div_pi, ring)
+    return pres.nf(pres.to_res(lifted))
+
+
+def constant_cases(ring):
+    """Every generator of every builtin chart and overlap side, and every
+    chart pullback of every builtin morphism, over ring."""
+    cases = []
+    for scheme in all_builtin_schemes(ring.p, ring):
+        for pres in chart_sides(scheme):
+            cases += [(pres, g) for g in pres.generators()]
+    for name in sorted(BUILTIN_MORPHISMS):
+        try:
+            m = BUILTIN_MORPHISMS[name](ring)
+        except NonSmooth:
+            continue
+        for i, chart in enumerate(m.charts):
+            src = m.source.patches[i]
+            cases += [(src, img) for img in chart.pullback.values()]
+    return cases
+
+
+CONSTANT_RINGS = ([BaseRingSpec(p) for p in (3, 5, 7)]
+                  + [BaseRingSpec(p, frob_power=2) for p in (3, 5)]
+                  + [BaseRingSpec(3, [-3, 0, 1]), BaseRingSpec(5, [-5, 5, 1]),
+                     BaseRingSpec(3, precision=2), BaseRingSpec(5, precision=2)])
+
+
+@pytest.mark.parametrize("ring", CONSTANT_RINGS,
+                         ids=["p=3", "p=5", "p=7", "q=9", "q=25", "x^2-3",
+                              "x^2+5x-5", "p=3,precision=2", "p=5,precision=2"])
+def test_lift_constant_matches_full_ring_oracle(ring):
+    # the constant is computed in the chart mod pi^2, generators reduced
+    # to 0 before any power is taken; it must equal the full expansion
+    cases = constant_cases(ring)
+    assert len(cases) >= 20
+    for pres, g in cases:
+        assert linearize_generator(pres, g).const == oracle_constant(pres, g), (
+            pres.name, g.to_text())
+
+
+def test_lift_constant_when_rules_differ_mod_pi():
+    # y^2 - x^3 - 1 - 3x^4 is monic in y over Z_3 but in x mod 3, so the
+    # normal form over R/pi^2 does not reduce to the residue one; it is
+    # still canonical for the ideal mod pi, and the constant is the same
+    rng = random.Random(55)
+    for ring in (BaseRingSpec(3), BaseRingSpec(3, frob_power=2)):
+        pres = Presentation("C", ring, ("x", "y"), ["y^2 - x^3 - 1 - 3*x^4"])
+        pres2 = pres.mod_pi2()
+        assert set(pres2.red_R.monic_rules) == {"y"}
+        assert set(pres2.red.monic_rules) == {"x"}
+        polys = pres.generators() + [rand_poly(ring, pres.all_vars, rng)
+                                     for _ in range(3)]
+        for g in polys:
+            assert linearize_generator(pres, g).const == oracle_constant(pres, g), (
+                g.to_text())
+
+
+def test_precision_two_clone_is_built_once_and_holds_no_chart():
+    # the clone is shared by the lift constants and LocalLift.verify; a
+    # reference back to its chart would keep a cycle alive until a
+    # collection
+    pres = BUILTIN_SCHEMES["weierstrass"](BaseRingSpec(5)).patches[1]
+    clone = pres.mod_pi2()
+    assert clone is pres.mod_pi2()
+    assert clone.ring.precision == 2 and clone.relations_res == pres.relations_res
+    seen, todo = set(), [clone]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        assert obj is not pres
+        todo.extend(gc.get_referents(obj))
 
 
 def test_collapse_companion_jets_eliminates_companions():

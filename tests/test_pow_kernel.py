@@ -152,6 +152,45 @@ def test_pow_matches_oracle(ring):
         assert_identical(zero ** k, oracle_pow(zero, k))
 
 
+def general_product(f, g):
+    """The term-by-term product with merging, as for any two polynomials."""
+    r = f.ring
+    out = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            c = r.mul(c1, c2)
+            out[e] = r.add(out[e], c) if e in out else c
+    return MvPoly(r, f.vars, out)
+
+
+@pytest.mark.parametrize("ring", POW_RINGS, ids=repr)
+def test_one_term_product_matches_general(ring):
+    # the one-term fast path of __mul__ merges nothing; it must keep the
+    # general product's terms, their order, coefficients and precisions
+    rng = random.Random(63)
+    vars = ("x", "y")
+    for _ in range(6):
+        f = rand_poly(ring, vars, rng, terms=5)
+        t = rand_poly(ring, vars, rng, terms=1)
+        assert len(t.terms) == 1
+        assert_identical(f * t, general_product(f, t))
+        assert_identical(t * t, general_product(t, t))
+    zero = MvPoly.zero(ring, vars)
+    x = MvPoly.var(ring, vars, "x", 2)
+    assert_identical(zero * x, general_product(zero, x))
+    if isinstance(ring, BaseRingSpec):
+        # p * p^3 vanishes at precision 4; a factor known to fewer digits
+        # lowers the precision of every product term
+        p = ring.p
+        f = MvPoly(ring, vars, {(1, 0): ring.from_int(p), (0, 1): ring.one(),
+                                (0, 0): ring.from_int(p * p, 2)})
+        t = MvPoly.monomial(ring, vars, (0, 2), ring.from_int(p ** 3))
+        assert_identical(f * t, general_product(f, t))
+        if ring.e == 1 and ring.precision == 4:
+            assert list((f * t).terms) == [(0, 3)]
+
+
 def test_pow_product_count(monkeypatch):
     # popcount(k) products into the result (the first one by 1) plus
     # bit_length(k) - 1 squarings: none past the top bit

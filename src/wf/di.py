@@ -24,17 +24,16 @@ normal-form basis, so the images of basis monomials come from
 wf.scheme.MonomialImages tables (the multiplication-matrix idea of
 Faugere, Gianni, Lazard & Mora's FGLM): each entry is one product of a
 cached smaller entry by a variable's image, normal-formed once.  The
-tables are built per call.  Every assembled system (a lift attempt,
-the witness's tangency rows, a compatible-lift attempt) keeps one
-_nf_table per chart, nf(x^e) by exponent tuple, and _add_jacobian takes
-each block entry nf(J_v * x^m) as the sum of c * T[e + m] over the
-terms c x^e of J_v.  In is_coboundary each overlap (i, j) also keeps
-one table for the a-side basis, one seeded with each twisted-gradient
-entry for nf_b(mat * x^m), and one transport table for pb -> pa; the
-joint compatible-lift system keeps one transport table per chart.  A
-moved polynomial is sum c * T[e] over its terms: each T[e] is a normal
-form and sums of normal forms are normal forms, so the sum takes no
-normal_form call.
+tables are built per call.  Every Jacobian block entry nf(J * x^m) is
+the entry m of a table seeded with J: _add_jacobian keeps one per
+chart variable and block (lift attempts, the witness's tangency rows,
+compatible-lift attempts), and is_coboundary one per overlap (i, j)
+and twisted-gradient entry for nf_b(mat * x^m).  is_coboundary also
+keeps one table for the a-side basis and one transport table for
+pb -> pa, and the joint compatible-lift system one transport table per
+chart.  A moved polynomial is sum c * T[e] over its terms: each T[e] is
+a normal form and sums of normal forms are normal forms, so the sum
+takes no normal_form call.
 
 Negative coboundary answers are only definitive at or above the
 completeness threshold for the family; below it the solver refuses with
@@ -199,38 +198,30 @@ def _register(sys, tag, pres, basis):
             sys.col(tag + (v, m))
 
 
-def _nf_table(pres):
-    """nf(x^e) for every exponent tuple e over the chart's variables, one
-    product by a variable per new entry; built per assembled system."""
-    return MonomialImages.shifted(pres, pres.all_vars,
-                                  MvPoly.const(pres.res, pres.all_vars, 1))
-
-
-def _add_jacobian(sys, eq, table, jac, tag, basis):
+def _add_jacobian(sys, eq, pres, jac, tag, basis):
     """Add sum_v jac[v] * A_v, in the chart's normal form, to the
     equations eq + (e,), where A_v ranges over the unknowns tag + (v, m).
-    table is the chart's _nf_table: each entry nf(jac[v] * x^m) is
-    table.apply(jac[v], m), the sum of c * table[e + m] over the terms
-    c x^e of jac[v]."""
-    for v in table.pres.vars:
+    Each entry nf(jac[v] * x^m) is read from a table seeded with jac[v]."""
+    for v in pres.vars:
         j = jac.get(v)
         if j is None:
             continue
+        table = MonomialImages.shifted(pres, pres.all_vars, j)
         for m in basis:
-            sys.add_terms(eq, tag + (v, m), table.apply(j, m))
+            sys.add_terms(eq, tag + (v, m), table[m])
 
 
-def _add_affine(sys, eq, table, row, tag, basis):
+def _add_affine(sys, eq, pres, row, tag, basis):
     """The condition row.const + sum_v row.jac[v] * A_v = 0."""
     for e, c in row.const.terms.items():
         sys.add_rhs(eq + (e,), -c)
-    _add_jacobian(sys, eq, table, row.jac, tag, basis)
+    _add_jacobian(sys, eq, pres, row.jac, tag, basis)
 
 
-def _add_admissibility(sys, eq, table, rows, tag, basis):
+def _add_admissibility(sys, eq, pres, rows, tag, basis):
     """One affine condition per collapsed generator row of the chart."""
     for ridx, row in enumerate(rows):
-        _add_affine(sys, eq + (ridx,), table, row, tag, basis)
+        _add_affine(sys, eq + (ridx,), pres, row, tag, basis)
 
 
 def _degree_ladder(attempt, start_degree, max_degree, what):
@@ -269,8 +260,7 @@ def local_frobenius_lift(pres, start_degree=None, max_degree=None):
         sys = LinearSystem(pres.ring.p)
         basis = pres.red.monomials_up_to(degree)
         _register(sys, ("A",), pres, basis)
-        _add_admissibility(sys, ("lift",), _nf_table(pres), rows, ("A",),
-                           basis)
+        _add_admissibility(sys, ("lift",), pres, rows, ("A",), basis)
         sol = sys.solve()
         if sol is None:
             return None
@@ -408,6 +398,7 @@ def is_coboundary(scheme, cochain, pole_bound=None):
     threshold = completeness_threshold(scheme)
     if pole_bound is None:
         pole_bound = threshold
+    require_at_least(pole_bound, 0, "pole bound")
     if not scheme.overlap_pairs():
         return True, zero_sections(scheme)
     p = scheme.ring.p
@@ -419,9 +410,8 @@ def is_coboundary(scheme, cochain, pole_bound=None):
     # tangency: each section must kill the patch relations; only the
     # Jacobians enter, so no constant (g(X^q) - g^q)/pi is computed
     for idx, pres in enumerate(scheme.patches):
-        table = _nf_table(pres)
         for ridx, g in enumerate(pres.generators()):
-            _add_jacobian(sys, ("tan", idx, ridx), table,
+            _add_jacobian(sys, ("tan", idx, ridx), pres,
                           twisted_gradient(pres, g), ("W", idx), bases[idx])
     # difference equations on every overlap, in a-side coordinates
     for (i, j) in scheme.overlap_pairs():
@@ -722,14 +712,13 @@ def _compatible_attempt(morphism, y_lifts, degree, joint):
             tgt_bases[idx] = pres.red.monomials_up_to(degree)
             _register(sys, ("AY", idx), pres, tgt_bases[idx])
     # admissibility of the source lifts, then of the target lifts
-    src_tables = [_nf_table(pres) for pres in morphism.source.patches]
     for idx, pres in enumerate(morphism.source.patches):
-        _add_admissibility(sys, ("xlift", idx), src_tables[idx],
-                           _patch_rows(pres), ("AX", idx), src_bases[idx])
+        _add_admissibility(sys, ("xlift", idx), pres, _patch_rows(pres),
+                           ("AX", idx), src_bases[idx])
     for idx, basis in tgt_bases.items():
         pres = morphism.target.patches[idx]
-        _add_admissibility(sys, ("ylift", idx), _nf_table(pres),
-                           _patch_rows(pres), ("AY", idx), basis)
+        _add_admissibility(sys, ("ylift", idx), pres, _patch_rows(pres),
+                           ("AY", idx), basis)
     # the commuting condition per chart and target variable:
     #   const(pullback(t)) + sum_v M_{t,v} A^X_v = pullback(A^Y_t)
     for idx, chart in enumerate(morphism.charts):
@@ -741,8 +730,7 @@ def _compatible_attempt(morphism, y_lifts, degree, joint):
             row = collapse_companion_jets(
                 src, linearize_generator(src, chart.pullback[t]))
             eqbase = ("compat", idx, t)
-            _add_affine(sys, eqbase, src_tables[idx], row, ("AX", idx),
-                        src_bases[idx])
+            _add_affine(sys, eqbase, src, row, ("AX", idx), src_bases[idx])
             if joint:
                 for m in tgt_bases[chart.target_index]:
                     sys.add_terms(eqbase, ("AY", chart.target_index, t, m),

@@ -609,30 +609,31 @@ class ReductionContext:
 
     def monomials_up_to(self, bound):
         """NF-basis exponent tuples of total degree <= bound, graded lex
-        ascending; deterministic."""
+        ascending; deterministic.  A variable and its companion are never
+        both nonzero in a normal form, so the recursion gives the later of
+        the two exponent 0 once the earlier is nonzero."""
         caps = []
-        for i, name in enumerate(self.vars):
+        for name in self.vars:
             rule = self.monic_rules.get(name)
             caps.append(min(bound, rule[0] - 1) if rule else bound)
+        earlier = [[] for _ in self.vars]
+        for iu, iv in self._loc_index:
+            earlier[max(iu, iv)].append(min(iu, iv))
         results = []
 
         def rec(i, left, acc):
             if i == len(self.vars):
                 results.append(tuple(acc))
                 return
-            for k in range(0, min(caps[i], left) + 1):
+            top = 0 if any(acc[j] for j in earlier[i]) else min(caps[i], left)
+            for k in range(top + 1):
                 acc.append(k)
                 rec(i + 1, left - k, acc)
                 acc.pop()
 
         rec(0, bound, [])
-        keep = []
-        for e in results:
-            if any(e[iu] and e[iv] for iu, iv in self._loc_index):
-                continue
-            keep.append(e)
-        keep.sort(key=term_key)
-        return keep
+        results.sort(key=term_key)
+        return results
 
     def invertible_vars(self):
         inv = {}

@@ -27,7 +27,6 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from itertools import combinations
-from operator import add as _plus
 
 from .base_ring import BaseRingSpec, IntModRing
 from .bounds import require_at_least, require_type
@@ -222,7 +221,8 @@ class MonomialImages:
     @classmethod
     def shifted(cls, pres, names, seed):
         """nf(seed * x^e) in pres, for monomials over names, a subset of
-        pres.all_vars."""
+        pres.all_vars; seeded with a Jacobian entry J, entry m is the
+        block entry nf(J * x^m) of wf.di."""
         return cls(pres, names,
                    lambda name: MvPoly.var(pres.res, pres.all_vars, name), seed)
 
@@ -249,18 +249,15 @@ class MonomialImages:
             val = entries[e] = self.pres.nf(val * img)
         return val
 
-    def apply(self, f, shift=None):
+    def apply(self, f):
         """sum c * self[e] over the terms c x^e of the residue polynomial
-        f: the table's map applied to f, or to f * x^shift when an
-        exponent tuple shift is given.  Each entry is a normal form, so
+        f: the table's map applied to f.  Each entry is a normal form, so
         the sum is one and takes no normal_form call."""
         r = self.pres.res
         add, mul = r.add, r.mul
         entries = self.entries
         out = {}
         for e, c in f.terms.items():
-            if shift is not None:
-                e = tuple(map(_plus, e, shift))
             img = entries.get(e)
             if img is None:
                 img = self[e]

@@ -113,6 +113,18 @@ def test_di_inconclusive_exit_three():
     assert err["threshold"] == 18
 
 
+def test_negative_pole_bound_is_an_input_error():
+    # refused before any witness search; a nonnegative bound under the
+    # threshold still exits 3 (test_di_inconclusive_exit_three)
+    for args, bound in ((("p1", "--expect-zero"), -5),
+                        (("weierstrass",), -1)):
+        proc = run_cli("di", *args, "--p", "3", "--pole-bound", str(bound))
+        assert proc.returncode == 2, proc.stdout
+        assert json.loads(proc.stdout)["error"] == {
+            "type": "WfError",
+            "message": "pole bound must be an integer >= 0, got %d" % bound}
+
+
 def test_lift_ladder_refusal_exit_three():
     for args, message in (
             (("lift", "weierstrass"),

@@ -1,5 +1,6 @@
 """Lift search, obstruction cocycles, coboundary decisions, compatibility."""
 
+import itertools
 import json
 import random
 
@@ -213,6 +214,12 @@ def test_genus2_definitive_negative_and_inconclusive_bound():
         is_coboundary(scheme, rep.cochain, pole_bound=4)
     assert exc.value.bound == 4
     assert exc.value.threshold == 18
+    with pytest.raises(WfError, match="pole bound must be"):
+        is_coboundary(scheme, rep.cochain, pole_bound=-1)
+    # a chart family with no overlaps refuses it too
+    a2 = BUILTIN_SCHEMES["a2"](BaseRingSpec(3))
+    with pytest.raises(WfError, match="pole bound must be"):
+        is_coboundary(a2, Cochain1(a2, {}), pole_bound=-1)
 
 
 def hasse_invariant(p, a=1, b=0):
@@ -294,6 +301,116 @@ def test_frobenius_iteration_class(p, a, b, a1, b1):
         assert at_p2 is at_p
     else:
         assert (at_p, at_p2) == (False, True)
+
+
+# -- Kodaira-Spencer compatibility ---------------------------------------------
+#
+# Moving a lift X' of the curve X by a deformation class k in H^1(X, T)
+# moves its obstruction class by F^* k in H^1(X, F^*T), so the class is
+# affine in the lift's coefficients mod p^2: c(t) - c(0) - sum_k t_k
+# (c(e_k) - c(0)) is a coboundary.  A direction is a coboundary exactly
+# when F^* kills its deformation class.
+
+
+def obstruction_cocycle(scheme):
+    return di_cocycle(scheme, [local_frobenius_lift(pres)
+                               for pres in scheme.patches])
+
+
+def cochain_sum(scheme, terms):
+    """sum c * cochain over the (c, cochain) pairs, as a cochain of
+    scheme.  The cochains may come from other lifts of the same curve:
+    mod p they live on the same overlaps, so their values add termwise."""
+    values = {}
+    for key in scheme.overlap_pairs():
+        pa = scheme.view(*key).pres_a
+        coeffs = {}
+        for v in pa.vars:
+            acc = {}
+            for c, cochain in terms:
+                for e, x in cochain.values[key].coeffs[v].terms.items():
+                    acc[e] = acc.get(e, 0) + c * x
+            coeffs[v] = MvPoly(pa.res, pa.all_vars,
+                               {e: pa.res.from_int(x) for e, x in acc.items()})
+        values[key] = FDerSection(pa, coeffs)
+    return Cochain1(scheme, values)
+
+
+def affine_defect(base, c_zero, c_point, t, c_units):
+    """c(t) - c(0) - sum_k t_k (c(e_k) - c(0)), as a cochain of base."""
+    return cochain_sum(base, [(1, c_point), (sum(t) - 1, c_zero)]
+                       + [(-tk, ck) for tk, ck in zip(t, c_units)])
+
+
+@pytest.mark.parametrize("p, a, b", [(5, 1, 1), (7, 1, 1), (13, 1, 0)])
+def test_kodaira_spencer_affine_on_elliptic_lifts(p, a, b):
+    # H^1(E, T) is a line and F^* acts on it through the Hasse
+    # invariant; (a1, b1) moves the class of the lift unless it lies on
+    # the isomorphism orbit t (4a, 6b) (see test_serre_tate_lift_sweep)
+    ordinary = hasse_invariant(p, a, b) % p != 0
+    base = weierstrass_lift(p, a, b, 0, 0)
+    c_zero = obstruction_cocycle(base)
+    c_units = [obstruction_cocycle(weierstrass_lift(p, a, b, 1, 0)),
+               obstruction_cocycle(weierstrass_lift(p, a, b, 0, 1))]
+    for d, c_unit in zip(((1, 0), (0, 1)), c_units):
+        on_orbit = (d[0] * 6 * b - d[1] * 4 * a) % p == 0
+        # only (13, 1, 0)'s a1 direction, (4, 0) up to scale, is on it
+        assert on_orbit is ((p, d) == (13, (1, 0)))
+        direction = cochain_sum(base, [(1, c_unit), (-1, c_zero)])
+        assert is_coboundary(base, direction)[0] is (on_orbit or not ordinary)
+    rng = random.Random(100 + p)
+    for _ in range(3):
+        t = (rng.randrange(p), rng.randrange(p))
+        c_point = obstruction_cocycle(weierstrass_lift(p, a, b, *t))
+        defect = affine_defect(base, c_zero, c_point, t, c_units)
+        assert is_coboundary(base, defect)[0] is True, t
+
+
+def genus2_lift(t):
+    """y^2 = h(x) with h = x^5 - 1 + 3 sum_k t_k x^k over Z_3, written
+    into both chart relations of the builtin genus2 document as
+    weierstrass_lift does; the chart at infinity is w^2 = v^6 h(1/v)."""
+    doc = BUILTIN_SCHEMES["genus2"](BaseRingSpec(3)).to_json()
+    h = [-1 + 3 * t[0]] + [3 * tk for tk in t[1:]] + [1]
+    doc["patches"][0]["relations"] = [
+        "y^2 - (%s)" % " + ".join("%d*x^%d" % (c, k) for k, c in enumerate(h))]
+    doc["patches"][1]["relations"] = [
+        "w^2 - (%s)" % " + ".join("%d*v^%d" % (c, 6 - k)
+                                  for k, c in enumerate(h))]
+    return GluedScheme.from_json(doc)
+
+
+def test_kodaira_spencer_affine_on_genus2_lifts():
+    # Deformations of y^2 = h(x) with deg h = 5 modulo x -> x + s and
+    # the scalings: h' and 5h - x h' are the trivial directions.  Mod 3
+    # they are 2 x^4 and 1, so e_4 and e_0 are trivial and e_1, e_2, e_3
+    # span H^1(X, T) (dimension 3g - 3 = 3), on which F^* is injective.
+    h = [-1, 0, 0, 0, 0, 1]
+    dh = [(k + 1) * c for k, c in enumerate(h[1:])]
+    x_dh = [k * c for k, c in enumerate(h)]
+    assert [c % 3 for c in dh] == [0, 0, 0, 0, 2]
+    assert [(5 * c - d) % 3 for c, d in zip(h, x_dh)] == [1, 0, 0, 0, 0, 0]
+
+    base = genus2_lift([0] * 5)
+    c_zero = obstruction_cocycle(base)
+    c_units = [obstruction_cocycle(genus2_lift([int(i == k) for i in range(5)]))
+               for k in range(5)]
+    for k in (0, 4):
+        direction = cochain_sum(base, [(1, c_units[k]), (-1, c_zero)])
+        assert is_coboundary(base, direction)[0] is True, k
+    for comb in itertools.product(range(3), repeat=3):
+        if not any(comb):
+            continue
+        direction = cochain_sum(
+            base, [(c, c_units[k + 1]) for k, c in enumerate(comb)]
+            + [(-sum(comb), c_zero)])
+        assert is_coboundary(base, direction)[0] is False, comb
+    rng = random.Random(3)
+    for _ in range(2):
+        t = [rng.randrange(3) for _ in range(5)]
+        defect = affine_defect(base, c_zero, obstruction_cocycle(genus2_lift(t)),
+                               t, c_units)
+        assert is_coboundary(base, defect)[0] is True, t
 
 
 # y^2 = x^7 - 1, genus 3, glued from text the way a scheme document is

@@ -1,5 +1,6 @@
 """Sparse polynomial arithmetic, parsing, and monic normal forms."""
 
+import itertools
 import random
 from graphlib import TopologicalSorter
 
@@ -426,6 +427,37 @@ def test_monomials_up_to():
     basis2 = red2.monomials_up_to(2)
     assert (1, 1) not in basis2
     assert (2, 0) in basis2 and (0, 2) in basis2
+
+
+def unpruned_monomials(red, bound):
+    """Every exponent tuple under the rule caps and the degree bound,
+    with the tuples mixing a variable and its companion filtered out."""
+    caps = [min(bound, red.monic_rules[n][0] - 1) if n in red.monic_rules
+            else bound for n in red.vars]
+    pairs = [(red.vars.index(u), red.vars.index(v)) for u, v in red.loc_pairs]
+    out = [e for e in itertools.product(*(range(c + 1) for c in caps))
+           if sum(e) <= bound and not any(e[i] and e[j] for i, j in pairs)]
+    return sorted(out, key=lambda e: (sum(e), e))
+
+
+@pytest.mark.parametrize("vars, relations, loc_pairs", [
+    (("x", "y"), [], []),
+    (("x", "y"), ["y^2 - x^3"], []),
+    (("x", "x_inv"), [], [("x", "x_inv")]),
+    (("x_inv", "y", "x"), ["y^3 - x - 1"], [("x_inv", "x")]),
+    (("x", "y", "x_inv", "y_inv"), ["y^2 - x^3 - x"],
+     [("x", "x_inv"), ("y_inv", "y")]),
+    (("x_inv", "z", "y_inv", "x", "y"), ["z^2 - x", "y^4 - x*z"],
+     [("x_inv", "x"), ("y", "y_inv")]),
+])
+def test_monomials_up_to_matches_unpruned_enumeration(vars, relations,
+                                                      loc_pairs):
+    ring = IntModRing(3)
+    red = ReductionContext(ring, vars,
+                           [parse_poly(r, ring, vars) for r in relations],
+                           loc_pairs)
+    for bound in range(7):
+        assert red.monomials_up_to(bound) == unpruned_monomials(red, bound)
 
 
 def test_try_invert():

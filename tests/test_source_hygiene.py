@@ -1,0 +1,76 @@
+"""Static checks over src/wf: no unused imports, no unreferenced private
+helpers.  Both leave dead code behind after a refactor."""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "wf"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def referenced_names(tree):
+    """Every name the module reads: bare names and attribute names."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+def imported_bindings(tree):
+    """(bound name, line) for every import, the __future__ ones aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield (alias.asname or alias.name.split(".")[0]), node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = parse(path)
+    used = referenced_names(tree)
+    unused = ["%s (line %d)" % (name, line)
+              for name, line in imported_bindings(tree) if name not in used]
+    assert not unused, "%s imports unused names: %s" % (path.name, unused)
+
+
+def test_every_private_helper_is_referenced():
+    trees = {path.name: parse(path) for path in MODULES}
+    # a private name counts as referenced when some module reads it or
+    # imports it by name
+    used = set()
+    for tree in trees.values():
+        used |= referenced_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    dead = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_")
+                    and not node.name.startswith("__")
+                    and node.name not in used):
+                dead.append("%s:%d %s" % (name, node.lineno, node.name))
+    assert not dead, "private helpers nothing references: %s" % dead
+
+
+def test_checks_catch_dead_code():
+    tree = ast.parse("from operator import add as _plus\n"
+                     "import json\n"
+                     "def _nf_table(pres):\n"
+                     "    return json.dumps(pres)\n")
+    assert [name for name, _ in imported_bindings(tree)
+            if name not in referenced_names(tree)] == ["_plus"]
+    assert "_nf_table" not in referenced_names(tree)

@@ -65,17 +65,9 @@ def _dumps(report):
     return json.dumps(_scrub(report), indent=2, sort_keys=True) + "\n"
 
 
-def _thread_cap():
-    raw = os.environ.get("WF_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
 def _envelope(command, payload):
-    report = {"schema": SCHEMA, "command": command, "threads": _thread_cap()}
+    # every command runs in one thread; wf-report/1 keeps the field
+    report = {"schema": SCHEMA, "command": command, "threads": 1}
     report.update(payload)
     return report
 
@@ -534,22 +526,31 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    # integers of any size are read and printed, so the interpreter's
+    # int <-> str digit limit (where it has one) is lifted while main runs
+    saved = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if saved is not None:
+        sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
-    except ParseError as exc:
-        return _fail(args, exc, 2, position=exc.position)
-    except Inconclusive as exc:
-        return _fail(args, exc, 3, bound=exc.bound, threshold=exc.threshold)
-    except NoSolutionAtBound as exc:
-        return _fail(args, exc, 3, bound=exc.bound)
-    except WfError as exc:
-        return _fail(args, exc, 2)
-    except OSError as exc:
-        return _fail(args, exc, 2)
-    except ValueError as exc:
-        return _fail(args, exc, 2)
+        args = _build_parser().parse_args(argv)
+        try:
+            return args.func(args)
+        except ParseError as exc:
+            return _fail(args, exc, 2, position=exc.position)
+        except Inconclusive as exc:
+            return _fail(args, exc, 3, bound=exc.bound,
+                         threshold=exc.threshold)
+        except NoSolutionAtBound as exc:
+            return _fail(args, exc, 3, bound=exc.bound)
+        except WfError as exc:
+            return _fail(args, exc, 2)
+        except OSError as exc:
+            return _fail(args, exc, 2)
+        except UnicodeDecodeError as exc:  # a document that is not UTF-8
+            return _fail(args, exc, 2)
+    finally:
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)
 
 
 if __name__ == "__main__":

@@ -387,6 +387,16 @@ def completeness_threshold(scheme):
     return q * (maxdeg + 2)
 
 
+def _pole_bound_and_threshold(scheme, pole_bound):
+    """The witness pole bound, defaulting to the completeness threshold
+    and refused unless it is an integer >= 0, and that threshold."""
+    threshold = completeness_threshold(scheme)
+    if pole_bound is None:
+        pole_bound = threshold
+    require_at_least(pole_bound, 0, "pole bound")
+    return pole_bound, threshold
+
+
 def is_coboundary(scheme, cochain, pole_bound=None):
     """Decide whether a 1-cochain is the coboundary of patch sections.
 
@@ -395,10 +405,7 @@ def is_coboundary(scheme, cochain, pole_bound=None):
     is at or past the completeness threshold.  A negative result under
     the threshold raises Inconclusive instead of guessing.
     """
-    threshold = completeness_threshold(scheme)
-    if pole_bound is None:
-        pole_bound = threshold
-    require_at_least(pole_bound, 0, "pole bound")
+    pole_bound, threshold = _pole_bound_and_threshold(scheme, pole_bound)
     if not scheme.overlap_pairs():
         return True, zero_sections(scheme)
     p = scheme.ring.p
@@ -494,13 +501,12 @@ class DIClassReport:
 
 
 def compute_di_class(scheme, pole_bound=None, start_degree=None):
-    """Chart lifts, their cocycle, and the vanishing decision in one go."""
+    """Chart lifts, their cocycle, and the vanishing decision in one go;
+    a bad pole bound is refused before any lift is searched."""
+    pole_bound, threshold = _pole_bound_and_threshold(scheme, pole_bound)
     lifts = [local_frobenius_lift(pres, start_degree)
              for pres in scheme.patches]
     cochain = di_cocycle(scheme, lifts)
-    threshold = completeness_threshold(scheme)
-    if pole_bound is None:
-        pole_bound = threshold
     vanishes, witness = is_coboundary(scheme, cochain, pole_bound)
     return DIClassReport(scheme, lifts, cochain, vanishes, witness,
                          pole_bound, threshold)
@@ -663,15 +669,15 @@ def compatibility_check(morphism, x_lifts, y_lifts):
     return CompatReport(morphism, compatible, disc, pairs)
 
 
-def build_compatible_lifts(morphism, y_lifts=None, start_degree=None,
-                           max_degree=None):
-    """Chart lifts on the source commuting with lifts on the target.
+def build_compatible_lifts(morphism, start_degree=None, max_degree=None):
+    """Chart lifts on source and target that commute with the morphism.
 
-    With y_lifts fixed, solves for the source coefficients alone and
-    reports NoSolutionAtBound honestly when that is impossible.  With
-    y_lifts None, source and target coefficients are solved jointly
-    (target charts not hit by the morphism get independent lifts).
-    Returns (x_lifts, y_lifts).
+    The source coefficients and the coefficients of every target chart
+    the morphism hits are unknowns of one F_p system per degree, so both
+    sides are solved jointly; target charts not hit get independent
+    lifts.  Past the degree cap NoSolutionAtBound is raised.  Every lift
+    is re-verified and the discrepancy re-checked to be zero.  Returns
+    (x_lifts, y_lifts).
     """
     kind = morphism.kind
     if kind not in ("closed_immersion", "etale", "projection"):
@@ -682,35 +688,31 @@ def build_compatible_lifts(morphism, y_lifts=None, start_degree=None,
             [q * p.max_relation_degree() for p in morphism.source.patches]
             + [q * p.max_relation_degree() for p in morphism.target.patches]
             + [q])
-    joint = y_lifts is None
-    x_lifts, y_out = _degree_ladder(
-        lambda d: _compatible_attempt(morphism, y_lifts, d, joint),
+    x_lifts, y_lifts = _degree_ladder(
+        lambda d: _compatible_attempt(morphism, d),
         start_degree, max_degree, "compatible lifts")
-    for lift in x_lifts:
+    for lift in x_lifts + y_lifts:
         lift.verify()
-    for lift in y_out:
-        lift.verify()
-    disc = lift_discrepancy(morphism, x_lifts, y_out)
+    disc = lift_discrepancy(morphism, x_lifts, y_lifts)
     for e in disc:
         for g in e.values():
             if not g.is_zero():
                 raise WfError("compatible lift solution failed the "
                               "discrepancy re-check")
-    return x_lifts, y_out
+    return x_lifts, y_lifts
 
 
-def _compatible_attempt(morphism, y_lifts, degree, joint):
+def _compatible_attempt(morphism, degree):
     sys = LinearSystem(morphism.source.ring.p)
     src_bases = []
     for idx, pres in enumerate(morphism.source.patches):
         src_bases.append(pres.red.monomials_up_to(degree))
         _register(sys, ("AX", idx), pres, src_bases[idx])
     tgt_bases = {}
-    if joint:
-        for idx in sorted({c.target_index for c in morphism.charts}):
-            pres = morphism.target.patches[idx]
-            tgt_bases[idx] = pres.red.monomials_up_to(degree)
-            _register(sys, ("AY", idx), pres, tgt_bases[idx])
+    for idx in sorted({c.target_index for c in morphism.charts}):
+        pres = morphism.target.patches[idx]
+        tgt_bases[idx] = pres.red.monomials_up_to(degree)
+        _register(sys, ("AY", idx), pres, tgt_bases[idx])
     # admissibility of the source lifts, then of the target lifts
     for idx, pres in enumerate(morphism.source.patches):
         _add_admissibility(sys, ("xlift", idx), pres, _patch_rows(pres),
@@ -724,23 +726,15 @@ def _compatible_attempt(morphism, y_lifts, degree, joint):
     for idx, chart in enumerate(morphism.charts):
         src = morphism.source.patches[idx]
         tgt = morphism.target_patch(idx)
-        if joint:
-            pulled_back = MonomialImages.transported(tgt, chart.pullback, src)
+        pulled_back = MonomialImages.transported(tgt, chart.pullback, src)
         for t in tgt.vars:
             row = collapse_companion_jets(
                 src, linearize_generator(src, chart.pullback[t]))
             eqbase = ("compat", idx, t)
             _add_affine(sys, eqbase, src, row, ("AX", idx), src_bases[idx])
-            if joint:
-                for m in tgt_bases[chart.target_index]:
-                    sys.add_terms(eqbase, ("AY", chart.target_index, t, m),
-                                  pulled_back[m], -1)
-            else:
-                ay = y_lifts[chart.target_index].fder
-                pulled = transport(ay.coeffs[t], tgt, chart.pullback, src,
-                                   level="res")
-                for e, c in pulled.terms.items():
-                    sys.add_rhs(eqbase + (e,), c)
+            for m in tgt_bases[chart.target_index]:
+                sys.add_terms(eqbase, ("AY", chart.target_index, t, m),
+                              pulled_back[m], -1)
     sol = sys.solve()
     if sol is None:
         return None
@@ -748,15 +742,12 @@ def _compatible_attempt(morphism, y_lifts, degree, joint):
     for idx, pres in enumerate(morphism.source.patches):
         coeffs = _coeffs_from_solution(pres, src_bases[idx], sol, ("AX", idx))
         x_lifts.append(LocalLift(pres, coeffs, degree=degree))
-    if joint:
-        y_out = []
-        for idx, pres in enumerate(morphism.target.patches):
-            if idx in tgt_bases:
-                coeffs = _coeffs_from_solution(pres, tgt_bases[idx], sol,
-                                               ("AY", idx))
-                y_out.append(LocalLift(pres, coeffs, degree=degree))
-            else:
-                y_out.append(local_frobenius_lift(pres))
-    else:
-        y_out = list(y_lifts)
-    return x_lifts, y_out
+    y_lifts = []
+    for idx, pres in enumerate(morphism.target.patches):
+        if idx in tgt_bases:
+            coeffs = _coeffs_from_solution(pres, tgt_bases[idx], sol,
+                                           ("AY", idx))
+            y_lifts.append(LocalLift(pres, coeffs, degree=degree))
+        else:
+            y_lifts.append(local_frobenius_lift(pres))
+    return x_lifts, y_lifts

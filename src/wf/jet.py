@@ -198,7 +198,7 @@ def sample_point(pres: Presentation, rng):
     return point
 
 
-def _solve_unit_system(ring, mat, rhs):
+def _solve_unit_system(mat, rhs):
     """Solve mat * x = rhs over the base ring; pivots must be units."""
     n = len(rhs)
     m = [row[:] for row in mat]
@@ -260,7 +260,7 @@ def induced_jet_solve(morphism, chart_index, point, target_jets):
         mat = [[d.evaluate(env) for d in partials]
                for _, _, partials in systems]
         try:
-            step = _solve_unit_system(ring, mat, residuals)
+            step = _solve_unit_system(mat, residuals)
         except NotEtale:
             raise NotEtale("induced jet system is singular at the sample point")
         for k, x in enumerate(names):
@@ -268,11 +268,11 @@ def induced_jet_solve(morphism, chart_index, point, target_jets):
     raise NotEtale("induced jet iteration did not converge")
 
 
-def etale_basechange_check(morphism, rng, samples=3):
+def etale_basechange_check(morphism, rng):
     """Certify jets pull back bijectively along an étale morphism.
 
     Symbolic certificate first (unit twisted Jacobian per chart), then a
-    numeric round trip at random points of every relation-free chart:
+    numeric round trip at three random points of every relation-free chart:
     push random source jets forward, solve back, demand recovery.
     """
     for i in range(len(morphism.charts)):
@@ -287,7 +287,7 @@ def etale_basechange_check(morphism, rng, samples=3):
         pullbacks = {t: morphism.charts[i].pullback[t] for t in tgt.vars}
         prolonged = {t: substitute_companion_jets(src, dctx, dctx.prolong(g))
                      for t, g in pullbacks.items()}
-        for _ in range(samples):
+        for _ in range(3):
             point = sample_point(src, rng)
             jets = {jet_name(x): random_elem(ring, rng) for x in src.vars}
             env = dict(point)

@@ -225,28 +225,21 @@ class MvPoly:
     def subst(self, mapping, ring, vars):
         """Substitute every variable; the images live over (ring, vars).
 
-        mapping maps variable names to MvPoly over that space (or bare
-        coefficients / ints, read as constants).  Any variable of self
-        that actually occurs must be covered by mapping.
+        mapping maps variable names to MvPoly over that space.  Any
+        variable of self that actually occurs must be covered by mapping.
         """
         vars = tuple(vars)
-        images = {}
-        for name, val in mapping.items():
-            if isinstance(val, MvPoly):
-                if val.vars != vars:
-                    raise VariableMismatch("substitution images over mixed spaces")
-                images[name] = val
-            else:
-                images[name] = MvPoly.const(ring, vars, val)
+        if any(val.vars != vars for val in mapping.values()):
+            raise VariableMismatch("substitution images over mixed spaces")
         out = MvPoly.zero(ring, vars)
         for e, c in self.sorted_terms():
             term = MvPoly.const(ring, vars, self._convert_coeff(c, ring))
             for name, k in zip(self.vars, e):
                 if k == 0:
                     continue
-                if name not in images:
+                if name not in mapping:
                     raise VariableMismatch("no image for variable %r" % (name,))
-                term = term * (images[name] ** k)
+                term = term * (mapping[name] ** k)
             out = out + term
         return out
 
@@ -303,7 +296,7 @@ class MvPoly:
                 if k == 0:
                     continue
                 mono.append(name if k == 1 else "%s^%d" % (name, k))
-            ctext = _coeff_text(self.ring, c)
+            ctext = _coeff_text(c)
             if mono and ctext == "1":
                 body = "*".join(mono)
             elif mono and ctext == "-1":
@@ -325,7 +318,7 @@ class MvPoly:
         return "MvPoly(%s)" % (self.to_text(),)
 
 
-def _coeff_text(ring, c):
+def _coeff_text(c):
     if isinstance(c, int):
         return str(c)
     text = c.text()

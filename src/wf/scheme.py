@@ -120,19 +120,17 @@ class Presentation:
     def max_relation_degree(self):
         return max((g.total_deg() for g in self.relations), default=1)
 
-    def at_precision(self, k):
-        """Clone of this chart over the same ring truncated at pi^k."""
-        ring2 = BaseRingSpec(self.ring.p, list(self.ring.eisenstein), k,
-                             self.ring.frob_power)
-        rel2 = [r.map_coeffs(lambda c: ring2.elem(c.coeffs), ring2)
-                for r in self.relations]
-        return Presentation(self.name, ring2, self.vars, rel2, self.inverted)
-
     def mod_pi2(self):
-        """at_precision(2), built on the first call and kept with this
-        chart; the clone holds no reference back to it."""
+        """Clone of this chart over the same ring truncated at pi^2, built
+        on the first call and kept with this chart; the clone holds no
+        reference back to it."""
         if self._mod_pi2 is None:
-            self._mod_pi2 = self.at_precision(2)
+            ring2 = BaseRingSpec(self.ring.p, list(self.ring.eisenstein), 2,
+                                 self.ring.frob_power)
+            rel2 = [r.map_coeffs(lambda c: ring2.elem(c.coeffs), ring2)
+                    for r in self.relations]
+            self._mod_pi2 = Presentation(self.name, ring2, self.vars, rel2,
+                                         self.inverted)
         return self._mod_pi2
 
     def to_json(self):
@@ -783,7 +781,7 @@ def projective_plane(ring):
                        family="projective")
 
 
-def weierstrass_curve(ring, a, b, name=None):
+def weierstrass_curve(ring, a, b):
     """y^2 = x^3 + a x + b with its standard chart at infinity."""
     p = ring.p
     if p == 2:
@@ -798,7 +796,7 @@ def weierstrass_curve(ring, a, b, name=None):
     ov = Overlap(0, 1, "y", "z",
                  to_j={"x": "w*z_inv", "y": "-z_inv"},
                  to_i={"w": "-x*y_inv", "z": "-y_inv"})
-    return GluedScheme(name or "E[%d,%d]" % (a % p, b % p), ring, [aff, inf], [ov],
+    return GluedScheme("E[%d,%d]" % (a % p, b % p), ring, [aff, inf], [ov],
                        genus=1, family="weierstrass")
 
 
@@ -845,7 +843,7 @@ def _univariate_separable(coeffs, p):
     return len(a) == 1
 
 
-def hyperelliptic_curve(ring, h_coeffs, name=None):
+def hyperelliptic_curve(ring, h_coeffs):
     """y^2 = h(x), h given low-to-high; two charts, w^2 = v^(2g+2) h(1/v)."""
     p = ring.p
     if p == 2:
@@ -873,7 +871,7 @@ def hyperelliptic_curve(ring, h_coeffs, name=None):
     ov = Overlap(0, 1, "x", "v",
                  to_j={"x": "v_inv", "y": "w*v_inv^%d" % (mdeg,)},
                  to_i={"v": "x_inv", "w": "y*x_inv^%d" % (mdeg,)})
-    return GluedScheme(name or "H[deg %d]" % (d,), ring, [aff, inf], [ov],
+    return GluedScheme("H[deg %d]" % (d,), ring, [aff, inf], [ov],
                        genus=g, family="hyperelliptic")
 
 
@@ -919,8 +917,9 @@ def etale_gm_square(ring):
     return SchemeMorphism("gm_square", src, tgt, [chart], kind="etale")
 
 
-def weierstrass_in_p2(ring, a=1, b=0):
-    curve = weierstrass_curve(ring, a, b)
+def weierstrass_in_p2(ring):
+    """The curve y^2 = x^3 + x inside the projective plane."""
+    curve = weierstrass_curve(ring, 1, 0)
     plane = projective_plane(ring)
     chart0 = ChartMap(0, pullback={"a": "x", "b": "y"},
                       section={"x": "a", "y": "b"})
@@ -934,5 +933,5 @@ BUILTIN_MORPHISMS = {
     "parabola_in_a2": imm_parabola,
     "a2_to_a1": proj_plane_to_line,
     "gm_square": etale_gm_square,
-    "weierstrass_in_p2": lambda ring: weierstrass_in_p2(ring, 1, 0),
+    "weierstrass_in_p2": weierstrass_in_p2,
 }

@@ -9,8 +9,10 @@ import sys
 import pytest
 
 import wf.cli
+import wf.di
 from wf.base_ring import BaseRingSpec
 from wf.bounds import gsp_order
+from wf.errors import WfError
 from wf.scheme import (BUILTIN_MORPHISMS, BUILTIN_SCHEMES, GluedScheme,
                        Overlap, SchemeMorphism, weierstrass_in_p2)
 
@@ -123,6 +125,23 @@ def test_negative_pole_bound_is_an_input_error():
         assert json.loads(proc.stdout)["error"] == {
             "type": "WfError",
             "message": "pole bound must be an integer >= 0, got %d" % bound}
+
+
+def test_pole_bound_refused_before_any_lift(monkeypatch, capsys):
+    # q = 49: a lift search here would take most of a second
+    def no_lift(*args, **kwargs):
+        raise AssertionError("a lift was searched")
+
+    monkeypatch.setattr(wf.di, "local_frobenius_lift", no_lift)
+    message = "pole bound must be an integer >= 0, got -1"
+    scheme = BUILTIN_SCHEMES["weierstrass"](BaseRingSpec(7, frob_power=2))
+    with pytest.raises(WfError) as exc:
+        wf.di.compute_di_class(scheme, pole_bound=-1)
+    assert str(exc.value) == message
+    assert wf.cli.main(["di", "weierstrass", "--p", "7", "--m", "2",
+                        "--pole-bound", "-1"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "type": "WfError", "message": message}
 
 
 def test_lift_ladder_refusal_exit_three():
@@ -397,6 +416,50 @@ def test_bounds_values():
     assert rep["n"] == {"base": 3, "exponent": 960, "decimal": None}
 
 
+def str_unlimited(n):
+    """str(n) past the interpreter's int -> str digit limit."""
+    saved = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if saved is None:
+        return str(n)
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_digit_limit_is_not_an_input_error():
+    # |GSp_112(F_5)| has over 4300 digits, the interpreter's default
+    # limit for int <-> str conversion
+    data = run_json("bounds", "--g", "56", "--p", "3", "--d", "1")
+    assert data["gsp_order"] == str_unlimited(gsp_order(56, 5))
+    coeff = "7" * 5000
+    data = run_json("prolong", coeff + "*x", "--p", "3")
+    assert data["input"] == coeff + "*x"
+
+
+def test_main_restores_digit_limit_and_lets_internal_errors_out(
+        monkeypatch, capsys):
+    saved = getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+    def broken(*args):
+        raise ValueError("an internal fault, not an input error")
+
+    monkeypatch.setattr(wf.cli, "bounds_report", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        wf.cli.main(["bounds", "--g", "1", "--p", "3", "--d", "1"])
+    assert capsys.readouterr().out == ""
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == saved
+
+
+def test_binary_document_is_an_input_error(tmp_path):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe\x00\x81 not text")
+    proc = run_cli("di", str(path), "--p", "3")
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout)["error"]["type"] == "UnicodeDecodeError"
+
+
 def test_scheme_file_and_ring_override(tmp_path):
     # a hand-written file with symbolic coefficients stays meaningful
     # under a --p override; serialized builtins would not, since their
@@ -438,15 +501,11 @@ def test_output_flag_writes_file(tmp_path):
 
 
 def test_thread_env_reported_not_parallel():
-    data = run_json("bounds", "--g", "1", "--p", "3", "--d", "1",
-                    env_extra={"WF_THREADS": "4"})
-    assert data["threads"] == 4
-    data = run_json("bounds", "--g", "1", "--p", "3", "--d", "1",
-                    env_extra={"WF_THREADS": "junk"})
-    assert data["threads"] == 1
-    data = run_json("bounds", "--g", "1", "--p", "3", "--d", "1",
-                    env_extra={"WF_THREADS": "-2"})
-    assert data["threads"] == 1
+    # WF_THREADS is not read: every report carries "threads": 1
+    for value in ("4", "junk", "-2"):
+        data = run_json("bounds", "--g", "1", "--p", "3", "--d", "1",
+                        env_extra={"WF_THREADS": value})
+        assert data["threads"] == 1
 
 
 def test_corpus_byte_determinism():

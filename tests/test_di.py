@@ -542,30 +542,6 @@ def test_compat_report_json_shape():
     assert data["pairs"][0]["identity_checked"] is True
 
 
-def test_fixed_target_lifts_solved_or_refused():
-    ring = BaseRingSpec(3)
-    m = BUILTIN_MORPHISMS["gm_square"](ring)
-    tgt = m.target.patches[0]
-    ys = [local_frobenius_lift(tgt)]
-    xs, ys_out = build_compatible_lifts(m, y_lifts=ys)
-    assert ys_out == list(ys)
-    assert compatibility_check(m, xs, ys_out).compatible is True
-    # a high-degree target choice forces A_x = 2 x^7, out of reach at
-    # coefficient degree one
-    forced = LocalLift(tgt, {"t": tgt.to_res(parse_poly("t^5", ring,
-                                                        tgt.all_vars))})
-    assert forced.verify() is True
-    with pytest.raises(NoSolutionAtBound) as exc:
-        build_compatible_lifts(m, y_lifts=[forced], start_degree=1,
-                               max_degree=1)
-    assert exc.value.bound == 1
-    xs2, _ = build_compatible_lifts(m, y_lifts=[forced])
-    src = m.source.patches[0]
-    assert xs2[0].coeffs["x"] == src.nf(src.to_res(
-        parse_poly("2*x^7", ring, src.all_vars)))
-    assert compatibility_check(m, xs2, [forced]).compatible is True
-
-
 def weierstrass_origin(ring):
     """The point (0, 0) of the weierstrass curve as a closed immersion.
 
@@ -649,7 +625,7 @@ def _ref_lift_attempt(pres, rows, degree):
     return _ref_coeffs_from_solution(pres, basis, sol, "A")
 
 
-def _ref_compatible_attempt(morphism, y_lifts, degree, joint):
+def _ref_compatible_attempt(morphism, degree):
     ring = morphism.source.ring
     sys = LinearSystem(ring.p)
     src_bases = []
@@ -660,14 +636,13 @@ def _ref_compatible_attempt(morphism, y_lifts, degree, joint):
             for m in basis:
                 sys.col(("AX", idx, v, m))
     tgt_bases = {}
-    if joint:
-        for idx in sorted({c.target_index for c in morphism.charts}):
-            pres = morphism.target.patches[idx]
-            basis = pres.red.monomials_up_to(degree)
-            tgt_bases[idx] = basis
-            for t in pres.vars:
-                for m in basis:
-                    sys.col(("AY", idx, t, m))
+    for idx in sorted({c.target_index for c in morphism.charts}):
+        pres = morphism.target.patches[idx]
+        basis = pres.red.monomials_up_to(degree)
+        tgt_bases[idx] = basis
+        for t in pres.vars:
+            for m in basis:
+                sys.col(("AY", idx, t, m))
     for idx, pres in enumerate(morphism.source.patches):
         for ridx, row in enumerate(collapsed_rows(pres)):
             for e, c in row.const.terms.items():
@@ -680,21 +655,20 @@ def _ref_compatible_attempt(morphism, y_lifts, degree, joint):
                     prod = pres.nf(jac * _ref_basis_monomial(pres, m))
                     for e, c in prod.terms.items():
                         sys.add(("xlift", idx, ridx, e), ("AX", idx, v, m), c)
-    if joint:
-        for idx, basis in tgt_bases.items():
-            pres = morphism.target.patches[idx]
-            for ridx, row in enumerate(collapsed_rows(pres)):
-                for e, c in row.const.terms.items():
-                    sys.add_rhs(("ylift", idx, ridx, e), -c)
-                for t in pres.vars:
-                    jac = row.jac.get(t)
-                    if jac is None:
-                        continue
-                    for m in basis:
-                        prod = pres.nf(jac * _ref_basis_monomial(pres, m))
-                        for e, c in prod.terms.items():
-                            sys.add(("ylift", idx, ridx, e),
-                                    ("AY", idx, t, m), c)
+    for idx, basis in tgt_bases.items():
+        pres = morphism.target.patches[idx]
+        for ridx, row in enumerate(collapsed_rows(pres)):
+            for e, c in row.const.terms.items():
+                sys.add_rhs(("ylift", idx, ridx, e), -c)
+            for t in pres.vars:
+                jac = row.jac.get(t)
+                if jac is None:
+                    continue
+                for m in basis:
+                    prod = pres.nf(jac * _ref_basis_monomial(pres, m))
+                    for e, c in prod.terms.items():
+                        sys.add(("ylift", idx, ridx, e),
+                                ("AY", idx, t, m), c)
     for idx, chart in enumerate(morphism.charts):
         src = morphism.source.patches[idx]
         tgt = morphism.target_patch(idx)
@@ -712,28 +686,17 @@ def _ref_compatible_attempt(morphism, y_lifts, degree, joint):
                     prod = src.nf(jac * _ref_basis_monomial(src, m))
                     for e, c in prod.terms.items():
                         sys.add(eqbase + (e,), ("AX", idx, v, m), c)
-            if joint:
-                basis = tgt_bases[chart.target_index]
-                for m in basis:
-                    mono = MvPoly.monomial(tgt.res, tgt.all_vars, m)
-                    moved = transport(mono, tgt, chart.pullback, src,
-                                      level="res")
-                    for e, c in moved.terms.items():
-                        sys.add(eqbase + (e,),
-                                ("AY", chart.target_index, t, m), -c)
-            else:
-                ay = y_lifts[chart.target_index].fder
-                pulled = transport(ay.coeffs[t], tgt, chart.pullback, src,
-                                   level="res")
-                for e, c in pulled.terms.items():
-                    sys.add_rhs(eqbase + (e,), c)
+            for m in tgt_bases[chart.target_index]:
+                mono = MvPoly.monomial(tgt.res, tgt.all_vars, m)
+                moved = transport(mono, tgt, chart.pullback, src, level="res")
+                for e, c in moved.terms.items():
+                    sys.add(eqbase + (e,),
+                            ("AY", chart.target_index, t, m), -c)
     sol = sys.solve()
     if sol is None:
         return None
     xs = [_ref_coeffs_from_solution(pres, src_bases[idx], sol, "AX", (idx,))
           for idx, pres in enumerate(morphism.source.patches)]
-    if not joint:
-        return xs, [lift.coeffs for lift in y_lifts]
     ys = [_ref_coeffs_from_solution(pres, tgt_bases[idx], sol, "AY", (idx,))
           if idx in tgt_bases else local_frobenius_lift(pres).coeffs
           for idx, pres in enumerate(morphism.target.patches)]
@@ -850,24 +813,21 @@ def test_compatible_lifts_match_reference_assembly(monkeypatch):
             start = max([ring.q * pres.max_relation_degree()
                          for pres in m.source.patches + m.target.patches]
                         + [ring.q])
-            fixed = [local_frobenius_lift(pres) for pres in m.target.patches]
             for d in sorted({1, start, 2 * start}):
-                for y_lifts in (None, fixed):
-                    seen.clear()
-                    ref = _ref_compatible_attempt(m, y_lifts, d,
-                                                  y_lifts is None)
-                    ref_systems = list(seen)
-                    seen.clear()
-                    try:
-                        xs, ys = build_compatible_lifts(
-                            m, y_lifts, start_degree=d, max_degree=d)
-                        got = ([lift.coeffs for lift in xs],
-                               [lift.coeffs for lift in ys])
-                    except NoSolutionAtBound as exc:
-                        assert exc.bound == d
-                        got = None
-                    assert got == ref, (name, p, d, y_lifts is None)
-                    assert seen == ref_systems, (name, p, d, y_lifts is None)
+                seen.clear()
+                ref = _ref_compatible_attempt(m, d)
+                ref_systems = list(seen)
+                seen.clear()
+                try:
+                    xs, ys = build_compatible_lifts(m, start_degree=d,
+                                                    max_degree=d)
+                    got = ([lift.coeffs for lift in xs],
+                           [lift.coeffs for lift in ys])
+                except NoSolutionAtBound as exc:
+                    assert exc.bound == d
+                    got = None
+                assert got == ref, (name, p, d)
+                assert seen == ref_systems, (name, p, d)
 
 
 def _random_sections(scheme, rng, degree=3):

@@ -1,0 +1,138 @@
+"""Seeded document fuzzer: mutated scheme and morphism documents run
+through the in-process command line.
+
+Every run must end in exit 0, 2 or 3 without raising, and a document
+that the library refuses at load (from_json plus validation) must be
+refused by the command line with exit 2 and the same error.
+"""
+
+import copy
+import json
+import random
+
+import pytest
+
+import wf.cli
+from wf.base_ring import BaseRingSpec
+from wf.scheme import (BUILTIN_MORPHISMS, BUILTIN_SCHEMES, GluedScheme,
+                       SchemeMorphism, validate_gluing, validate_morphism)
+
+SEED = 20181
+DOCUMENTS = 200
+
+SOURCES = ([("di", BUILTIN_SCHEMES[name](BaseRingSpec(3)).to_json())
+            for name in ("p1", "weierstrass", "gm", "a2")]
+           + [("compat", BUILTIN_MORPHISMS[name](BaseRingSpec(5)).to_json())
+              for name in ("gm_square", "parabola_in_a2")])
+
+LEAF_VALUES = (None, True, False, -1, 0, 2, 7, 0.5, 2 ** 70, "x^^2 +",
+               "", [], {})
+
+# values of these keys set the Frobenius power and the working precision:
+# "frob_power": 2**70 asks for q = 3^(2^70), which no run finishes, so
+# their values are mutated only in test_ring_value_mutations
+RING_VALUE_KEYS = ("frob_power", "precision")
+
+# keys whose string values are polynomial text
+POLY_KEYS = ("relations", "to_i", "to_j", "pullback", "section")
+
+EDIT_CHARS = "xyzwt012+-*^()_ "
+
+
+def paths(node, prefix=()):
+    """(path, value) for every entry below node, depth first."""
+    items = (node.items() if isinstance(node, dict) else enumerate(node))
+    for key, value in items:
+        path = prefix + (key,)
+        yield path, value
+        if isinstance(value, (dict, list)):
+            yield from paths(value, path)
+
+
+def at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def mutate(doc, rng):
+    """A copy of doc with one leaf replaced, one key deleted, or one
+    character of polynomial text edited."""
+    doc = copy.deepcopy(doc)
+    entries = list(paths(doc))
+    leaves = [path for path, value in entries
+              if (not isinstance(value, (dict, list)) or not value)
+              and path[-1] not in RING_VALUE_KEYS]
+    keys = [path for path, _ in entries if isinstance(path[-1], str)]
+    texts = [path for path, value in entries
+             if isinstance(value, str) and value
+             and any(key in POLY_KEYS for key in path)]
+    kind = rng.choice(["leaf", "leaf", "delete"] + ["edit"] * bool(texts))
+    if kind == "delete":
+        path = rng.choice(keys)
+        del at(doc, path[:-1])[path[-1]]
+    elif kind == "edit":
+        path = rng.choice(texts)
+        text = at(doc, path)
+        i = rng.randrange(len(text))
+        op = rng.choice(("replace", "delete", "insert"))
+        ch = rng.choice(EDIT_CHARS)
+        text = (text[:i] + ch + text[i + 1:] if op == "replace"
+                else text[:i] + text[i + 1:] if op == "delete"
+                else text[:i] + ch + text[i:])
+        at(doc, path[:-1])[path[-1]] = text
+    else:
+        path = rng.choice(leaves)
+        at(doc, path[:-1])[path[-1]] = copy.deepcopy(rng.choice(LEAF_VALUES))
+    return doc
+
+
+def library_error(command, doc):
+    """The exception that loading doc through the library raises, or None."""
+    try:
+        if command == "di":
+            validate_gluing(GluedScheme.from_json(doc, None))
+        else:
+            validate_morphism(SchemeMorphism.from_json(doc, None))
+    except Exception as exc:  # compared with the command line's refusal
+        return exc
+    return None
+
+
+def check_document(command, doc, path, capsys):
+    path.write_text(json.dumps(doc))
+    code = wf.cli.main([command, str(path)])
+    out = capsys.readouterr().out
+    assert code in (0, 2, 3), out
+    expected = library_error(command, doc)
+    if expected is not None:
+        assert code == 2, (json.dumps(doc), out)
+        err = json.loads(out)["error"]
+        assert (err["type"], err["message"]) == (type(expected).__name__,
+                                                 str(expected))
+    return code
+
+
+def test_mutated_documents(tmp_path, capsys):
+    rng = random.Random(SEED)
+    codes = {0: 0, 2: 0, 3: 0}
+    for n in range(DOCUMENTS):
+        command, source = rng.choice(SOURCES)
+        doc = mutate(source, rng)
+        codes[check_document(command, doc, tmp_path / ("%d.json" % n),
+                             capsys)] += 1
+    # the mutations reach past loading as well as being refused by it
+    assert codes[0] and codes[2], codes
+
+
+@pytest.mark.parametrize("key", RING_VALUE_KEYS)
+def test_ring_value_mutations(key, tmp_path, capsys):
+    # small values only: each is cheap, and a frob_power large enough to
+    # stall the lift search is the growth recorded in README, not a fault
+    for command, source in SOURCES:
+        rings = [path for path, value in paths(source) if path[-1] == "ring"]
+        for ring_path in rings:
+            for value in (None, True, -1, 0, 1, 2, 0.5, "2", [], {}):
+                doc = copy.deepcopy(source)
+                at(doc, ring_path)[key] = value
+                check_document(command, doc, tmp_path / "ring.json", capsys)

@@ -279,7 +279,7 @@ def test_etale_square_on_units_passes():
     for p in (3, 5):
         ring = BaseRingSpec(p)
         m = BUILTIN_MORPHISMS["gm_square"](ring)
-        etale_basechange_check(m, random.Random(52), samples=3)
+        etale_basechange_check(m, random.Random(52))
 
 
 def test_affine_square_rejected_not_etale():
@@ -336,7 +336,7 @@ def test_inversion_through_companions_is_etale():
         for image in ("x_inv", "x_inv^2"):
             m = gm_self_map(ring, image)
             assert validate_morphism(m) is True
-            assert etale_basechange_check(m, random.Random(54), samples=3)
+            assert etale_basechange_check(m, random.Random(54))
             xs, ys = build_compatible_lifts(m)
             assert compatibility_check(m, xs, ys).compatible is True
         for image in ("x_inv^%d" % (p,), "x^%d" % (p,)):

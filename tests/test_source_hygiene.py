@@ -1,5 +1,6 @@
 """Static checks over src/wf: no unused imports, no unreferenced private
-helpers.  Both leave dead code behind after a refactor."""
+helpers, no parameter a function never reads.  Each leaves dead code
+behind after a refactor."""
 
 import ast
 import pathlib
@@ -66,6 +67,55 @@ def test_every_private_helper_is_referenced():
     assert not dead, "private helpers nothing references: %s" % dead
 
 
+# parameters a function may leave unread, each with its reason
+UNREAD_PARAMETERS_ALLOWED = {
+    # ring protocol methods that only refuse: Z/p^k has no canonical
+    # division by p and no delta
+    ("base_ring", "IntModRing.div_pi", "a"),
+    ("base_ring", "IntModRing.base_delta", "a"),
+    # the tracer's counted_rref and tests/test_trace_table.py call rref
+    # with three arguments
+    ("gfp", "rref", "ncols"),
+}
+
+
+def unread_parameters(tree):
+    """(qualified function name, parameter) for each parameter, self and
+    cls aside, that the body of its function or lambda never reads."""
+    out = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda)):
+                name = prefix + getattr(child, "name", "<lambda>")
+                args = child.args
+                params = (args.posonlyargs + args.args + args.kwonlyargs
+                          + [a for a in (args.vararg, args.kwarg) if a])
+                body = (child.body if isinstance(child.body, list)
+                        else [child.body])
+                read = {n.id for stmt in body for n in ast.walk(stmt)
+                        if isinstance(n, ast.Name)
+                        and isinstance(n.ctx, ast.Load)}
+                out.extend((name, a.arg) for a in params
+                           if a.arg not in ("self", "cls", *read))
+                visit(child, name + ".")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return out
+
+
+def test_every_parameter_is_read():
+    unread = {(path.stem, func, param)
+              for path in MODULES
+              for func, param in unread_parameters(parse(path))}
+    assert unread == UNREAD_PARAMETERS_ALLOWED
+
+
 def test_checks_catch_dead_code():
     tree = ast.parse("from operator import add as _plus\n"
                      "import json\n"
@@ -74,3 +124,14 @@ def test_checks_catch_dead_code():
     assert [name for name, _ in imported_bindings(tree)
             if name not in referenced_names(tree)] == ["_plus"]
     assert "_nf_table" not in referenced_names(tree)
+
+
+def test_parameter_check_catches_unread_parameters():
+    tree = ast.parse("class C:\n"
+                     "    def m(self, ring, c):\n"
+                     "        def inner(x):\n"
+                     "            return c\n"
+                     "        return inner\n"
+                     "table = {'a': lambda ring: 1}\n")
+    assert unread_parameters(tree) == [("C.m", "ring"), ("C.m.inner", "x"),
+                                       ("<lambda>", "ring")]

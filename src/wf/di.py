@@ -19,21 +19,33 @@ a monomial basis, _add_jacobian adds a normal-formed Jacobian block,
 _add_affine and _add_admissibility add the constants with it, and
 _degree_ladder runs the degree-doubling search for both lift searches.
 
+The solver returns the solution whose free variables are zero, and a
+column in the span of the columns before it is never a pivot.  Such a
+column is 0 in that solution, and leaving it out changes neither the
+rank nor any other column's pivot status or value.  The joint system of
+a morphism registers its target unknowns last, so each target chart
+keeps only the monomials whose columns are independent of the chart's
+earlier columns (_target_basis, one incremental echelon per chart).  A
+target chart that the morphism maps onto a curve keeps about the affine
+Hilbert function of the curve instead of every monomial of the plane.
+
 At the residue level normal form and transport are ring maps onto the
 normal-form basis, so the images of basis monomials come from
 wf.scheme.MonomialImages tables (the multiplication-matrix idea of
 Faugere, Gianni, Lazard & Mora's FGLM): each entry is one product of a
 cached smaller entry by a variable's image, normal-formed once.  The
 tables are built per call.  Every Jacobian block entry nf(J * x^m) is
-the entry m of a table seeded with J: _add_jacobian keeps one per
+the entry m of a table seeded with J: _jacobian_tables builds one per
 chart variable and block (lift attempts, the witness's tangency rows,
 compatible-lift attempts), and is_coboundary one per overlap (i, j)
 and twisted-gradient entry for nf_b(mat * x^m).  is_coboundary also
 keeps one table for the a-side basis and one transport table for
 pb -> pa, and the joint compatible-lift system one transport table per
-chart.  A moved polynomial is sum c * T[e] over its terms: each T[e] is
-a normal form and sums of normal forms are normal forms, so the sum
-takes no normal_form call.
+chart.  The echelon that picks the target monomials reads the same
+tables as the assembly, so no entry is normal-formed twice.  A moved
+polynomial is sum c * T[e] over its terms: each T[e] is a normal form
+and sums of normal forms are normal forms, so the sum takes no
+normal_form call.
 
 Negative coboundary answers are only definitive at or above the
 completeness threshold for the family; below it the solver refuses with
@@ -44,7 +56,7 @@ from __future__ import annotations
 
 from .bounds import require_at_least
 from .errors import Inconclusive, KindMismatch, NoSolutionAtBound, WfError
-from .gfp import solve as gfp_solve
+from .gfp import insert_row, solve as gfp_solve
 from .jet import collapse_companion_jets, linearize_generator, linearize_mod_pi
 from .poly import MvPoly
 from .scheme import (FDerSection, MonomialImages, fder_apply, transport,
@@ -198,30 +210,39 @@ def _register(sys, tag, pres, basis):
             sys.col(tag + (v, m))
 
 
-def _add_jacobian(sys, eq, pres, jac, tag, basis):
-    """Add sum_v jac[v] * A_v, in the chart's normal form, to the
-    equations eq + (e,), where A_v ranges over the unknowns tag + (v, m).
-    Each entry nf(jac[v] * x^m) is read from a table seeded with jac[v]."""
-    for v in pres.vars:
-        j = jac.get(v)
-        if j is None:
-            continue
-        table = MonomialImages.shifted(pres, pres.all_vars, j)
+def _jacobian_tables(pres, jac):
+    """Per chart variable v with a Jacobian entry jac[v], the table
+    seeded with it: its entry m is the block entry nf(jac[v] * x^m)."""
+    return {v: MonomialImages.shifted(pres, pres.all_vars, jac[v])
+            for v in pres.vars if v in jac}
+
+
+def _conditions(pres, rows):
+    """(const, Jacobian tables) per collapsed generator row of the chart:
+    the affine conditions const + sum_v J_v A_v = 0 of a lift."""
+    return [(row.const, _jacobian_tables(pres, row.jac)) for row in rows]
+
+
+def _add_jacobian(sys, eq, tables, tag, basis):
+    """Add sum_v J_v * A_v, in the chart's normal form, to the equations
+    eq + (e,), where A_v ranges over the unknowns tag + (v, m) and
+    tables[v][m] is nf(J_v * x^m)."""
+    for v, table in tables.items():
         for m in basis:
             sys.add_terms(eq, tag + (v, m), table[m])
 
 
-def _add_affine(sys, eq, pres, row, tag, basis):
-    """The condition row.const + sum_v row.jac[v] * A_v = 0."""
-    for e, c in row.const.terms.items():
+def _add_affine(sys, eq, const, tables, tag, basis):
+    """The condition const + sum_v J_v * A_v = 0."""
+    for e, c in const.terms.items():
         sys.add_rhs(eq + (e,), -c)
-    _add_jacobian(sys, eq, pres, row.jac, tag, basis)
+    _add_jacobian(sys, eq, tables, tag, basis)
 
 
-def _add_admissibility(sys, eq, pres, rows, tag, basis):
+def _add_admissibility(sys, eq, conditions, tag, basis):
     """One affine condition per collapsed generator row of the chart."""
-    for ridx, row in enumerate(rows):
-        _add_affine(sys, eq + (ridx,), pres, row, tag, basis)
+    for ridx, (const, tables) in enumerate(conditions):
+        _add_affine(sys, eq + (ridx,), const, tables, tag, basis)
 
 
 def _degree_ladder(attempt, start_degree, max_degree, what):
@@ -260,7 +281,8 @@ def local_frobenius_lift(pres, start_degree=None, max_degree=None):
         sys = LinearSystem(pres.ring.p)
         basis = pres.red.monomials_up_to(degree)
         _register(sys, ("A",), pres, basis)
-        _add_admissibility(sys, ("lift",), pres, rows, ("A",), basis)
+        _add_admissibility(sys, ("lift",), _conditions(pres, rows), ("A",),
+                           basis)
         sol = sys.solve()
         if sol is None:
             return None
@@ -418,8 +440,9 @@ def is_coboundary(scheme, cochain, pole_bound=None):
     # Jacobians enter, so no constant (g(X^q) - g^q)/pi is computed
     for idx, pres in enumerate(scheme.patches):
         for ridx, g in enumerate(pres.generators()):
-            _add_jacobian(sys, ("tan", idx, ridx), pres,
-                          twisted_gradient(pres, g), ("W", idx), bases[idx])
+            _add_jacobian(sys, ("tan", idx, ridx),
+                          _jacobian_tables(pres, twisted_gradient(pres, g)),
+                          ("W", idx), bases[idx])
     # difference equations on every overlap, in a-side coordinates
     for (i, j) in scheme.overlap_pairs():
         view = scheme.view(i, j)
@@ -702,39 +725,87 @@ def build_compatible_lifts(morphism, start_degree=None, max_degree=None):
     return x_lifts, y_lifts
 
 
+def _target_basis(p, pres, basis, conditions, pulled_back):
+    """The monomials m of basis whose target column (t, m) is, for some t,
+    outside the span of the chart's target columns before it (t, then m).
+
+    That column is -pulled_back[k][m] in the compat rows of each source
+    chart k over the chart, and nf(J_{r,t} * x^m) in its ylift rows r;
+    negating all compat rows keeps the relations between columns.  With
+    no Jacobian entries the columns of each t are copies of those of the
+    first, on rows of their own, so the first variable decides for all.
+    """
+    coords = {}  # row key -> coordinate, in the order first met
+    table = {}
+    kept = set()
+    ts = pres.vars if any(tables for _, tables in conditions) else pres.vars[:1]
+    for t in ts:
+        for m in basis:
+            col = {}
+            for k, images in enumerate(pulled_back):
+                for e, c in images[m].terms.items():
+                    col[coords.setdefault(("compat", k, t, e), len(coords))] = c
+            for r, (_, tables) in enumerate(conditions):
+                jt = tables.get(t)
+                if jt is not None:
+                    for e, c in jt[m].terms.items():
+                        col[coords.setdefault(("ylift", r, e), len(coords))] = c
+            if insert_row(p, table, col) is not None:
+                kept.add(m)
+    return [m for m in basis if m in kept]
+
+
 def _compatible_attempt(morphism, degree):
-    sys = LinearSystem(morphism.source.ring.p)
+    """The joint system of source and target lifts at one degree, solved:
+    (x_lifts, y_lifts), or None.
+
+    Columns are registered AX first, then AY chart by chart in the order
+    (t, m).  A column in the span of the columns before it is never a
+    pivot and is 0 in the free-variables-zero solution, and dropping it
+    changes neither the rank nor any other column's pivot status or
+    value.  So each target chart registers only the monomials that
+    _target_basis keeps, and the solution is the one the full basis gives.
+    """
+    p = morphism.source.ring.p
+    sys = LinearSystem(p)
     src_bases = []
     for idx, pres in enumerate(morphism.source.patches):
         src_bases.append(pres.red.monomials_up_to(degree))
         _register(sys, ("AX", idx), pres, src_bases[idx])
-    tgt_bases = {}
+    pulled_back = [MonomialImages.transported(morphism.target_patch(idx),
+                                              chart.pullback,
+                                              morphism.source.patches[idx])
+                   for idx, chart in enumerate(morphism.charts)]
+    tgt_bases, tgt_conditions = {}, {}
     for idx in sorted({c.target_index for c in morphism.charts}):
         pres = morphism.target.patches[idx]
-        tgt_bases[idx] = pres.red.monomials_up_to(degree)
+        conditions = tgt_conditions[idx] = _conditions(pres, _patch_rows(pres))
+        tgt_bases[idx] = _target_basis(
+            p, pres, pres.red.monomials_up_to(degree), conditions,
+            [pulled_back[k] for k, c in enumerate(morphism.charts)
+             if c.target_index == idx])
         _register(sys, ("AY", idx), pres, tgt_bases[idx])
     # admissibility of the source lifts, then of the target lifts
     for idx, pres in enumerate(morphism.source.patches):
-        _add_admissibility(sys, ("xlift", idx), pres, _patch_rows(pres),
+        _add_admissibility(sys, ("xlift", idx),
+                           _conditions(pres, _patch_rows(pres)),
                            ("AX", idx), src_bases[idx])
     for idx, basis in tgt_bases.items():
-        pres = morphism.target.patches[idx]
-        _add_admissibility(sys, ("ylift", idx), pres, _patch_rows(pres),
+        _add_admissibility(sys, ("ylift", idx), tgt_conditions[idx],
                            ("AY", idx), basis)
     # the commuting condition per chart and target variable:
     #   const(pullback(t)) + sum_v M_{t,v} A^X_v = pullback(A^Y_t)
     for idx, chart in enumerate(morphism.charts):
         src = morphism.source.patches[idx]
-        tgt = morphism.target_patch(idx)
-        pulled_back = MonomialImages.transported(tgt, chart.pullback, src)
-        for t in tgt.vars:
+        for t in morphism.target_patch(idx).vars:
             row = collapse_companion_jets(
                 src, linearize_generator(src, chart.pullback[t]))
             eqbase = ("compat", idx, t)
-            _add_affine(sys, eqbase, src, row, ("AX", idx), src_bases[idx])
+            _add_affine(sys, eqbase, row.const, _jacobian_tables(src, row.jac),
+                        ("AX", idx), src_bases[idx])
             for m in tgt_bases[chart.target_index]:
                 sys.add_terms(eqbase, ("AY", chart.target_index, t, m),
-                              pulled_back[m], -1)
+                              pulled_back[idx][m], -1)
     sol = sys.solve()
     if sol is None:
         return None

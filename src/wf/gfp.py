@@ -3,7 +3,8 @@
 The lift and coboundary systems are a few percent dense at most, so the
 elimination touches only nonzero entries: each row is a dict from column
 to value, inserted one at a time into a table of pivot rows keyed by
-leading column, then the table is back-reduced.
+leading column, then the table is back-reduced.  The insertion step
+alone, insert_row, is an incremental span test.
 
 Rows are inserted sparsest first (structured Gaussian elimination in
 the sense of LaMacchia and Odlyzko).  A pivot row that enters the table
@@ -35,6 +36,25 @@ def _sub_multiple(p, r, f, row):
             del r[c]
 
 
+def insert_row(p, table, row):
+    """Reduce the dict row {column: integer} against table, which maps
+    leading columns to pivot rows with leading entry 1.  None if row is in
+    their span; otherwise the remainder, scaled to leading entry 1, is
+    stored under its leading column, which is returned."""
+    r = {c: v % p for c, v in row.items() if v % p}
+    while r:
+        c = min(r)
+        lead = table.get(c)
+        if lead is None:
+            inv = pow(r[c], -1, p)
+            if inv != 1:
+                r = {cc: v * inv % p for cc, v in r.items()}
+            table[c] = r
+            return c
+        _sub_multiple(p, r, r[c], lead)
+    return None
+
+
 def rref(p, rows, ncols):
     """Reduced row echelon form of sparse rows; returns the pivot columns.
 
@@ -46,17 +66,7 @@ def rref(p, rows, ncols):
     table = {}  # leading column -> pivot row, leading entry 1
     rows.sort(key=len)  # sparsest first: short pivots, less fill-in
     for row in rows:
-        r = {c: v % p for c, v in row.items() if v % p}
-        while r:
-            c = min(r)
-            lead = table.get(c)
-            if lead is None:
-                inv = pow(r[c], -1, p)
-                if inv != 1:
-                    r = {cc: v * inv % p for cc, v in r.items()}
-                table[c] = r
-                break
-            _sub_multiple(p, r, r[c], lead)
+        insert_row(p, table, row)
     pivots = sorted(table)
     # descending, so every pivot row a row is reduced against is final;
     # subtracting one introduces no other pivot column into the row

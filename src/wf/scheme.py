@@ -403,6 +403,17 @@ class GluedScheme:
         genus = data.get("genus")
         if genus is not None:
             require_at_least(require_type(genus, int, "genus"), 0, "genus")
+            # a chart that is a plane curve of degree d is open in the
+            # smooth model, which is its normalization: g <= (d-1)(d-2)/2
+            for pres in patches:
+                if len(pres.vars) == 2 and len(pres.relations) == 1:
+                    d = pres.relations[0].total_deg()
+                    cap = (d - 1) * (d - 2) // 2
+                    if d >= 1 and genus > cap:
+                        raise WfError(
+                            "genus %d exceeds %d, the most a plane curve of "
+                            "degree %d has (chart %r)"
+                            % (genus, cap, d, pres.name))
         return cls(name, ring, patches, overlaps,
                    genus=genus, family=data.get("family"))
 

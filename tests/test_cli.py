@@ -264,6 +264,26 @@ def test_document_values_of_the_wrong_type_are_input_errors(tmp_path):
         "type": "WfError", "message": "genus must be an integer >= 0, got -1"}
 
 
+@pytest.mark.parametrize("genus", [2, 2 ** 70])
+def test_genus_past_the_plane_curve_bound_is_refused_at_load(tmp_path, genus):
+    # y^2 = x^3 + x is a plane cubic, so its genus is at most
+    # (3 - 1)(3 - 2)/2 = 1; a claim of 2**70 made the default pole bound
+    # q(2g + 2) a witness search that never ended
+    doc = dict(BUILTIN_SCHEMES["weierstrass"](BaseRingSpec(3)).to_json(),
+               genus=genus)
+    message = ("genus %d exceeds 1, the most a plane curve of degree 3 has "
+               "(chart 'Eaff')" % genus)
+    with pytest.raises(WfError) as exc:
+        GluedScheme.from_json(doc)
+    assert str(exc.value) == message
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli("di", str(path), timeout=60)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout)["error"] == {"type": "WfError",
+                                                "message": message}
+
+
 @pytest.mark.parametrize("path, value, message", [
     (("patches",), 5, "scheme patches must be a list, got 5"),
     (("overlaps",), 5, "scheme overlaps must be a list, got 5"),

@@ -14,6 +14,7 @@ from wf.di import (Cochain1, LinearSystem, LocalLift, build_compatible_lifts,
                    compute_di_class, di_cocycle, di_cocycle_pair, express_fder,
                    is_coboundary, lift_discrepancy, lift_substitution,
                    local_frobenius_lift, zero_sections)
+from wf.gfp import rref
 from wf.jet import (collapse_companion_jets, linearize_generator,
                     linearize_mod_pi)
 from wf.poly import MvPoly, parse_poly
@@ -425,6 +426,17 @@ GENUS3 = json.dumps({
                   "to_i": {"v": "x_inv", "w": "y*x_inv^4"}}]})
 
 
+def test_genus3_document_loads_under_its_plane_curve_bounds():
+    # the charts have degrees 7 and 8, so the claim may go up to
+    # min(15, 21) = 15 and no further
+    assert GluedScheme.from_json(GENUS3).genus == 3
+    doc = json.loads(GENUS3)
+    assert GluedScheme.from_json(dict(doc, genus=15)).genus == 15
+    with pytest.raises(WfError, match="genus 16 exceeds 15, the most a plane "
+                       "curve of degree 7 has"):
+        GluedScheme.from_json(dict(doc, genus=16))
+
+
 def test_higher_genus_classes_never_vanish():
     # no curve of genus >= 2 lifts with its Frobenius mod p^2 (Raynaud)
     for p in (3, 7):
@@ -559,6 +571,29 @@ def weierstrass_origin(ring):
     chart = ChartMap(0, pullback={"x": s, "y": s},
                      section={"s": parse_poly("x", ring, tgt.all_vars)})
     return SchemeMorphism("weierstrass_origin", point, curve, [chart],
+                          kind="closed_immersion")
+
+
+def origin_in_frobenius_graph(ring):
+    """The origin of the curve y = x^p as a closed immersion.
+
+    The twisted partial of y - x^p in x vanishes mod p, so a target
+    column of x meets only the compat rows, where the point makes every
+    monomial but 1 vanish, and a column of y meets only the ylift rows:
+    the target monomials that can be pivots come from y alone.
+    """
+    point = GluedScheme("origin", ring,
+                        [Presentation("P", ring, ("s",), relations=["s"])],
+                        family="affine")
+    graph = GluedScheme("graph", ring,
+                        [Presentation("G", ring, ("x", "y"),
+                                      relations=["y - x^%d" % ring.p])],
+                        family="affine")
+    src, tgt = point.patches[0], graph.patches[0]
+    s = parse_poly("s", ring, src.all_vars)
+    chart = ChartMap(0, pullback={"x": s, "y": s},
+                     section={"s": parse_poly("x", ring, tgt.all_vars)})
+    return SchemeMorphism("origin_in_frobenius_graph", point, graph, [chart],
                           kind="closed_immersion")
 
 
@@ -803,11 +838,41 @@ def recorded_systems(monkeypatch):
     return seen
 
 
+def _pivots(p, system):
+    rows, _, cols = system
+    return rref(p, [dict(row) for row in rows.values()], len(cols))
+
+
+def assert_filtered_system(p, got, ref):
+    """got is ref restricted to its own columns, drops only columns that
+    are not pivots of ref, and has the rank of ref; returns how many
+    columns it drops."""
+    rows, rhs, cols = ref
+    kept = set(got[2])
+    index = {}
+    for key in cols:
+        if key in kept:
+            index[key] = len(index)
+    restricted = {}
+    for eq, row in rows.items():
+        entries = {index[cols[c]]: v for c, v in row.items()
+                   if cols[c] in index}
+        if entries or eq in rhs:
+            restricted[eq] = entries
+    assert got == (restricted, rhs, list(index))
+    ref_pivots = _pivots(p, ref)
+    assert not [cols[c] for c in ref_pivots if cols[c] not in kept]
+    assert len(_pivots(p, got)) == len(ref_pivots)
+    return len(cols) - len(index)
+
+
 def test_compatible_lifts_match_reference_assembly(monkeypatch):
     seen = recorded_systems(monkeypatch)
+    dropped = 0
     for p in (3, 5, 7):
         ring = BaseRingSpec(p)
-        makers = dict(BUILTIN_MORPHISMS, weierstrass_origin=weierstrass_origin)
+        makers = dict(BUILTIN_MORPHISMS, weierstrass_origin=weierstrass_origin,
+                      origin_in_frobenius_graph=origin_in_frobenius_graph)
         for name in sorted(makers):
             m = makers[name](ring)
             start = max([ring.q * pres.max_relation_degree()
@@ -827,7 +892,31 @@ def test_compatible_lifts_match_reference_assembly(monkeypatch):
                     assert exc.bound == d
                     got = None
                 assert got == ref, (name, p, d)
-                assert seen == ref_systems, (name, p, d)
+                # the joint system keeps a subset of the target columns;
+                # the lifts of target charts the morphism misses follow
+                assert seen[1:] == ref_systems[1:], (name, p, d)
+                dropped += assert_filtered_system(p, seen[0],
+                                                  ref_systems[0])
+    assert dropped
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_weierstrass_target_charts_keep_the_hilbert_function(monkeypatch, p):
+    # pullback maps the target monomials of degree <= d onto the
+    # coordinate ring of a plane cubic, whose affine Hilbert function is
+    # 3d, so 3d of them survive in each target chart, for both variables
+    seen = recorded_systems(monkeypatch)
+    xs, _ = build_compatible_lifts(
+        BUILTIN_MORPHISMS["weierstrass_in_p2"](BaseRingSpec(p)))
+    degree = xs[0].degree
+    assert degree == 3 * p
+    kept = {}
+    for key in seen[0][2]:
+        if key[0] == "AY":
+            kept.setdefault(key[1], {}).setdefault(key[2], []).append(key[3])
+    assert sorted(kept) == [0, 2]
+    for per_var in kept.values():
+        assert [len(ms) for ms in per_var.values()] == [3 * degree] * 2
 
 
 def _random_sections(scheme, rng, degree=3):

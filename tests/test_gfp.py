@@ -13,7 +13,7 @@ import pytest
 
 import wf.cli
 import wf.di
-from wf.gfp import rref, solve
+from wf.gfp import insert_row, rref, solve
 
 PRIMES = (2, 3, 5, 7, 11)
 
@@ -134,6 +134,30 @@ def test_solve_matches_dense_oracle(p):
                              [rhs[i] for i in order], ncols)
             assert shuffled == want, (p, rows, rhs, order)
     assert 40 < inconsistent < 360
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_insert_row_is_an_incremental_span_test(p):
+    # a row enters the table exactly when it raises the rank of the rows
+    # so far; the one it enters under is its leading column after
+    # reduction, whose entry is 1
+    rng = random.Random(700 + p)
+    for _ in range(300):
+        rows, _, ncols = random_system(rng, p)
+        table = {}
+        rank = 0
+        for k, row in enumerate(sparse(rows)):
+            before = {c: dict(r) for c, r in table.items()}
+            lead = insert_row(p, table, row)
+            grown = len(dense_rref(p, [list(r) for r in rows[:k + 1]], ncols))
+            assert (lead is not None) == (grown > rank), (p, rows, k)
+            rank = grown
+            if lead is None:
+                assert table == before
+            else:
+                assert table[lead][lead] == 1 and min(table[lead]) == lead
+                assert all(0 < v < p for v in table[lead].values())
+        assert len(table) == rank
 
 
 @pytest.mark.parametrize("p", PRIMES)

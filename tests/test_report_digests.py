@@ -54,6 +54,14 @@ PINS = (
      "f4ff3c4dba39d10ac40b9f8d3db1b68c492b9d3021458e573166682c1b5648e4"),
     (("compat", "gm_square", "--p", "5", "--independent"), 0,
      "230f3cff1894016db60fe92851c26790eb5a85fbb9873e712ffb2cf78ce178ce"),
+    (("compat", "weierstrass_in_p2", "--p", "3", "--m", "2"), 0,
+     "4c6a2ccd14fb400814d2a184ae0fa54ff6f1ed5ba2c1b540c8edb8580c361236"),
+    (("compat", "weierstrass_in_p2", "--p", "5", "--m", "2"), 0,
+     "1cad2c92e9b99096426d889f8d6a7ae4df22f23ac9afc487ed2d7d1596b91429"),
+    (("compat", "gm_square", "--p", "3", "--m", "2"), 0,
+     "db3872ea076894476c5a5dd43551491d3d55155798e40609a7f938d2c682b101"),
+    (("compat", "parabola_in_a2", "--p", "5", "--m", "2"), 0,
+     "7bcba0e5a4d9a94ca2957ee78c860654c2d46cf555d17eda3cffe96e4fd4166f"),
 )
 
 

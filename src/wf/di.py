@@ -13,21 +13,23 @@ cocycle is the obstruction, and a 0-cochain witness with controlled
 pole degree decides vanishing.
 
 The chart lifts, the coboundary witness and the lifts that commute with
-a morphism are all systems of such conditions, and one set of builders
+a morphism are all systems of such conditions, and one set of helpers
 assembles them: _register adds the unknowns tag + (v, m) for a chart and
-a monomial basis, _add_jacobian adds a normal-formed Jacobian block,
-_add_affine and _add_admissibility add the constants with it, and
-_degree_ladder runs the degree-doubling search for both lift searches.
+a monomial basis, _conditions lists a chart's affine conditions (one per
+generator, computed once per degree ladder), _add_condition adds one
+condition, constant and normal-formed Jacobian block, and _degree_ladder
+runs the degree-doubling search for both lift searches.
 
 The solver returns the solution whose free variables are zero, and a
 column in the span of the columns before it is never a pivot.  Such a
 column is 0 in that solution, and leaving it out changes neither the
 rank nor any other column's pivot status or value.  The joint system of
-a morphism registers its target unknowns last, so each target chart
-keeps only the monomials whose columns are independent of the chart's
-earlier columns (_target_basis, one incremental echelon per chart).  A
-target chart that the morphism maps onto a curve keeps about the affine
-Hilbert function of the curve instead of every monomial of the plane.
+a morphism registers its target unknowns last, and _compatible_attempt
+builds each target column once and adds it only when one incremental
+echelon per target chart finds it independent of the chart's earlier
+columns.  A target chart that the morphism maps onto a curve keeps about
+the affine Hilbert function of the curve instead of every monomial of
+the plane.
 
 At the residue level normal form and transport are ring maps onto the
 normal-form basis, so the images of basis monomials come from
@@ -41,11 +43,9 @@ compatible-lift attempts), and is_coboundary one per overlap (i, j)
 and twisted-gradient entry for nf_b(mat * x^m).  is_coboundary also
 keeps one table for the a-side basis and one transport table for
 pb -> pa, and the joint compatible-lift system one transport table per
-chart.  The echelon that picks the target monomials reads the same
-tables as the assembly, so no entry is normal-formed twice.  A moved
-polynomial is sum c * T[e] over its terms: each T[e] is a normal form
-and sums of normal forms are normal forms, so the sum takes no
-normal_form call.
+chart.  A moved polynomial is sum c * T[e] over its terms: each T[e] is
+a normal form and sums of normal forms are normal forms, so the sum
+takes no normal_form call.
 
 Negative coboundary answers are only definitive at or above the
 completeness threshold for the family; below it the solver refuses with
@@ -187,14 +187,6 @@ class LocalLift:
         return "LocalLift(%s; %s)" % (self.pres.name, inner)
 
 
-def _patch_rows(pres):
-    """Collapsed linear rows of the chart's generators, companion jets
-    eliminated.  Callers that read only the Jacobians use
-    twisted_gradient instead."""
-    return [collapse_companion_jets(pres, row)
-            for row in linearize_mod_pi(pres)]
-
-
 def _coeffs_from_solution(pres, basis, sol, tag):
     res = pres.res
     return {v: MvPoly(res, pres.all_vars,
@@ -217,32 +209,26 @@ def _jacobian_tables(pres, jac):
             for v in pres.vars if v in jac}
 
 
-def _conditions(pres, rows):
-    """(const, Jacobian tables) per collapsed generator row of the chart:
-    the affine conditions const + sum_v J_v A_v = 0 of a lift."""
-    return [(row.const, _jacobian_tables(pres, row.jac)) for row in rows]
+def _conditions(pres):
+    """(const, Jacobian tables) per generator of the chart, companion jets
+    eliminated: the affine conditions const + sum_v J_v A_v = 0 of a
+    lift."""
+    out = []
+    for row in linearize_mod_pi(pres):
+        row = collapse_companion_jets(pres, row)
+        out.append((row.const, _jacobian_tables(pres, row.jac)))
+    return out
 
 
-def _add_jacobian(sys, eq, tables, tag, basis):
-    """Add sum_v J_v * A_v, in the chart's normal form, to the equations
-    eq + (e,), where A_v ranges over the unknowns tag + (v, m) and
-    tables[v][m] is nf(J_v * x^m)."""
+def _add_condition(sys, eq, const, tables, tag, basis):
+    """The condition const + sum_v J_v * A_v = 0 in the chart's normal
+    form, on the equations eq + (e,): A_v ranges over the unknowns
+    tag + (v, m) and tables[v][m] is nf(J_v * x^m)."""
+    for e, c in const.terms.items():
+        sys.add_rhs(eq + (e,), -c)
     for v, table in tables.items():
         for m in basis:
             sys.add_terms(eq, tag + (v, m), table[m])
-
-
-def _add_affine(sys, eq, const, tables, tag, basis):
-    """The condition const + sum_v J_v * A_v = 0."""
-    for e, c in const.terms.items():
-        sys.add_rhs(eq + (e,), -c)
-    _add_jacobian(sys, eq, tables, tag, basis)
-
-
-def _add_admissibility(sys, eq, conditions, tag, basis):
-    """One affine condition per collapsed generator row of the chart."""
-    for ridx, (const, tables) in enumerate(conditions):
-        _add_affine(sys, eq + (ridx,), const, tables, tag, basis)
 
 
 def _degree_ladder(attempt, start_degree, max_degree, what):
@@ -273,7 +259,7 @@ def local_frobenius_lift(pres, start_degree=None, max_degree=None):
     doubles until a solution appears; NoSolutionAtBound past the cap.
     The returned lift is re-verified exactly mod pi^2.
     """
-    rows = _patch_rows(pres)
+    conditions = _conditions(pres)
     if start_degree is None:
         start_degree = max(1, pres.q * pres.max_relation_degree())
 
@@ -281,8 +267,8 @@ def local_frobenius_lift(pres, start_degree=None, max_degree=None):
         sys = LinearSystem(pres.ring.p)
         basis = pres.red.monomials_up_to(degree)
         _register(sys, ("A",), pres, basis)
-        _add_admissibility(sys, ("lift",), _conditions(pres, rows), ("A",),
-                           basis)
+        for r, (const, tables) in enumerate(conditions):
+            _add_condition(sys, ("lift", r), const, tables, ("A",), basis)
         sol = sys.solve()
         if sol is None:
             return None
@@ -440,9 +426,10 @@ def is_coboundary(scheme, cochain, pole_bound=None):
     # Jacobians enter, so no constant (g(X^q) - g^q)/pi is computed
     for idx, pres in enumerate(scheme.patches):
         for ridx, g in enumerate(pres.generators()):
-            _add_jacobian(sys, ("tan", idx, ridx),
-                          _jacobian_tables(pres, twisted_gradient(pres, g)),
-                          ("W", idx), bases[idx])
+            _add_condition(sys, ("tan", idx, ridx),
+                           MvPoly.zero(pres.res, pres.all_vars),
+                           _jacobian_tables(pres, twisted_gradient(pres, g)),
+                           ("W", idx), bases[idx])
     # difference equations on every overlap, in a-side coordinates
     for (i, j) in scheme.overlap_pairs():
         view = scheme.view(i, j)
@@ -581,19 +568,14 @@ def pushforward_cochain(morphism, x_cochain):
 def pullback_cochain(morphism, y_lifts):
     """Target cocycle pulled back to the source overlaps.
 
-    Pairs whose charts land in one target chart pull back to zero since
-    the target cocycle is zero on the diagonal.
+    Pairs whose charts land in one target chart read the identity view
+    of that chart, on which the target cocycle is zero.
     """
     vals = {}
     for (i, j) in morphism.source.overlap_pairs():
         sv = morphism.source.view(i, j)
         ti = morphism.charts[i].target_index
         tj = morphism.charts[j].target_index
-        tgt_vars = morphism.target_patch(i).vars
-        if ti == tj:
-            zero = MvPoly.zero(sv.pres_a.res, sv.pres_a.all_vars)
-            vals[(i, j)] = {t: zero for t in tgt_vars}
-            continue
         dy = di_cocycle_pair(morphism.target, y_lifts, ti, tj)
         tv = morphism.target.view(ti, tj)
         comp = {}
@@ -608,16 +590,10 @@ def pullback_cochain(morphism, y_lifts):
 def _frame_change(morphism, i, j, comp_j):
     """Components of an along-derivation given on chart j in the tau(j)
     frame, re-expressed in the tau(i) frame on the (i, j) overlap,
-    i-side coordinates."""
+    i-side coordinates; one target chart is its own identity view."""
     sv = morphism.source.view(i, j)
-    ti = morphism.charts[i].target_index
-    tj = morphism.charts[j].target_index
-    if ti == tj:
-        out = {}
-        for t, g in comp_j.items():
-            out[t] = transport(g, sv.pres_b, sv.map_ba, sv.pres_a, level="res")
-        return out
-    tv = morphism.target.view(ti, tj)
+    tv = morphism.target.view(morphism.charts[i].target_index,
+                              morphism.charts[j].target_index)
     out = {}
     for t in tv.pres_a.vars:
         grad = twisted_gradient(tv.pres_b, tv.pres_b.to_res(tv.map_ab[t]))
@@ -725,36 +701,6 @@ def build_compatible_lifts(morphism, start_degree=None, max_degree=None):
     return x_lifts, y_lifts
 
 
-def _target_basis(p, pres, basis, conditions, pulled_back):
-    """The monomials m of basis whose target column (t, m) is, for some t,
-    outside the span of the chart's target columns before it (t, then m).
-
-    That column is -pulled_back[k][m] in the compat rows of each source
-    chart k over the chart, and nf(J_{r,t} * x^m) in its ylift rows r;
-    negating all compat rows keeps the relations between columns.  With
-    no Jacobian entries the columns of each t are copies of those of the
-    first, on rows of their own, so the first variable decides for all.
-    """
-    coords = {}  # row key -> coordinate, in the order first met
-    table = {}
-    kept = set()
-    ts = pres.vars if any(tables for _, tables in conditions) else pres.vars[:1]
-    for t in ts:
-        for m in basis:
-            col = {}
-            for k, images in enumerate(pulled_back):
-                for e, c in images[m].terms.items():
-                    col[coords.setdefault(("compat", k, t, e), len(coords))] = c
-            for r, (_, tables) in enumerate(conditions):
-                jt = tables.get(t)
-                if jt is not None:
-                    for e, c in jt[m].terms.items():
-                        col[coords.setdefault(("ylift", r, e), len(coords))] = c
-            if insert_row(p, table, col) is not None:
-                kept.add(m)
-    return [m for m in basis if m in kept]
-
-
 def _compatible_attempt(morphism, degree):
     """The joint system of source and target lifts at one degree, solved:
     (x_lifts, y_lifts), or None.
@@ -763,49 +709,69 @@ def _compatible_attempt(morphism, degree):
     (t, m).  A column in the span of the columns before it is never a
     pivot and is 0 in the free-variables-zero solution, and dropping it
     changes neither the rank nor any other column's pivot status or
-    value.  So each target chart registers only the monomials that
-    _target_basis keeps, and the solution is the one the full basis gives.
+    value.  So each target column (t, m) is built once, as its entries
+    -pullback(x^m) in the compat rows of each source chart over the
+    target chart and nf(J_{r,t} * x^m) in its ylift rows r, and added
+    only when an incremental echelon of the chart's columns finds it
+    independent of those before it: the solution is the one the full
+    basis gives.  With no Jacobian entries the columns of each t are
+    copies of those of the first, on rows of their own, so the first
+    variable decides for all.
     """
     p = morphism.source.ring.p
     sys = LinearSystem(p)
     src_bases = []
+    # the source lifts and their admissibility, then the commuting
+    # condition per chart and target variable:
+    #   const(pullback(t)) + sum_v M_{t,v} A^X_v = pullback(A^Y_t)
     for idx, pres in enumerate(morphism.source.patches):
         src_bases.append(pres.red.monomials_up_to(degree))
         _register(sys, ("AX", idx), pres, src_bases[idx])
-    pulled_back = [MonomialImages.transported(morphism.target_patch(idx),
-                                              chart.pullback,
-                                              morphism.source.patches[idx])
-                   for idx, chart in enumerate(morphism.charts)]
-    tgt_bases, tgt_conditions = {}, {}
-    for idx in sorted({c.target_index for c in morphism.charts}):
-        pres = morphism.target.patches[idx]
-        conditions = tgt_conditions[idx] = _conditions(pres, _patch_rows(pres))
-        tgt_bases[idx] = _target_basis(
-            p, pres, pres.red.monomials_up_to(degree), conditions,
-            [pulled_back[k] for k, c in enumerate(morphism.charts)
-             if c.target_index == idx])
-        _register(sys, ("AY", idx), pres, tgt_bases[idx])
-    # admissibility of the source lifts, then of the target lifts
-    for idx, pres in enumerate(morphism.source.patches):
-        _add_admissibility(sys, ("xlift", idx),
-                           _conditions(pres, _patch_rows(pres)),
+        for r, (const, tables) in enumerate(_conditions(pres)):
+            _add_condition(sys, ("xlift", idx, r), const, tables,
                            ("AX", idx), src_bases[idx])
-    for idx, basis in tgt_bases.items():
-        _add_admissibility(sys, ("ylift", idx), tgt_conditions[idx],
-                           ("AY", idx), basis)
-    # the commuting condition per chart and target variable:
-    #   const(pullback(t)) + sum_v M_{t,v} A^X_v = pullback(A^Y_t)
     for idx, chart in enumerate(morphism.charts):
         src = morphism.source.patches[idx]
         for t in morphism.target_patch(idx).vars:
             row = collapse_companion_jets(
                 src, linearize_generator(src, chart.pullback[t]))
-            eqbase = ("compat", idx, t)
-            _add_affine(sys, eqbase, row.const, _jacobian_tables(src, row.jac),
-                        ("AX", idx), src_bases[idx])
-            for m in tgt_bases[chart.target_index]:
-                sys.add_terms(eqbase, ("AY", chart.target_index, t, m),
-                              pulled_back[idx][m], -1)
+            _add_condition(sys, ("compat", idx, t), row.const,
+                           _jacobian_tables(src, row.jac), ("AX", idx),
+                           src_bases[idx])
+    # the target columns: admissibility constants, then each independent
+    # column with its compat and ylift entries
+    tgt_bases = {}
+    for idx in sorted({c.target_index for c in morphism.charts}):
+        pres = morphism.target.patches[idx]
+        conditions = _conditions(pres)
+        for r, (const, _) in enumerate(conditions):
+            _add_condition(sys, ("ylift", idx, r), const, {}, ("AY", idx), ())
+        over = {k: MonomialImages.transported(pres, chart.pullback,
+                                              morphism.source.patches[k])
+                for k, chart in enumerate(morphism.charts)
+                if chart.target_index == idx}
+        deciding = (pres.vars if any(tables for _, tables in conditions)
+                    else pres.vars[:1])
+        basis = pres.red.monomials_up_to(degree)
+        echelon, kept = {}, set()
+        for t in pres.vars:
+            for m in basis:
+                if t not in deciding and m not in kept:
+                    continue
+                col = {}
+                for k, pulled_back in over.items():
+                    for e, c in pulled_back[m].terms.items():
+                        col[("compat", k, t, e)] = -c
+                for r, (_, tables) in enumerate(conditions):
+                    if t in tables:
+                        for e, c in tables[t][m].terms.items():
+                            col[("ylift", idx, r, e)] = c
+                if t in deciding and insert_row(p, echelon, col) is None:
+                    continue
+                kept.add(m)
+                for eq, c in col.items():
+                    sys.add(eq, ("AY", idx, t, m), c)
+        tgt_bases[idx] = [m for m in basis if m in kept]
     sol = sys.solve()
     if sol is None:
         return None

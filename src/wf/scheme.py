@@ -24,7 +24,6 @@ with them and folds the row through it.
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from itertools import combinations
 
@@ -383,8 +382,6 @@ class GluedScheme:
 
     @classmethod
     def from_json(cls, data, ring=None):
-        if isinstance(data, str):
-            data = json.loads(data)
         name, patch_data = _fields(data, "scheme document", "name", "patches")
         if ring is None:
             ring = BaseRingSpec.from_json(*_fields(data, "scheme document", "ring"))
@@ -518,8 +515,6 @@ class SchemeMorphism:
 
     @classmethod
     def from_json(cls, data, ring=None):
-        if isinstance(data, str):
-            data = json.loads(data)
         src, tgt, chart_data = _fields(data, "morphism document",
                                        "source", "target", "charts")
         source = GluedScheme.from_json(require_type(src, dict, "morphism source"), ring)
@@ -535,7 +530,10 @@ class SchemeMorphism:
 
 
 def validate_morphism(m: SchemeMorphism):
-    """Relations pull back to zero; chart maps agree on overlaps."""
+    """Both gluings hold; relations pull back to zero; chart maps agree
+    on overlaps."""
+    validate_gluing(m.source)
+    validate_gluing(m.target)
     for i, chart in enumerate(m.charts):
         src = m.source.patches[i]
         tgt = m.target_patch(i)

@@ -3,6 +3,7 @@ a builtin table is patched for the run."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -12,9 +13,10 @@ import wf.cli
 import wf.di
 from wf.base_ring import BaseRingSpec
 from wf.bounds import gsp_order
-from wf.errors import WfError
+from wf.errors import TransitionError, WfError
 from wf.scheme import (BUILTIN_MORPHISMS, BUILTIN_SCHEMES, GluedScheme,
-                       Overlap, SchemeMorphism, weierstrass_in_p2)
+                       Overlap, SchemeMorphism, validate_morphism,
+                       weierstrass_in_p2)
 
 
 def run_cli(*args, env_extra=None, timeout=None):
@@ -368,6 +370,41 @@ def test_reglued_builtin_morphism_is_refused(monkeypatch, capsys):
     err = json.loads(capsys.readouterr().out)["error"]
     assert err["type"] == "TransitionError"
     assert "pullbacks of 'b' disagree" in err["message"]
+
+
+@pytest.mark.parametrize("p, side, image, text, message", [
+    # an overlap of P2 that is not an inverse ran to "compatible": true
+    (5, "target", "b", "2*d*c_inv",
+     "round trip failed on overlap (0,1) at 'b': 2*b != b"),
+    # refused only after the lift search, as a cocycle failure
+    (3, "source", "x", "2*w*z_inv",
+     "round trip failed on overlap (0,1) at 'x': 2*x != x"),
+    # a KeyError traceback, exit 1
+    (3, "source", "y", None, "no image for variable 'y'"),
+], ids=["target-b", "source-x", "source-no-y"])
+def test_morphism_gluings_are_validated_at_load(tmp_path, monkeypatch, capsys,
+                                                p, side, image, text,
+                                                message):
+    doc = BUILTIN_MORPHISMS["weierstrass_in_p2"](BaseRingSpec(p)).to_json()
+    to_j = doc[side]["overlaps"][0]["to_j"]
+    if text is None:
+        del to_j[image]
+    else:
+        to_j[image] = text
+    with pytest.raises(TransitionError, match=re.escape(message)):
+        validate_morphism(SchemeMorphism.from_json(doc))
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("lift search ran on a refused morphism")
+
+    monkeypatch.setattr(wf.cli, "build_compatible_lifts", no_search)
+    monkeypatch.setattr(wf.cli, "local_frobenius_lift", no_search)
+    for extra in ([], ["--independent"]):
+        assert wf.cli.main(["compat", str(path)] + extra) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == {
+            "type": "TransitionError", "message": message}
 
 
 def test_ring_parameters_checked_alike():

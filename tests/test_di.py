@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import wf.cli
 from wf.base_ring import BaseRingSpec
 from wf.errors import (Inconclusive, KindMismatch, NonSmooth,
                        NoSolutionAtBound, WfError)
@@ -19,9 +20,9 @@ from wf.jet import (collapse_companion_jets, linearize_generator,
                     linearize_mod_pi)
 from wf.poly import MvPoly, parse_poly
 from wf.scheme import (BUILTIN_MORPHISMS, BUILTIN_SCHEMES, ChartMap,
-                       FDerSection, GluedScheme, Presentation, SchemeMorphism,
-                       transport, twisted_gradient, validate_gluing,
-                       validate_morphism, weierstrass_curve)
+                       FDerSection, GluedScheme, Overlap, Presentation,
+                       SchemeMorphism, transport, twisted_gradient,
+                       validate_gluing, validate_morphism, weierstrass_curve)
 
 
 def collapsed_rows(pres):
@@ -415,7 +416,7 @@ def test_kodaira_spencer_affine_on_genus2_lifts():
 
 
 # y^2 = x^7 - 1, genus 3, glued from text the way a scheme document is
-GENUS3 = json.dumps({
+GENUS3 = {
     "name": "y^2 = x^7 - 1", "ring": {"p": 3}, "genus": 3,
     "patches": [{"name": "Haff", "vars": ["x", "y"],
                  "relations": ["y^2 - x^7 + 1"]},
@@ -423,18 +424,17 @@ GENUS3 = json.dumps({
                  "relations": ["w^2 - v + v^8"]}],
     "overlaps": [{"i": 0, "j": 1, "invert_i": "x", "invert_j": "v",
                   "to_j": {"x": "v_inv", "y": "w*v_inv^4"},
-                  "to_i": {"v": "x_inv", "w": "y*x_inv^4"}}]})
+                  "to_i": {"v": "x_inv", "w": "y*x_inv^4"}}]}
 
 
 def test_genus3_document_loads_under_its_plane_curve_bounds():
     # the charts have degrees 7 and 8, so the claim may go up to
     # min(15, 21) = 15 and no further
     assert GluedScheme.from_json(GENUS3).genus == 3
-    doc = json.loads(GENUS3)
-    assert GluedScheme.from_json(dict(doc, genus=15)).genus == 15
+    assert GluedScheme.from_json(dict(GENUS3, genus=15)).genus == 15
     with pytest.raises(WfError, match="genus 16 exceeds 15, the most a plane "
                        "curve of degree 7 has"):
-        GluedScheme.from_json(dict(doc, genus=16))
+        GluedScheme.from_json(dict(GENUS3, genus=16))
 
 
 def test_higher_genus_classes_never_vanish():
@@ -603,6 +603,56 @@ def test_compat_origin_needs_target_admissibility():
         assert validate_morphism(m) is True
         xs, ys = build_compatible_lifts(m)
         assert compatibility_check(m, xs, ys).compatible is True
+
+
+def gm_on_two_charts(ring, power):
+    """G_m covered by the charts x and u = 1/x, both mapped into the one
+    chart of G_m: t -> x^power and t -> u_inv^power.  The source overlap
+    lies over one target chart, so the pullback and the frame change
+    read that chart's identity view."""
+    source = GluedScheme(
+        "Gm2", ring,
+        [Presentation("X", ring, ("x",), inverted=("x",)),
+         Presentation("U", ring, ("u",), inverted=("u",))],
+        [Overlap(0, 1, None, None, to_j={"x": "u_inv"}, to_i={"u": "x_inv"})],
+        family="torus")
+    target = GluedScheme("Gm", ring,
+                         [Presentation("Gm", ring, ("t",), inverted=("t",))],
+                         family="torus")
+    charts = [ChartMap(0, pullback={"t": "x^%d" % power}),
+              ChartMap(0, pullback={"t": "u_inv^%d" % power})]
+    return SchemeMorphism("gm_power_%d" % power, source, target, charts,
+                          kind="etale")
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("power", [1, 2])
+def test_compat_two_source_charts_over_one_target_chart(tmp_path, capsys, p,
+                                                        power):
+    m = gm_on_two_charts(BaseRingSpec(p), power)
+    assert validate_morphism(m) is True
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(m.to_json()))
+    for extra in ([], ["--independent"]):
+        assert wf.cli.main(["compat", str(path)] + extra) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["compatible"] is True
+        # the target cocycle is zero on the one target chart, and the
+        # x^q lifts commute with x -> x^power, so nothing moves
+        assert report["pairs"] == [{"i": 0, "j": 1, "identity_checked": True,
+                                    "pullback": {"t": "0"},
+                                    "pushforward": {"t": "0"}}]
+    # chart lifts that neither glue nor commute: the pushforward and the
+    # discrepancies are nonzero, and the identity is still checked
+    def lift(pres, text):
+        return LocalLift(pres, {pres.vars[0]: parse_poly(text, pres.res,
+                                                         pres.all_vars)})
+
+    xs = [lift(m.source.patches[0], "x^2"), lift(m.source.patches[1], "1 + u")]
+    rep = compatibility_check(m, xs, [lift(m.target.patches[0], "t")])
+    assert rep.compatible is False
+    (_, _, pullback, pushforward), = rep.pairs
+    assert pullback["t"].is_zero() and not pushforward["t"].is_zero()
 
 
 def test_unsupported_kind_refused():

@@ -19,11 +19,15 @@ from wf.scheme import (BUILTIN_MORPHISMS, BUILTIN_SCHEMES, GluedScheme,
 
 SEED = 20181
 DOCUMENTS = 200
+GLUING_DOCUMENTS = 120
 
 SOURCES = ([("di", BUILTIN_SCHEMES[name](BaseRingSpec(3)).to_json())
             for name in ("p1", "weierstrass", "gm", "a2")]
            + [("compat", BUILTIN_MORPHISMS[name](BaseRingSpec(5)).to_json())
-              for name in ("gm_square", "parabola_in_a2")])
+              for name in ("gm_square", "parabola_in_a2")]
+           # two charts on each side, so gluing mutations reach compat
+           + [("compat", BUILTIN_MORPHISMS["weierstrass_in_p2"](
+               BaseRingSpec(3)).to_json())])
 
 LEAF_VALUES = (None, True, False, -1, 0, 2, 7, 0.5, 2 ** 70, "x^^2 +",
                "", [], {})
@@ -55,11 +59,13 @@ def at(doc, path):
     return doc
 
 
-def mutate(doc, rng):
+def mutate(doc, rng, within=None):
     """A copy of doc with one leaf replaced, one key deleted, or one
-    character of polynomial text edited."""
+    character of polynomial text edited; with within, only below a key
+    of that name."""
     doc = copy.deepcopy(doc)
-    entries = list(paths(doc))
+    entries = [(path, value) for path, value in paths(doc)
+               if within is None or within in path[:-1]]
     leaves = [path for path, value in entries
               if (not isinstance(value, (dict, list)) or not value)
               and path[-1] not in RING_VALUE_KEYS]
@@ -123,6 +129,19 @@ def test_mutated_documents(tmp_path, capsys):
                              capsys)] += 1
     # the mutations reach past loading as well as being refused by it
     assert codes[0] and codes[2], codes
+
+
+def test_gluing_mutations_of_a_two_chart_morphism(tmp_path, capsys):
+    # the last source is the one whose overlaps compat reads; mutating
+    # only them reaches gluings that the lift search alone never refuses
+    command, source = SOURCES[-1]
+    rng = random.Random(SEED)
+    codes = {0: 0, 2: 0, 3: 0}
+    for n in range(GLUING_DOCUMENTS):
+        doc = mutate(source, rng, within="overlaps")
+        codes[check_document(command, doc, tmp_path / ("%d.json" % n),
+                             capsys)] += 1
+    assert codes[2], codes
 
 
 @pytest.mark.parametrize("key", RING_VALUE_KEYS)

@@ -1,9 +1,10 @@
 """Static checks over src/wf: no unused imports, no unreferenced private
-helpers, no parameter a function never reads.  Each leaves dead code
-behind after a refactor."""
+helpers, no parameter a function never reads, and no docstring naming a
+private helper that is gone.  Each is left behind by a refactor."""
 
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -67,6 +68,46 @@ def test_every_private_helper_is_referenced():
     assert not dead, "private helpers nothing references: %s" % dead
 
 
+def defined_names(tree):
+    """Every name the module binds or reads: definitions, parameters,
+    imports, bare names and attribute names."""
+    out = referenced_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, ast.arg):
+            out.add(node.arg)
+        elif isinstance(node, ast.alias):
+            out.add(node.asname or node.name)
+    return out
+
+
+def docstring_private_names(tree):
+    """(private name, line) for each _name, dunders aside, that a module,
+    class or function docstring mentions."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            doc = ast.get_docstring(node, clean=False)
+            if doc:
+                line = node.body[0].lineno
+                for name in re.findall(r"(?<![\w])_[A-Za-z]\w*", doc):
+                    yield name, line
+
+
+def test_docstrings_name_only_existing_private_names():
+    trees = {path.name: parse(path) for path in MODULES}
+    known = set()
+    for tree in trees.values():
+        known |= defined_names(tree)
+    stale = ["%s:%d %s" % (name, line, private)
+             for name, tree in trees.items()
+             for private, line in docstring_private_names(tree)
+             if private not in known]
+    assert not stale, "docstrings name private helpers that are gone: %s" % stale
+
+
 # parameters a function may leave unread, each with its reason
 UNREAD_PARAMETERS_ALLOWED = {
     # ring protocol methods that only refuse: Z/p^k has no canonical
@@ -124,6 +165,17 @@ def test_checks_catch_dead_code():
     assert [name for name, _ in imported_bindings(tree)
             if name not in referenced_names(tree)] == ["_plus"]
     assert "_nf_table" not in referenced_names(tree)
+
+
+def test_docstring_check_catches_stale_names():
+    tree = ast.parse('"""_add_condition adds a block; see also _gone."""\n'
+                     "def _add_condition(sys):\n"
+                     '    """Not __init__, nor v_inv."""\n'
+                     "    return sys\n")
+    found = [name for name, _ in docstring_private_names(tree)]
+    assert found == ["_add_condition", "_gone"]
+    assert [name for name in found
+            if name not in defined_names(tree)] == ["_gone"]
 
 
 def test_parameter_check_catches_unread_parameters():

@@ -16,7 +16,7 @@ The chart lifts, the coboundary witness and the lifts that commute with
 a morphism are all systems of such conditions, and one set of helpers
 assembles them: _register adds the unknowns tag + (v, m) for a chart and
 a monomial basis, _conditions lists a chart's affine conditions (one per
-generator, computed once per degree ladder), _add_condition adds one
+generator, built once and kept with the chart), _add_condition adds one
 condition, constant and normal-formed Jacobian block, and _degree_ladder
 runs the degree-doubling search for both lift searches.
 
@@ -29,22 +29,27 @@ builds each target column once and adds it only when one incremental
 echelon per target chart finds it independent of the chart's earlier
 columns.  A target chart that the morphism maps onto a curve keeps about
 the affine Hilbert function of the curve instead of every monomial of
-the plane.
+the plane, and on a chart without relations the multiples of a
+dependent monomial are skipped untested.
+
+A zero cocycle, as chart lifts that agree on every overlap give, is
+decided by the zero witness with no system built.
 
 At the residue level normal form and transport are ring maps onto the
 normal-form basis, so the images of basis monomials come from
 wf.scheme.MonomialImages tables (the multiplication-matrix idea of
 Faugere, Gianni, Lazard & Mora's FGLM): each entry is one product of a
-cached smaller entry by a variable's image, normal-formed once.  The
-tables are built per call.  Every Jacobian block entry nf(J * x^m) is
-the entry m of a table seeded with J: _jacobian_tables builds one per
-chart variable and block (lift attempts, the witness's tangency rows,
-compatible-lift attempts), and is_coboundary one per overlap (i, j)
-and twisted-gradient entry for nf_b(mat * x^m).  is_coboundary also
-keeps one table for the a-side basis and one transport table for
-pb -> pa, and the joint compatible-lift system one transport table per
-chart.  A moved polynomial is sum c * T[e] over its terms: each T[e] is
-a normal form and sums of normal forms are normal forms, so the sum
+cached smaller entry by a variable's image, normal-formed once.  Every
+Jacobian block entry nf(J * x^m) is the entry m of a table seeded with
+J.  A chart's lift conditions keep one such table per variable and
+generator for as long as the chart lives, so its lift attempts, the
+witness's tangency rows and its compatible-lift attempts share them.
+The other tables are built per call: is_coboundary's one per overlap
+(i, j) and twisted-gradient entry for nf_b(mat * x^m), its table for
+the a-side basis and its transport table for pb -> pa, and the joint
+compatible-lift system's compat blocks and transport table per chart.
+A moved polynomial is sum c * T[e] over its terms: each T[e] is a
+normal form and sums of normal forms are normal forms, so the sum
 takes no normal_form call.
 
 Negative coboundary answers are only definitive at or above the
@@ -212,12 +217,16 @@ def _jacobian_tables(pres, jac):
 def _conditions(pres):
     """(const, Jacobian tables) per generator of the chart, companion jets
     eliminated: the affine conditions const + sum_v J_v A_v = 0 of a
-    lift."""
-    out = []
-    for row in linearize_mod_pi(pres):
-        row = collapse_companion_jets(pres, row)
-        out.append((row.const, _jacobian_tables(pres, row.jac)))
-    return out
+    lift.  Built on the first call and kept with the chart (as its
+    mod_pi2 clone is), so the lift ladder, the witness's tangency rows
+    and every compatible-lift attempt read the same tables; a table
+    holds no reference back to the chart."""
+    if pres.lift_conditions is None:
+        pres.lift_conditions = tuple(
+            (row.const, _jacobian_tables(pres, row.jac))
+            for row in (collapse_companion_jets(pres, r)
+                        for r in linearize_mod_pi(pres)))
+    return pres.lift_conditions
 
 
 def _add_condition(sys, eq, const, tables, tag, basis):
@@ -408,13 +417,19 @@ def _pole_bound_and_threshold(scheme, pole_bound):
 def is_coboundary(scheme, cochain, pole_bound=None):
     """Decide whether a 1-cochain is the coboundary of patch sections.
 
-    Returns (True, sections) with an honestly re-verified witness, or
-    (False, None) when no witness exists within pole_bound and the bound
-    is at or past the completeness threshold.  A negative result under
-    the threshold raises Inconclusive instead of guessing.
+    A zero cochain (every cocycle of chart lifts that agree on the
+    overlaps, and every cochain of a scheme without overlaps) is decided
+    at once: (True, zero sections), with no system built.  The witness
+    system is homogeneous then, so its free-variables-zero solution is
+    that same zero witness, at every pole bound.  Otherwise the system
+    reads the tangency rows from the charts' lift conditions.  Returns
+    (True, sections) with an honestly re-verified witness, or (False,
+    None) when no witness exists within pole_bound and the bound is at
+    or past the completeness threshold.  A negative result under the
+    threshold raises Inconclusive instead of guessing.
     """
     pole_bound, threshold = _pole_bound_and_threshold(scheme, pole_bound)
-    if not scheme.overlap_pairs():
+    if cochain.is_zero():
         return True, zero_sections(scheme)
     p = scheme.ring.p
     sys = LinearSystem(p)
@@ -423,12 +438,11 @@ def is_coboundary(scheme, cochain, pole_bound=None):
         bases.append(pres.red.monomials_up_to(pole_bound))
         _register(sys, ("W", idx), pres, bases[idx])
     # tangency: each section must kill the patch relations; only the
-    # Jacobians enter, so no constant (g(X^q) - g^q)/pi is computed
+    # Jacobian tables of the chart's lift conditions enter
     for idx, pres in enumerate(scheme.patches):
-        for ridx, g in enumerate(pres.generators()):
-            _add_condition(sys, ("tan", idx, ridx),
-                           MvPoly.zero(pres.res, pres.all_vars),
-                           _jacobian_tables(pres, twisted_gradient(pres, g)),
+        zero = MvPoly.zero(pres.res, pres.all_vars)
+        for ridx, (_, tables) in enumerate(_conditions(pres)):
+            _add_condition(sys, ("tan", idx, ridx), zero, tables,
                            ("W", idx), bases[idx])
     # difference equations on every overlap, in a-side coordinates
     for (i, j) in scheme.overlap_pairs():
@@ -716,7 +730,15 @@ def _compatible_attempt(morphism, degree):
     independent of those before it: the solution is the one the full
     basis gives.  With no Jacobian entries the columns of each t are
     copies of those of the first, on rows of their own, so the first
-    variable decides for all.
+    variable decides for all.  A target chart with no relations and no
+    companions has only compat rows, and its basis is every monomial up
+    to degree.  Pullback is a ring map there and graded order respects
+    products, so a multiple of a dependent monomial is dependent too:
+    the minimal dependent monomials are recorded, and their multiples
+    are skipped without their table entries or span tests.  With
+    relations the basis is cut off at degree, and a dependency of (t, m)
+    may use columns of another variable of higher degree than m, whose
+    multiples fall outside the basis; every column is tested there.
     """
     p = morphism.source.ring.p
     sys = LinearSystem(p)
@@ -753,10 +775,12 @@ def _compatible_attempt(morphism, degree):
         deciding = (pres.vars if any(tables for _, tables in conditions)
                     else pres.vars[:1])
         basis = pres.red.monomials_up_to(degree)
-        echelon, kept = {}, set()
+        echelon, kept, dependent = {}, set(), []
         for t in pres.vars:
             for m in basis:
                 if t not in deciding and m not in kept:
+                    continue
+                if any(all(a <= b for a, b in zip(d, m)) for d in dependent):
                     continue
                 col = {}
                 for k, pulled_back in over.items():
@@ -767,6 +791,8 @@ def _compatible_attempt(morphism, degree):
                         for e, c in tables[t][m].terms.items():
                             col[("ylift", idx, r, e)] = c
                 if t in deciding and insert_row(p, echelon, col) is None:
+                    if not conditions:
+                        dependent.append(m)
                     continue
                 kept.add(m)
                 for eq, c in col.items():

@@ -45,7 +45,7 @@ class Presentation:
 
     __slots__ = ("name", "ring", "vars", "inverted", "companions", "all_vars",
                  "relations", "res", "relations_res", "red", "red_R",
-                 "loc_pairs", "_mod_pi2")
+                 "loc_pairs", "_mod_pi2", "lift_conditions")
 
     def __init__(self, name, ring, vars, relations=(), inverted=()):
         self.name = name
@@ -78,6 +78,9 @@ class Presentation:
                                       self.relations, self.loc_pairs,
                                       avoid=self.inverted)
         self._mod_pi2 = None
+        # wf.di's lift conditions, built on first use and kept with the
+        # chart; they hold no reference back to it
+        self.lift_conditions = None
 
     @property
     def q(self):
@@ -196,32 +199,38 @@ def transport(expr, src_pres, base_map, dst_pres, level="res"):
 
 class MonomialImages:
     """Residue normal forms nf(seed * prod_n image_of(n)^e_n) in pres, by
-    exponent tuple e over names, filled lazily for one call.
+    exponent tuple e over names, filled lazily.
 
     image_of(n) is called once per name, the first time an exponent
     needs it, so a name that never occurs never raises.  A new entry is
     the cached entry one lower in its last nonzero exponent times one
     image, normal-formed once.  The residue normal form is canonical, so
-    that equals normal-forming the whole product at once.  No table
-    outlives the call that builds it.
+    that equals normal-forming the whole product at once.  A table keeps
+    pres's residue normal form, ring and variables, not pres itself, so
+    a chart can keep its Jacobian tables (wf.di's lift conditions)
+    without a reference cycle; the other tables live for one call.
     """
 
-    __slots__ = ("pres", "names", "image_of", "images", "entries")
+    __slots__ = ("nf", "res", "all_vars", "names", "image_of", "images",
+                 "entries")
 
     def __init__(self, pres, names, image_of, seed):
-        self.pres = pres
+        self.nf = pres.red.normal_form
+        self.res = pres.res
+        self.all_vars = pres.all_vars
         self.names = tuple(names)
         self.image_of = image_of
         self.images = [None] * len(self.names)
-        self.entries = {(0,) * len(self.names): pres.nf(seed)}
+        self.entries = {(0,) * len(self.names): self.nf(seed)}
 
     @classmethod
     def shifted(cls, pres, names, seed):
         """nf(seed * x^e) in pres, for monomials over names, a subset of
         pres.all_vars; seeded with a Jacobian entry J, entry m is the
         block entry nf(J * x^m) of wf.di."""
+        res, all_vars = pres.res, pres.all_vars
         return cls(pres, names,
-                   lambda name: MvPoly.var(pres.res, pres.all_vars, name), seed)
+                   lambda name: MvPoly.var(res, all_vars, name), seed)
 
     @classmethod
     def transported(cls, src_pres, base_map, dst_pres):
@@ -243,14 +252,14 @@ class MonomialImages:
             img = self.images[k]
             if img is None:
                 img = self.images[k] = self.image_of(self.names[k])
-            val = entries[e] = self.pres.nf(val * img)
+            val = entries[e] = self.nf(val * img)
         return val
 
     def apply(self, f):
         """sum c * self[e] over the terms c x^e of the residue polynomial
         f: the table's map applied to f.  Each entry is a normal form, so
         the sum is one and takes no normal_form call."""
-        r = self.pres.res
+        r = self.res
         add, mul = r.add, r.mul
         entries = self.entries
         out = {}
@@ -260,7 +269,7 @@ class MonomialImages:
                 img = self[e]
             for e2, c2 in img.terms.items():
                 out[e2] = add(out[e2], mul(c, c2)) if e2 in out else mul(c, c2)
-        return MvPoly(r, self.pres.all_vars, out)
+        return MvPoly(r, self.all_vars, out)
 
 
 def _parse_images(images, ring, pres):

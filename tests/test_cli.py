@@ -1,6 +1,7 @@
 """End-to-end runs of the command line, through a real subprocess unless
 a builtin table is patched for the run."""
 
+import hashlib
 import json
 import os
 import re
@@ -115,6 +116,24 @@ def test_di_inconclusive_exit_three():
     assert err["type"] == "Inconclusive"
     assert err["bound"] == 4
     assert err["threshold"] == 18
+
+
+@pytest.mark.parametrize("name, p, threshold, digest", [
+    ("p2", "3", 9,
+     "211d61b7c81a6959562b8e45d0053b958a83266ce3ba794e440a97a426e79a77"),
+    ("weierstrass", "5", 20,
+     "7bbdcb7a09ee0a3600ceb4c014ccdbead070248d773307b9fc743cbb5f8a80a7"),
+])
+def test_zero_cocycle_below_threshold_vanishes(name, p, threshold, digest):
+    # a zero cocycle is decided by the zero witness at any pole bound,
+    # below the threshold too, with the bytes the solved witness gave
+    proc = run_cli("di", name, "--p", p, "--pole-bound", "0")
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+    data = json.loads(proc.stdout)
+    assert (data["pole_bound"], data["threshold"]) == (0, threshold)
+    assert data["vanishes"] is True
+    assert {g for sec in data["witness"] for g in sec.values()} == {"0"}
 
 
 def test_negative_pole_bound_is_an_input_error():

@@ -1,12 +1,15 @@
 """Lift search, obstruction cocycles, coboundary decisions, compatibility."""
 
+import gc
 import itertools
 import json
 import random
+import sys
 
 import pytest
 
 import wf.cli
+import wf.di
 from wf.base_ring import BaseRingSpec
 from wf.errors import (Inconclusive, KindMismatch, NonSmooth,
                        NoSolutionAtBound, WfError)
@@ -1014,7 +1017,9 @@ def test_witness_matches_reference_assembly(monkeypatch, p):
         assert ref_systems or not scheme.overlap_pairs()
         seen.clear()
         vanishes, witness = is_coboundary(scheme, cochain)
-        assert seen == ref_systems, (name, p)
+        # a zero cochain is decided by the zero witness with no system
+        # built; the reference solves its homogeneous system to the same
+        assert seen == ([] if cochain.is_zero() else ref_systems), (name, p)
         got = [sec.coeffs for sec in witness] if vanishes else None
         assert (vanishes, got) == ref, (name, p)
         verdicts[name] = vanishes
@@ -1022,3 +1027,68 @@ def test_witness_matches_reference_assembly(monkeypatch, p):
     # cochains vanish; perturbing them breaks that
     assert verdicts["p1 exact"] and verdicts["p2 exact"]
     assert not verdicts["p2 perturbed"]
+
+
+def counted_linearizations(monkeypatch):
+    """The chart of each wf.di call of linearize_mod_pi from now on."""
+    seen = []
+    linearize = wf.di.linearize_mod_pi
+
+    def counting(pres):
+        seen.append(pres)
+        return linearize(pres)
+
+    monkeypatch.setattr(wf.di, "linearize_mod_pi", counting)
+    return seen
+
+
+def reaches(start, target):
+    """Whether target is reachable from start through gc.get_referents,
+    not passing through modules, classes or module namespaces."""
+    module_dicts = {id(vars(m)) for m in list(sys.modules.values())
+                    if m is not None}
+    seen, todo = set(), [start]
+    while todo:
+        obj = todo.pop()
+        if obj is target:
+            return True
+        if (id(obj) in seen or id(obj) in module_dicts
+                or isinstance(obj, (type, type(sys)))):
+            continue
+        seen.add(id(obj))
+        todo.extend(gc.get_referents(obj))
+    return False
+
+
+def test_di_builds_each_charts_conditions_once(monkeypatch):
+    # the lift ladder and the witness's tangency rows share each chart's
+    # conditions; weierstrass at p = 7 has a nonzero cocycle, so the
+    # witness system is built
+    seen = counted_linearizations(monkeypatch)
+    scheme = BUILTIN_SCHEMES["weierstrass"](BaseRingSpec(7))
+    report = compute_di_class(scheme)
+    assert not report.cochain.is_zero()
+    assert [id(pres) for pres in seen] == [id(pres) for pres in scheme.patches]
+    assert reaches(report.lifts[0], scheme.patches[0])
+    for pres in scheme.patches:
+        assert pres.lift_conditions
+        assert not reaches(pres.lift_conditions, pres)
+
+
+def test_compat_builds_each_charts_conditions_once(monkeypatch):
+    # the whole ladder of joint attempts, the lift of the target chart
+    # the morphism misses and the independent lifts read one set of
+    # conditions per chart
+    attempts = recorded_systems(monkeypatch)
+    seen = counted_linearizations(monkeypatch)
+    m = BUILTIN_MORPHISMS["weierstrass_in_p2"](BaseRingSpec(3))
+    charts = m.source.patches + m.target.patches
+    build_compatible_lifts(m, start_degree=2, max_degree=16)
+    assert len(attempts) > 2
+    for pres in charts:
+        local_frobenius_lift(pres)
+    assert sorted(id(pres) for pres in seen) == sorted(id(pres)
+                                                      for pres in charts)
+    for pres in charts:
+        assert not reaches(pres.lift_conditions, pres)
+

@@ -403,7 +403,7 @@ class BaseElem:
         return hash((self.coeffs, self.prec))
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def is_unit(self):
         return self.coeffs[0] % self.spec.p != 0

@@ -25,6 +25,8 @@ another solution.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
+
 
 def _sub_multiple(p, r, f, row):
     """r -= f * row over F_p, in place, keeping only nonzero entries."""
@@ -40,18 +42,39 @@ def insert_row(p, table, row):
     """Reduce the dict row {column: integer} against table, which maps
     leading columns to pivot rows with leading entry 1.  None if row is in
     their span; otherwise the remainder, scaled to leading entry 1, is
-    stored under its leading column, which is returned."""
+    stored under its leading column, which is returned.
+
+    The leading column comes from a heap of the row's columns: a column
+    is pushed when it enters the row, and a popped column that has since
+    cancelled is skipped.  Reducing at column c touches only columns
+    after c, so the smallest live column popped is the row's minimum."""
     r = {c: v % p for c, v in row.items() if v % p}
-    while r:
-        c = min(r)
+    heap = list(r)
+    heapify(heap)
+    while heap:
+        c = heappop(heap)
+        f = r.get(c)
+        if f is None:
+            continue  # cancelled since it was pushed
         lead = table.get(c)
         if lead is None:
-            inv = pow(r[c], -1, p)
+            inv = pow(f, -1, p)
             if inv != 1:
                 r = {cc: v * inv % p for cc, v in r.items()}
             table[c] = r
             return c
-        _sub_multiple(p, r, r[c], lead)
+        # r -= f * lead, as _sub_multiple does; lead's entries are nonzero
+        for cc, v in lead.items():
+            old = r.get(cc)
+            if old is None:
+                r[cc] = -f * v % p
+                heappush(heap, cc)
+            else:
+                nv = (old - f * v) % p
+                if nv:
+                    r[cc] = nv
+                else:
+                    del r[cc]
     return None
 
 

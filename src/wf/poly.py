@@ -110,26 +110,35 @@ class MvPoly:
     def __add__(self, other):
         other = self._check(other)
         r = self.ring
+        add, is_zero = r.add, r.is_zero
         out = dict(self.terms)
         for e, c in other.terms.items():
             if e in out:
-                out[e] = r.add(out[e], c)
-            else:
-                out[e] = c
-        return MvPoly(r, self.vars, out)
+                # both operands store no zeros: only a merged key can cancel
+                c = add(out[e], c)
+                if is_zero(c):
+                    del out[e]
+                    continue
+            out[e] = c
+        return MvPoly(r, self.vars, out, _clean=False)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = self._check(other)
         r = self.ring
+        sub, neg, is_zero = r.sub, r.neg, r.is_zero
         out = dict(self.terms)
         for e, c in other.terms.items():
             if e in out:
-                out[e] = r.sub(out[e], c)
+                c = sub(out[e], c)
+                if is_zero(c):
+                    del out[e]
+                    continue
+                out[e] = c
             else:
-                out[e] = r.neg(c)
-        return MvPoly(r, self.vars, out)
+                out[e] = neg(c)
+        return MvPoly(r, self.vars, out, _clean=False)
 
     def __rsub__(self, other):
         return self._check(other) - self
@@ -149,13 +158,18 @@ class MvPoly:
                           {e: r.mul(c, other) for e, c in self.terms.items()})
         if self.vars != other.vars:
             raise VariableMismatch("operands over %r and %r" % (self.vars, other.vars))
-        mul, add = r.mul, r.add
         if len(other.terms) == 1:
             # adding one exponent tuple is injective: no two terms merge
             (e2, c2), = other.terms.items()
+            mul, is_zero = r.mul, r.is_zero
             return MvPoly(r, self.vars,
-                          {tuple(map(_plus, e1, e2)): mul(c1, c2)
-                           for e1, c1 in self.terms.items()})
+                          {tuple(map(_plus, e1, e2)): c
+                           for e1, c1 in self.terms.items()
+                           if not is_zero(c := mul(c1, c2))},
+                          _clean=False)
+        if other is self:
+            return self._square()
+        mul, add = r.mul, r.add
         items = list(other.terms.items())
         out = {}
         for e1, c1 in self.terms.items():
@@ -166,7 +180,34 @@ class MvPoly:
                     out[e] = add(out[e], c)
                 else:
                     out[e] = c
-        return MvPoly(r, self.vars, out)
+        return MvPoly(r, self.vars, _drop_zeros(out, r.is_zero), _clean=False)
+
+    def _square(self):
+        """self * self from the products c_i c_j with i <= j, each cross
+        term doubled.  Every exponent tuple first occurs, in row-major
+        order, at a pair with i <= j, so the terms keep the general
+        product's order, and each coefficient is the same sum over the
+        same pairs, so it keeps its value and precision."""
+        r = self.ring
+        mul, add = r.mul, r.add
+        items = list(self.terms.items())
+        out = {}
+        for i, (e1, c1) in enumerate(items):
+            e = tuple(map(_plus, e1, e1))
+            c = mul(c1, c1)
+            if e in out:
+                out[e] = add(out[e], c)
+            else:
+                out[e] = c
+            for e2, c2 in items[i + 1:]:
+                e = tuple(map(_plus, e1, e2))
+                c = mul(c1, c2)
+                c = add(c, c)
+                if e in out:
+                    out[e] = add(out[e], c)
+                else:
+                    out[e] = c
+        return MvPoly(r, self.vars, _drop_zeros(out, r.is_zero), _clean=False)
 
     __rmul__ = __mul__
 
@@ -316,6 +357,14 @@ class MvPoly:
 
     def __repr__(self):
         return "MvPoly(%s)" % (self.to_text(),)
+
+
+def _drop_zeros(terms, is_zero):
+    """Delete the zero coefficients of terms in place, keeping the order
+    of the rest; returns terms."""
+    for e in [e for e, c in terms.items() if is_zero(c)]:
+        del terms[e]
+    return terms
 
 
 def _coeff_text(c):
@@ -587,7 +636,8 @@ class ReductionContext:
                     else:
                         out[e] = c
             if not heap:
-                return MvPoly(r, self.vars, out)
+                return MvPoly(r, self.vars, _drop_zeros(out, is_zero),
+                              _clean=False)
             _, e, (i, deg, rhs) = heappop(heap)
             c = pending.pop(e)
             # a zero known only below full precision still lowers the

@@ -205,22 +205,27 @@ class MonomialImages:
     needs it, so a name that never occurs never raises.  A new entry is
     the cached entry one lower in its last nonzero exponent times one
     image, normal-formed once.  The residue normal form is canonical, so
-    that equals normal-forming the whole product at once.  A table keeps
-    pres's residue normal form, ring and variables, not pres itself, so
-    a chart can keep its Jacobian tables (wf.di's lift conditions)
-    without a reference cycle; the other tables live for one call.
+    that equals normal-forming the whole product at once.  The names in
+    `free` are variables whose image is themselves and which head no
+    rule and sit in no localization pair: a normal form times one of
+    them is already a normal form, so those entries skip normal_form.
+    A table keeps pres's residue normal form, ring and variables, not
+    pres itself, so a chart can keep its Jacobian tables (wf.di's lift
+    conditions) without a reference cycle; the other tables live for
+    one call.
     """
 
     __slots__ = ("nf", "res", "all_vars", "names", "image_of", "images",
-                 "entries")
+                 "free", "entries")
 
-    def __init__(self, pres, names, image_of, seed):
+    def __init__(self, pres, names, image_of, seed, free=()):
         self.nf = pres.red.normal_form
         self.res = pres.res
         self.all_vars = pres.all_vars
         self.names = tuple(names)
         self.image_of = image_of
         self.images = [None] * len(self.names)
+        self.free = tuple(name in free for name in self.names)
         self.entries = {(0,) * len(self.names): self.nf(seed)}
 
     @classmethod
@@ -228,9 +233,11 @@ class MonomialImages:
         """nf(seed * x^e) in pres, for monomials over names, a subset of
         pres.all_vars; seeded with a Jacobian entry J, entry m is the
         block entry nf(J * x^m) of wf.di."""
-        res, all_vars = pres.res, pres.all_vars
+        res, all_vars, red = pres.res, pres.all_vars, pres.red
+        bound = set(red.monic_rules).union(*red.loc_pairs)
         return cls(pres, names,
-                   lambda name: MvPoly.var(res, all_vars, name), seed)
+                   lambda name: MvPoly.var(res, all_vars, name), seed,
+                   free=set(names) - bound)
 
     @classmethod
     def transported(cls, src_pres, base_map, dst_pres):
@@ -252,7 +259,10 @@ class MonomialImages:
             img = self.images[k]
             if img is None:
                 img = self.images[k] = self.image_of(self.names[k])
-            val = entries[e] = self.nf(val * img)
+            val = val * img
+            if not self.free[k]:
+                val = self.nf(val)
+            entries[e] = val
         return val
 
     def apply(self, f):

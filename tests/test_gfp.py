@@ -160,6 +160,79 @@ def test_insert_row_is_an_incremental_span_test(p):
         assert len(table) == rank
 
 
+def reference_insert_row(p, table, row):
+    """insert_row as it was: the leading column is min(r) at every step."""
+    r = {c: v % p for c, v in row.items() if v % p}
+    while r:
+        c = min(r)
+        lead = table.get(c)
+        if lead is None:
+            inv = pow(r[c], -1, p)
+            if inv != 1:
+                r = {cc: v * inv % p for cc, v in r.items()}
+            table[c] = r
+            return c
+        f = r[c]
+        for cc, v in lead.items():
+            nv = (r.get(cc, 0) - f * v) % p
+            if nv:
+                r[cc] = nv
+            else:
+                del r[cc]
+    return None
+
+
+def assert_same_table(got, want):
+    # the same pivot rows under the same keys, entries in the same order
+    assert list(got) == list(want)
+    for c in want:
+        assert list(got[c].items()) == list(want[c].items()), c
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_insert_row_matches_min_driven_reference(p):
+    # random sparse rows, many of them dependent, inserted into two
+    # tables side by side; dense rows over few columns make columns
+    # cancel and fill again during one reduction
+    rng = random.Random(800 + p)
+    for _ in range(200):
+        ncols = rng.randint(1, 14)
+        density = rng.choice((0.15, 0.4, 0.8))
+        got, want = {}, {}
+        rows = []
+        for _ in range(rng.randint(1, 16)):
+            if rows and rng.random() < 0.35:
+                a, b = rng.choice(rows), rng.choice(rows)
+                s, t = rng.randint(-p, p), rng.randint(-p, p)
+                row = {c: s * a.get(c, 0) + t * b.get(c, 0)
+                       for c in set(a) | set(b)}
+            else:
+                row = {c: rng.randint(-2 * p, 2 * p) for c in range(ncols)
+                       if rng.random() < density}
+            rows.append(row)
+            assert insert_row(p, got, dict(row)) == reference_insert_row(
+                p, want, dict(row)), (p, rows)
+            assert_same_table(got, want)
+
+
+def test_insert_row_column_cancels_and_fills_again():
+    # over F_3, reducing {0: 1, 1: 1, 2: 1}: the pivot at 0 cancels
+    # column 2, the pivot at 1 fills it again, the pivot at 2 is then
+    # subtracted once, and the row enters at column 3
+    p = 3
+    pivots = {0: {0: 1, 2: 1}, 1: {1: 1, 2: 1, 3: 1}, 2: {2: 1, 4: 1}}
+    got = {c: dict(r) for c, r in pivots.items()}
+    want = {c: dict(r) for c, r in pivots.items()}
+    row = {0: 1, 1: 1, 2: 1}
+    assert insert_row(p, got, dict(row)) == 3
+    assert reference_insert_row(p, want, dict(row)) == 3
+    assert_same_table(got, want)
+    assert got[3] == {3: 1, 4: 2}
+    # the same row again is now in the span
+    assert insert_row(p, got, dict(row)) is None
+    assert_same_table(got, want)
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_rref_matches_dense_oracle(p):
     rng = random.Random(700 + p)

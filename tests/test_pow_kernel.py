@@ -6,7 +6,10 @@ and the delta of a monomial is its closed binomial expansion.  None of
 them may change a term, a coefficient or a coefficient's precision; the
 oracles below are the straightforward forms, which square once more than
 needed, raise acc^q afresh at every step and build the delta of a
-monomial by the product rule, recursively.
+monomial by the product rule, recursively.  The same holds for the
+kernels under them: a square, which takes only the products with
+i <= j, against the general product, and sums and products, which drop
+zeros where they make them, against a second filtering pass.
 """
 
 import itertools
@@ -16,7 +19,7 @@ import pytest
 
 from wf.base_ring import BaseRingSpec, IntModRing, IntRing
 from wf.delta import DeltaContext, jet_name
-from wf.poly import MvPoly
+from wf.poly import MvPoly, ReductionContext
 
 
 def oracle_pow(f, k):
@@ -250,3 +253,156 @@ def test_delta_mono_matches_recursion(ring):
         if sum(e) <= 7:
             e += (0, 0, 0)
             assert_identical(dctx._delta_mono(e), oracle_delta_mono(dctx, e, memo))
+
+
+# -- the product, square and sum kernels ------------------------------------
+
+
+def equal_copy(f):
+    """An equal polynomial that is another object, so f * equal_copy(f)
+    runs the general product, not the square."""
+    return MvPoly(f.ring, f.vars, dict(f.terms))
+
+
+def reference_sum(f, g, sign):
+    """f + g (sign 1) or f - g (sign -1) merged key by key, zeros
+    filtered in a second pass."""
+    r = f.ring
+    out = dict(f.terms)
+    for e, c in g.terms.items():
+        if e in out:
+            out[e] = r.add(out[e], c) if sign > 0 else r.sub(out[e], c)
+        else:
+            out[e] = c if sign > 0 else r.neg(c)
+    return MvPoly(r, f.vars, out)
+
+
+def kernel_cases(ring, vars, rng):
+    """Pairs (f, g) over vars: random ones, the zero polynomial,
+    constants, and exponent sums of 256 and more."""
+    def rand(terms):
+        if vars:
+            return rand_poly(ring, vars, rng, terms=terms)
+        return MvPoly.const(ring, vars, rng.randint(-20, 20))
+
+    zero = MvPoly.zero(ring, vars)
+    const = MvPoly.const(ring, vars, 3)
+    for _ in range(5):
+        yield rand(6), rand(5)
+    f = rand(4)
+    yield f, zero
+    yield zero, f
+    yield zero, zero
+    yield f, const
+    yield const, MvPoly.const(ring, vars, -5)
+    if vars:
+        big = {tuple(200 + 31 * i + k for i in range(len(vars))): ring.from_int(k + 1)
+               for k in range(3)}
+        big = MvPoly(ring, vars, big)
+        yield big, big + f
+        yield f, big
+
+
+def check_product_and_square(f, g):
+    assert_identical(f * g, general_product(f, g))
+    assert_identical(f * equal_copy(f), general_product(f, f))
+    assert_identical(f * f, general_product(f, f))
+    assert_identical(f ** 2, general_product(f, f))
+
+
+@pytest.mark.parametrize("ring", POW_RINGS, ids=repr)
+@pytest.mark.parametrize("vars", [("x", "y"), ("x",), ()], ids=len)
+def test_product_and_square_match_general(ring, vars):
+    # the square takes the products with i <= j and doubles the cross
+    # terms; it must keep the general product's terms, their order,
+    # coefficients and precisions
+    rng = random.Random(64)
+    for f, g in kernel_cases(ring, vars, rng):
+        check_product_and_square(f, g)
+        check_product_and_square(g, f)
+
+
+@pytest.mark.parametrize("ring", POW_RINGS, ids=repr)
+@pytest.mark.parametrize("vars", [("x", "y"), ()], ids=len)
+def test_sum_and_difference_match_reference(ring, vars):
+    # a cancelling key is deleted where it cancels, so the survivors keep
+    # their order
+    rng = random.Random(65)
+    for f, g in kernel_cases(ring, vars, rng):
+        for a, b in ((f, g), (g, f), (f, f), (f, equal_copy(f))):
+            assert_identical(a + b, reference_sum(a, b, 1))
+            assert_identical(a - b, reference_sum(a, b, -1))
+            assert_identical(a + -b, reference_sum(a, -b, 1))
+        if f.terms and len(vars) == 2:
+            # some terms cancel, others merge, others pass through
+            half = MvPoly(ring, vars, dict(list(f.terms.items())[::2]))
+            assert_identical(f - half, reference_sum(f, half, -1))
+            assert_identical(half - f + g, reference_sum(
+                reference_sum(half, f, -1), g, 1))
+            assert not (f - equal_copy(f)).terms
+
+
+@pytest.mark.parametrize("ring", [r for r in POW_RINGS if isinstance(r, BaseRingSpec)],
+                         ids=repr)
+def test_products_vanishing_at_precision(ring):
+    # p * p^3 vanishes at precision 4, and a factor known to fewer digits
+    # lowers the precision of every term it meets
+    p = ring.p
+    vars = ("x", "y")
+    low = ring.from_int(p * p, 2)
+    f = MvPoly(ring, vars, {(1, 0): ring.from_int(p), (0, 1): ring.one(),
+                            (0, 0): low, (2, 0): ring.from_int(p ** 2)})
+    g = MvPoly(ring, vars, {(0, 2): ring.from_int(p ** 3), (1, 0): ring.one(1),
+                            (0, 0): ring.from_int(p, 3)})
+    for a, b in ((f, g), (g, f), (f, f), (g, g)):
+        check_product_and_square(a, b)
+        assert_identical(a + b, reference_sum(a, b, 1))
+        assert_identical(a - b, reference_sum(a, b, -1))
+    if ring.e == 1 and ring.precision == 4:
+        # (p x + p^2 x^2)^2: p^2 x^2 + 2 p^3 x^3 + p^4 x^4, the last zero
+        sq = MvPoly(ring, vars, {(1, 0): ring.from_int(p),
+                                 (2, 0): ring.from_int(p ** 2)}) ** 2
+        assert list(sq.terms) == [(2, 0), (3, 0)]
+
+
+# -- no stored zeros ----------------------------------------------------------
+
+
+def assert_no_zero_coefficients(f):
+    assert not any(f.ring.is_zero(c) for c in f.terms.values()), f.terms
+
+
+@pytest.mark.parametrize("ring", POW_RINGS, ids=repr)
+def test_kernels_store_no_zero_coefficients(ring):
+    # random sequences of add, sub, mul, square, pow, normal_form and
+    # subst; every result, fed back in, is checked
+    rng = random.Random(66)
+    vars = ("x", "y", "u")
+    x, y = MvPoly.var(ring, vars, "x"), MvPoly.var(ring, vars, "y")
+    red = ReductionContext(ring, vars, relations=[y ** 2 - x ** 3 - x + 1],
+                           loc_pairs=[("u", "x")])
+    pool = [rand_poly(ring, vars, rng, terms=4) for _ in range(4)]
+    pool.append(MvPoly.zero(ring, vars))
+    for step in range(120):
+        f, g = rng.choice(pool), rng.choice(pool)
+        op = step % 7
+        if op == 0:
+            h = f + g
+        elif op == 1:
+            h = f - rng.choice((g, f, equal_copy(f)))
+        elif op == 2:
+            h = f * g
+        elif op == 3:
+            h = f * f
+        elif op == 4:
+            h = f ** rng.randint(0, 3)
+        elif op == 5:
+            h = red.normal_form(f * g)
+        else:
+            h = f.subst({"x": g, "y": f, "u": MvPoly.const(ring, vars, ring.p)},
+                        ring, vars)
+        assert_no_zero_coefficients(h)
+        if len(h.terms) > 20 or h.total_deg() > 8:
+            h = red.normal_form(rand_poly(ring, vars, rng, terms=4))
+            assert_no_zero_coefficients(h)
+        pool[rng.randrange(len(pool))] = h

@@ -62,6 +62,10 @@ PINS = (
      "db3872ea076894476c5a5dd43551491d3d55155798e40609a7f938d2c682b101"),
     (("compat", "parabola_in_a2", "--p", "5", "--m", "2"), 0,
      "7bcba0e5a4d9a94ca2957ee78c860654c2d46cf555d17eda3cffe96e4fd4166f"),
+    (("di", "genus2", "--p", "11"), 0,
+     "c22d482002d841c0916197ed927bb6deccc38b86a35479bb2ac4c114222f691b"),
+    (("di", "weierstrass", "--p", "7", "--m", "2"), 0,
+     "5f0b33931ae6ba461b6b9f2edf3f377365cb2600ebde02fb6ee9065c16d01fb6"),
 )
 
 

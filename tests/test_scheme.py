@@ -170,6 +170,50 @@ def test_monomial_tables_match_transport_and_normal_form(p):
                 seed * MvPoly.monomial(dst.res, dst.all_vars, m)), (dst, m)
 
 
+def _reference_shifted_entry(pres, seed, e, memo):
+    """The table's chain with a normal form at every step: the entry one
+    lower in the last nonzero exponent, times that variable, reduced."""
+    got = memo.get(e)
+    if got is None:
+        if not any(e):
+            got = pres.nf(seed)
+        else:
+            k = max(i for i, a in enumerate(e) if a)
+            lower = e[:k] + (e[k] - 1,) + e[k + 1:]
+            x = MvPoly.var(pres.res, pres.all_vars, pres.all_vars[k])
+            got = pres.nf(_reference_shifted_entry(pres, seed, lower, memo) * x)
+        memo[e] = got
+    return got
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_shifted_entries_skip_only_redundant_normal_forms(p):
+    # a variable that heads no rule and sits in no localization pair takes
+    # a normal form to a normal form, so its entries skip normal_form;
+    # every entry must still be nf(seed * x^m), with the terms in the
+    # order the always-reducing chain gives
+    ring = BaseRingSpec(p)
+    rng = random.Random(90 + p)
+    curve = BUILTIN_SCHEMES["weierstrass"](ring)
+    plane = BUILTIN_SCHEMES["p2"](ring)
+    charts = {"Eaff": (curve.patches[0], ("y",)),
+              "Eaff[1/y]": (curve.view(0, 1).pres_a, ()),
+              "U0": (plane.patches[0], ("a", "b")),
+              "U0[1/a]": (plane.view(0, 1).pres_a, ("b",))}
+    for name, (pres, free) in charts.items():
+        assert pres.name == name
+        for _ in range(3):
+            seed = pres.nf(rand_poly(rng, pres.res, pres.all_vars, deg=p))
+            table = MonomialImages.shifted(pres, pres.all_vars, seed)
+            assert table.free == tuple(v in free for v in pres.all_vars)
+            memo = {}
+            for m in pres.red.monomials_up_to(2 * p + 1):
+                direct = pres.nf(seed * MvPoly.monomial(pres.res, pres.all_vars, m))
+                assert table[m] == direct, (name, m)
+                ref = _reference_shifted_entry(pres, seed, m, memo)
+                assert list(table[m].terms.items()) == list(ref.terms.items())
+
+
 def test_view_identity_and_missing_overlap():
     ring = BaseRingSpec(3)
     p1 = BUILTIN_SCHEMES["p1"](ring)

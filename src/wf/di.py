@@ -62,7 +62,7 @@ from __future__ import annotations
 from .bounds import require_at_least
 from .errors import Inconclusive, KindMismatch, NoSolutionAtBound, WfError
 from .gfp import insert_row, solve as gfp_solve
-from .jet import collapse_companion_jets, linearize_generator, linearize_mod_pi
+from .jet import collapse_companion_jets, lift_constant, linearize_mod_pi
 from .poly import MvPoly
 from .scheme import (FDerSection, MonomialImages, fder_apply, transport,
                      twisted_gradient)
@@ -193,9 +193,13 @@ class LocalLift:
 
 
 def _coeffs_from_solution(pres, basis, sol, tag):
+    """A_v = sum of sol[tag + (v, m)] x^m over the basis, per chart
+    variable v.  The solver's values are reduced mod p, so only the
+    nonzero ones are built into coefficients."""
     res = pres.res
     return {v: MvPoly(res, pres.all_vars,
-                      {m: res.from_int(sol.get(tag + (v, m), 0)) for m in basis})
+                      {m: res.from_int(c) for m in basis
+                       if (c := sol.get(tag + (v, m)))}, _clean=False)
             for v in pres.vars}
 
 
@@ -459,7 +463,7 @@ def is_coboundary(scheme, cochain, pole_bound=None):
         to_a = MonomialImages.transported(pb, view.map_ba, pa)
         shifted_b = {}
         for v in pa.vars:
-            grad = twisted_gradient(pb, pb.to_res(view.map_ab[v]))
+            grad = twisted_gradient(pb, view.map_ab[v])
             for w, mat in grad.items():
                 shifted_b[(v, w)] = MonomialImages.shifted(
                     pb, scheme.patches[j].all_vars, mat)
@@ -540,10 +544,18 @@ def compute_di_class(scheme, pole_bound=None, start_degree=None):
 
 
 def lift_discrepancy(morphism, x_lifts, y_lifts):
-    """Per chart: e_i[t] = (pullback of delta_Y(t)) - delta_X(pullback(t)).
+    """Per chart: e_i[t] = (f*(phi_Y(t)) - phi_X(f*(t)))/pi mod pi.
 
-    These are the components of an F-derivation along the morphism; they
-    all vanish exactly when the chart lifts commute with the morphism.
+    With P = pullback(t), phi_X(P) = P(X^q) + pi * sum_v M_{t,v} A^X_v
+    and f*(phi_Y(t)) = P^q + pi * pullback(A^Y_t) mod pi^2, so
+    e_i[t] = pullback(A^Y_t) - delta_X(P) - (P(X^q) - P^q)/pi: the
+    transported target lift, minus the twisted chain rule on the source
+    lift, minus P's lift constant (wf.jet.lift_constant, which
+    _compatible_attempt solves with too).  These are the components of
+    an F-derivation along the morphism; they all vanish exactly when the
+    chart lifts commute with the morphism.  The constant is 0 when P is
+    a monomial with coefficient +-1 (p odd), as every builtin pullback
+    is.
     """
     out = []
     for i, chart in enumerate(morphism.charts):
@@ -556,7 +568,8 @@ def lift_discrepancy(morphism, x_lifts, y_lifts):
                                level="res")
             applied = fder_apply(src, x_lifts[i].fder.coeffs,
                                  chart.pullback[t])
-            comp[t] = src.nf(pulled - applied)
+            const = lift_constant(src, chart.pullback[t])
+            comp[t] = src.nf(pulled - applied - const)
         out.append(comp)
     return out
 
@@ -610,7 +623,7 @@ def _frame_change(morphism, i, j, comp_j):
                               morphism.charts[j].target_index)
     out = {}
     for t in tv.pres_a.vars:
-        grad = twisted_gradient(tv.pres_b, tv.pres_b.to_res(tv.map_ab[t]))
+        grad = twisted_gradient(tv.pres_b, tv.map_ab[t])
         acc = MvPoly.zero(sv.pres_b.res, sv.pres_b.all_vars)
         for w in sorted(grad):
             pulled = transport(grad[w], tv.pres_b,
@@ -755,11 +768,10 @@ def _compatible_attempt(morphism, degree):
     for idx, chart in enumerate(morphism.charts):
         src = morphism.source.patches[idx]
         for t in morphism.target_patch(idx).vars:
-            row = collapse_companion_jets(
-                src, linearize_generator(src, chart.pullback[t]))
-            _add_condition(sys, ("compat", idx, t), row.const,
-                           _jacobian_tables(src, row.jac), ("AX", idx),
-                           src_bases[idx])
+            f = chart.pullback[t]
+            _add_condition(sys, ("compat", idx, t), lift_constant(src, f),
+                           _jacobian_tables(src, twisted_gradient(src, f)),
+                           ("AX", idx), src_bases[idx])
     # the target columns: admissibility constants, then each independent
     # column with its compat and ylift entries
     tgt_bases = {}

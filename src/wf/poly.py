@@ -214,6 +214,14 @@ class MvPoly:
     def __pow__(self, k):
         if k < 0:
             raise WfError("negative polynomial power")
+        if k and len(self.terms) == 1:
+            # (c x^e)^k = c^k x^(k e): one ring power, one exponent scaling
+            r = self.ring
+            (e, c), = self.terms.items()
+            c = r.pow(c, k)
+            return MvPoly(r, self.vars,
+                          {} if r.is_zero(c) else {tuple([a * k for a in e]): c},
+                          _clean=False)
         result = MvPoly.const(self.ring, self.vars, self.ring.one())
         base = self
         while k:
@@ -268,11 +276,15 @@ class MvPoly:
 
         mapping maps variable names to MvPoly over that space.  Any
         variable of self that actually occurs must be covered by mapping.
+        The terms of self are taken largest first; each term's image, the
+        product of the powers of its variables' images, is merged into
+        one running sum as __add__ merges, a key deleted where it cancels.
         """
         vars = tuple(vars)
         if any(val.vars != vars for val in mapping.values()):
             raise VariableMismatch("substitution images over mixed spaces")
-        out = MvPoly.zero(ring, vars)
+        add, is_zero = ring.add, ring.is_zero
+        out = {}
         for e, c in self.sorted_terms():
             term = MvPoly.const(ring, vars, self._convert_coeff(c, ring))
             for name, k in zip(self.vars, e):
@@ -281,8 +293,14 @@ class MvPoly:
                 if name not in mapping:
                     raise VariableMismatch("no image for variable %r" % (name,))
                 term = term * (mapping[name] ** k)
-            out = out + term
-        return out
+            for e2, c2 in term.terms.items():
+                if e2 in out:
+                    c2 = add(out[e2], c2)
+                    if is_zero(c2):
+                        del out[e2]
+                        continue
+                out[e2] = c2
+        return MvPoly(ring, vars, out, _clean=False)
 
     def _convert_coeff(self, c, ring):
         if ring is self.ring or ring.same(self.ring):

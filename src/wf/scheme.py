@@ -45,7 +45,8 @@ class Presentation:
 
     __slots__ = ("name", "ring", "vars", "inverted", "companions", "all_vars",
                  "relations", "res", "relations_res", "red", "red_R",
-                 "loc_pairs", "_mod_pi2", "lift_conditions")
+                 "loc_pairs", "_mod_pi2", "lift_conditions", "gradients",
+                 "lift_constants", "inverses")
 
     def __init__(self, name, ring, vars, relations=(), inverted=()):
         self.name = name
@@ -78,9 +79,15 @@ class Presentation:
                                       self.relations, self.loc_pairs,
                                       avoid=self.inverted)
         self._mod_pi2 = None
-        # wf.di's lift conditions, built on first use and kept with the
-        # chart; they hold no reference back to it
+        # built on first use and kept with the chart, none holding a
+        # reference back to it: wf.di's lift conditions; twisted
+        # gradients, keyed by residue polynomial; wf.jet's lift constants,
+        # keyed by the polynomial itself; certified companion inverses,
+        # keyed by level and the image at that level
         self.lift_conditions = None
+        self.gradients = {}
+        self.lift_constants = {}
+        self.inverses = {}
 
     @property
     def q(self):
@@ -157,9 +164,9 @@ def _variable_image(name, src_pres, base_map, dst_pres, level="res"):
     """Image over dst_pres.all_vars of one src variable under base_map.
 
     A base variable's image is read from base_map; a companion's is the
-    inverse in dst of its base variable's image, and TransitionError is
-    raised when that image is not certified invertible or no image is
-    given.
+    inverse in dst of its base variable's image, kept in dst_pres.inverses
+    once certified, and TransitionError is raised, on every call, when
+    that image is not certified invertible or no image is given.
     """
     if name in base_map:
         return _at_level(base_map[name], dst_pres, level)
@@ -168,10 +175,15 @@ def _variable_image(name, src_pres, base_map, dst_pres, level="res"):
         raise TransitionError("no image for variable %r" % (name,))
     if base not in base_map:
         raise TransitionError("no image for %r or its base %r" % (name, base))
-    red = dst_pres.red_R if level == "R" else dst_pres.red
-    inv = red.try_invert(_at_level(base_map[base], dst_pres, level))
+    image = _at_level(base_map[base], dst_pres, level)
+    key = (level, tuple(image.terms.items()))
+    inv = dst_pres.inverses.get(key)
     if inv is None:
-        raise TransitionError("image of %r is not certified invertible" % (base,))
+        red = dst_pres.red_R if level == "R" else dst_pres.red
+        inv = red.try_invert(image)
+        if inv is None:
+            raise TransitionError("image of %r is not certified invertible" % (base,))
+        dst_pres.inverses[key] = inv
     return inv
 
 
@@ -742,8 +754,15 @@ def twisted_partials(pres: Presentation, f: MvPoly):
 
 def twisted_gradient(pres: Presentation, f: MvPoly):
     """Coefficients M_v with D(f) = sum_v D(v) * M_v for any F-derivation D:
-    the twisted partials of f folded by fold_companions."""
-    return fold_companions(pres, twisted_partials(pres, f))
+    the twisted partials of f folded by fold_companions.  Built once per
+    residue polynomial and kept in pres.gradients; callers must not
+    mutate the dict or its polynomials."""
+    f = pres.to_res(f)
+    key = tuple(f.terms.items())
+    grad = pres.gradients.get(key)
+    if grad is None:
+        grad = pres.gradients[key] = fold_companions(pres, twisted_partials(pres, f))
+    return grad
 
 
 def fder_apply(pres: Presentation, coeffs, f: MvPoly) -> MvPoly:

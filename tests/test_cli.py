@@ -12,9 +12,10 @@ import pytest
 
 import wf.cli
 import wf.di
-from wf.base_ring import BaseRingSpec
+from wf.base_ring import BaseRingSpec, IntModRing
 from wf.bounds import gsp_order
 from wf.errors import TransitionError, WfError
+from wf.poly import MvPoly
 from wf.scheme import (BUILTIN_MORPHISMS, BUILTIN_SCHEMES, GluedScheme,
                        Overlap, SchemeMorphism, validate_morphism,
                        weierstrass_in_p2)
@@ -483,6 +484,71 @@ def test_compat_modes_and_expectation():
     data = json.loads(proc.stdout)
     assert data["compatible"] is False
     assert data["mode"] == "independent"
+
+
+def affine_document(names):
+    return {"name": "A%d" % len(names),
+            "patches": [{"name": "A", "vars": list(names)}]}
+
+
+# morphism documents whose pullbacks have a nonzero lift constant
+# (P(x^p) - P^p)/p, with each pullback P as {degree in x: coefficient}
+LIFT_CONSTANT_DOCUMENTS = {
+    "graph": ({"name": "graph", "kind": "closed_immersion",
+               "source": affine_document(["x"]),
+               "target": affine_document(["x", "y"]),
+               "charts": [{"target": 0, "pullback": {"x": "x", "y": "x^2 + x"},
+                           "section": {"x": "x"}}]},
+              {"x": {1: 1}, "y": {2: 1, 1: 1}}),
+    "double": ({"name": "double", "kind": "etale",
+                "source": affine_document(["x"]),
+                "target": affine_document(["x"]),
+                "charts": [{"target": 0, "pullback": {"x": "2*x"}}]},
+               {"x": {1: 2}}),
+}
+
+
+def plain_frobenius_discrepancy(p, pullback):
+    """(P(x)^p - P(x^p))/p mod p over the integers: the discrepancy of
+    the lifts x -> x^p on both sides of the pullback P, as text."""
+    power = {0: 1}
+    for _ in range(p):
+        step = {}
+        for d1, c1 in power.items():
+            for d2, c2 in pullback.items():
+                step[d1 + d2] = step.get(d1 + d2, 0) + c1 * c2
+        power = step
+    for d, c in pullback.items():
+        power[d * p] -= c
+    assert all(c % p == 0 for c in power.values())
+    terms = {(d,): (c // p) % p for d, c in power.items()}
+    return MvPoly(IntModRing(p, 1), ("x",), terms).to_text()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("name", sorted(LIFT_CONSTANT_DOCUMENTS))
+def test_compat_counts_the_pullback_lift_constant(tmp_path, name, p):
+    # the joint solve commutes with the pullback's lift constant, so its
+    # re-check passes; independent x -> x^p lifts leave exactly that
+    # constant as the discrepancy
+    doc, pullbacks = LIFT_CONSTANT_DOCUMENTS[name]
+    path = tmp_path / (name + ".json")
+    path.write_text(json.dumps(doc))
+    data = run_json("compat", str(path), "--p", str(p), "--expect-compatible")
+    assert data["compatible"] is True
+    (chart,) = data["charts"]
+    assert set(chart["discrepancy"].values()) == {"0"}
+    data = run_json("compat", str(path), "--p", str(p), "--independent")
+    assert data["compatible"] is False
+    for lift in data["source_lifts"] + data["target_lifts"]:
+        assert set(lift["delta"].values()) == {"0"}
+    (chart,) = data["charts"]
+    assert chart["discrepancy"] == {
+        t: plain_frobenius_discrepancy(p, pullback)
+        for t, pullback in pullbacks.items()}
+    if p == 3:
+        assert chart["discrepancy"] == ({"x": "0", "y": "x^5 + x^4"}
+                                        if name == "graph" else {"x": "2*x^3"})
 
 
 def test_bounds_values():

@@ -10,6 +10,9 @@ import pytest
 
 import wf.cli
 import wf.di
+import wf.jet
+import wf.poly
+import wf.scheme
 from wf.base_ring import BaseRingSpec
 from wf.errors import (Inconclusive, KindMismatch, NonSmooth,
                        NoSolutionAtBound, WfError)
@@ -608,11 +611,11 @@ def test_compat_origin_needs_target_admissibility():
         assert compatibility_check(m, xs, ys).compatible is True
 
 
-def gm_on_two_charts(ring, power):
+def gm_on_two_charts(ring, power, coefficient=1):
     """G_m covered by the charts x and u = 1/x, both mapped into the one
-    chart of G_m: t -> x^power and t -> u_inv^power.  The source overlap
-    lies over one target chart, so the pullback and the frame change
-    read that chart's identity view."""
+    chart of G_m: t -> c x^power and t -> c u_inv^power, c the
+    coefficient.  The source overlap lies over one target chart, so the
+    pullback and the frame change read that chart's identity view."""
     source = GluedScheme(
         "Gm2", ring,
         [Presentation("X", ring, ("x",), inverted=("x",)),
@@ -622,8 +625,8 @@ def gm_on_two_charts(ring, power):
     target = GluedScheme("Gm", ring,
                          [Presentation("Gm", ring, ("t",), inverted=("t",))],
                          family="torus")
-    charts = [ChartMap(0, pullback={"t": "x^%d" % power}),
-              ChartMap(0, pullback={"t": "u_inv^%d" % power})]
+    charts = [ChartMap(0, pullback={"t": "%d*x^%d" % (coefficient, power)}),
+              ChartMap(0, pullback={"t": "%d*u_inv^%d" % (coefficient, power)})]
     return SchemeMorphism("gm_power_%d" % power, source, target, charts,
                           kind="etale")
 
@@ -656,6 +659,24 @@ def test_compat_two_source_charts_over_one_target_chart(tmp_path, capsys, p,
     assert rep.compatible is False
     (_, _, pullback, pushforward), = rep.pairs
     assert pullback["t"].is_zero() and not pushforward["t"].is_zero()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_compat_lift_constant_on_two_source_charts(p):
+    # t -> 2 x^2 and t -> 2 u_inv^2 have the lift constant
+    # (2 - 2^p)/p * x^(2p) on each chart; the joint lifts absorb it, and
+    # the x^p lifts leave it on both charts, where the identity
+    # pullback - pushforward = e_0 - e_1 still holds on the overlap
+    m = gm_on_two_charts(BaseRingSpec(p), 2, coefficient=2)
+    assert validate_morphism(m) is True
+    xs, ys = build_compatible_lifts(m)
+    assert compatibility_check(m, xs, ys).compatible is True
+    rep = compatibility_check(m, *independent_lifts(m))
+    assert rep.compatible is False
+    c = (2 ** p - 2) // p % p
+    assert [e["t"].to_text() for e in rep.discrepancy] == [
+        "%s%s^%d" % ("" if c == 1 else "%d*" % c, x, 2 * p)
+        for x in ("x", "u_inv")]
 
 
 def test_unsupported_kind_refused():
@@ -1092,3 +1113,81 @@ def test_compat_builds_each_charts_conditions_once(monkeypatch):
     for pres in charts:
         assert not reaches(pres.lift_conditions, pres)
 
+
+def value_key(f):
+    return f.vars, frozenset(f.terms.items())
+
+
+def counted_memo_builds(monkeypatch):
+    """Every chart made from now on, and each twisted gradient, lift
+    constant and companion inverse built, as (owner, value of the
+    polynomial): the chart for gradients and constants, its reduction
+    context at the
+    level asked for inverses.  The owners stay referenced, so no two of
+    them share an id."""
+    charts, builds = [], {"gradient": [], "constant": [], "inverse": []}
+    init = Presentation.__init__
+    partials = wf.scheme.twisted_partials
+    constant = wf.jet._lift_constant
+    invert = wf.poly.ReductionContext.try_invert
+
+    def making(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        charts.append(self)
+
+    def gradient(pres, f):
+        builds["gradient"].append((pres, value_key(pres.to_res(f))))
+        return partials(pres, f)
+
+    def lift_constant(pres, g):
+        builds["constant"].append((pres, value_key(g)))
+        return constant(pres, g)
+
+    def inverse(red, f):
+        builds["inverse"].append((red, value_key(f)))
+        return invert(red, f)
+
+    monkeypatch.setattr(Presentation, "__init__", making)
+    monkeypatch.setattr(wf.scheme, "twisted_partials", gradient)
+    monkeypatch.setattr(wf.jet, "_lift_constant", lift_constant)
+    monkeypatch.setattr(wf.poly.ReductionContext, "try_invert", inverse)
+    return charts, builds
+
+
+@pytest.mark.parametrize("argv", [["di", "weierstrass", "--p", "5"],
+                                  ["compat", "weierstrass_in_p2", "--p", "3"]],
+                         ids=" ".join)
+def test_charts_build_each_memo_entry_once(monkeypatch, capsys, argv):
+    # fder_apply, transport, the witness rows, the frame change and the
+    # lift discrepancy ask for the same gradients, lift constants and
+    # inverses again and again; each chart builds each one once
+    charts, builds = counted_memo_builds(monkeypatch)
+    assert wf.cli.main(argv) == 0
+    capsys.readouterr()
+    for kind, seen in builds.items():
+        assert seen, kind
+        keys = [(id(owner), key) for owner, key in seen]
+        assert len(set(keys)) == len(keys), kind
+    for pres in charts:
+        assert not reaches((pres.gradients, pres.lift_constants, pres.inverses),
+                           pres)
+    assert any(pres.gradients for pres in charts)
+    assert any(pres.inverses for pres in charts)
+    assert any(pres.lift_constants for pres in charts) == (argv[0] == "compat")
+
+
+def test_solution_coefficients_keep_only_nonzero_terms():
+    # the solver's values are reduced mod p, and a column left out of the
+    # system (a dependent target monomial) reads as 0
+    pres = BUILTIN_SCHEMES["weierstrass"](BaseRingSpec(5)).patches[0]
+    basis = pres.red.monomials_up_to(4)
+    rng = random.Random(5)
+    sol = {("A", v, m): rng.choice((0, 0, 1, 4)) for v in pres.vars
+           for m in basis if rng.random() < 0.8}
+    got = wf.di._coeffs_from_solution(pres, basis, sol, ("A",))
+    assert list(got) == list(pres.vars)
+    for v in pres.vars:
+        want = MvPoly(pres.res, pres.all_vars,
+                      {m: sol.get(("A", v, m), 0) for m in basis})
+        assert list(got[v].terms.items()) == list(want.terms.items())
+        assert 0 not in got[v].terms.values()

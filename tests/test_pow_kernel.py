@@ -9,7 +9,11 @@ needed, raise acc^q afresh at every step and build the delta of a
 monomial by the product rule, recursively.  The same holds for the
 kernels under them: a square, which takes only the products with
 i <= j, against the general product, and sums and products, which drop
-zeros where they make them, against a second filtering pass.
+zeros where they make them, against a second filtering pass.  A
+one-term polynomial is raised in closed form, c^k x^(k e), and
+``MvPoly.subst`` merges every term's image into one running sum in
+place; the oracles are square-and-multiply and the term-by-term
+substitution with a fresh sum per term.
 """
 
 import itertools
@@ -19,7 +23,8 @@ import pytest
 
 from wf.base_ring import BaseRingSpec, IntModRing, IntRing
 from wf.delta import DeltaContext, jet_name
-from wf.poly import MvPoly, ReductionContext
+from wf.errors import VariableMismatch
+from wf.poly import MvPoly, ReductionContext, parse_poly
 
 
 def oracle_pow(f, k):
@@ -142,6 +147,31 @@ POW_RINGS = (
 )
 
 
+def small_elem(ring, n, prec=None):
+    """n in ring; over BaseRingSpec known to prec digits (all if None)."""
+    if isinstance(ring, BaseRingSpec):
+        return ring.from_int(n, prec)
+    return ring.from_int(n)
+
+
+def one_term_cases(ring, vars, rng):
+    """One-term polynomials: random ones (over BaseRingSpec of random
+    precision), multiples of p whose powers vanish at the working
+    precision, a unit known to fewer digits, and constants."""
+    p = ring.p
+    cases = [rand_poly(ring, vars, rng, deg=3, terms=1) for _ in range(4)]
+    cases += [MvPoly.monomial(ring, vars, (1, 2), small_elem(ring, p)),
+              MvPoly.monomial(ring, vars, (0, 1), small_elem(ring, -p * p)),
+              MvPoly.monomial(ring, vars, (2, 0), small_elem(ring, p + 1, 2)),
+              MvPoly.monomial(ring, vars, (0, 0), small_elem(ring, 2))]
+    if isinstance(ring, BaseRingSpec):
+        cases += [MvPoly.monomial(ring, vars, (1, 1), ring.pi(2)),
+                  MvPoly.monomial(ring, vars, (3, 0),
+                                  ring.pi() * ring.from_int(2, 3))]
+    # over Z/p a multiple of p is already the zero polynomial
+    return [f for f in cases if f.terms]
+
+
 @pytest.mark.parametrize("ring", POW_RINGS, ids=repr)
 def test_pow_matches_oracle(ring):
     rng = random.Random(61)
@@ -153,6 +183,16 @@ def test_pow_matches_oracle(ring):
     zero = MvPoly.zero(ring, vars)
     for k in range(4):
         assert_identical(zero ** k, oracle_pow(zero, k))
+    # one-term polynomials take the closed form c^k x^(k e)
+    vanished = 0
+    for f in one_term_cases(ring, vars, rng):
+        assert len(f.terms) == 1
+        for k in range(13):
+            got = f ** k
+            assert_identical(got, oracle_pow(f, k))
+            vanished += not got.terms
+    if not isinstance(ring, IntRing) and not ring.is_zero(small_elem(ring, ring.p)):
+        assert vanished  # some power of p died at the working precision
 
 
 def general_product(f, g):
@@ -406,3 +446,115 @@ def test_kernels_store_no_zero_coefficients(ring):
             h = red.normal_form(rand_poly(ring, vars, rng, terms=4))
             assert_no_zero_coefficients(h)
         pool[rng.randrange(len(pool))] = h
+
+
+# -- substitution ---------------------------------------------------------
+
+
+def reference_subst(f, mapping, ring, vars):
+    """The term-by-term substitution: each term's image a product of
+    square-and-multiply powers, added to a fresh sum."""
+    vars = tuple(vars)
+    if any(val.vars != vars for val in mapping.values()):
+        raise VariableMismatch("substitution images over mixed spaces")
+    out = MvPoly.zero(ring, vars)
+    for e, c in f.sorted_terms():
+        term = MvPoly.const(ring, vars, f._convert_coeff(c, ring))
+        for name, k in zip(f.vars, e):
+            if k == 0:
+                continue
+            if name not in mapping:
+                raise VariableMismatch("no image for variable %r" % (name,))
+            term = term * oracle_pow(mapping[name], k)
+        out = out + term
+    return out
+
+
+def outcome(fn):
+    """fn()'s polynomial, or the type and message of what it raised."""
+    try:
+        return fn()
+    except VariableMismatch as exc:
+        return (type(exc), str(exc))
+
+
+def assert_same_subst(f, mapping, ring, vars):
+    got = outcome(lambda: f.subst(mapping, ring, vars))
+    want = outcome(lambda: reference_subst(f, mapping, ring, vars))
+    if isinstance(want, MvPoly):
+        assert isinstance(got, MvPoly), got
+        assert_identical(got, want)
+    else:
+        assert got == want
+
+
+def monomial_images(ring, src, dst, rng):
+    """One-term images of the names in src over dst: random monomials
+    with random coefficients (random precision over BaseRingSpec), so
+    images of different terms share exponents and merge."""
+    out = {}
+    for name in src:
+        e = tuple(rng.randint(0, 2) for _ in dst)
+        c = rand_poly(ring, dst, rng, terms=1).terms
+        c = next(iter(c.values())) if c else ring.one()
+        out[name] = MvPoly.monomial(ring, dst, e, c)
+    return out
+
+
+@pytest.mark.parametrize("ring", POW_RINGS, ids=repr)
+def test_subst_matches_reference(ring):
+    rng = random.Random(67)
+    src, dst = ("x", "y", "z"), ("u", "v")
+    p = ring.p
+    for _ in range(8):
+        f = rand_poly(ring, src, rng, deg=4, terms=6)
+        images = monomial_images(ring, src, dst, rng)
+        assert_same_subst(f, images, ring, dst)
+        # one multi-term image among the monomials
+        multi = dict(images)
+        multi["y"] = rand_poly(ring, dst, rng, deg=2, terms=3)
+        assert_same_subst(f, multi, ring, dst)
+        # a zero image and a constant one
+        degenerate = dict(images)
+        degenerate["x"] = MvPoly.zero(ring, dst)
+        degenerate["z"] = MvPoly.const(ring, dst, 3)
+        assert_same_subst(f, degenerate, ring, dst)
+    # images that merge and cancel: x + y - 2 z with x, y -> u and
+    # z -> u cancels in u; x*y + y^2 with x -> -y merges to 0
+    u = MvPoly.var(ring, dst, "u")
+    f = parse_poly("x + y - 2*z + x*y + y^2 + 5", ring, src)
+    for images in ({"x": u, "y": u, "z": u},
+                   {"x": -MvPoly.var(ring, dst, "v"), "y": MvPoly.var(ring, dst, "v"),
+                    "z": u * small_elem(ring, p)}):
+        assert_same_subst(f, images, ring, dst)
+    f = parse_poly("x + y - 2*z", ring, src)
+    assert not f.subst({"x": u, "y": u, "z": u}, ring, dst).terms
+    # images whose powers vanish at the working precision, next to units
+    # known to fewer digits
+    images = {"x": MvPoly.monomial(ring, dst, (1, 0), small_elem(ring, p * p)),
+              "y": MvPoly.monomial(ring, dst, (0, 1), small_elem(ring, p + 1, 2)),
+              "z": MvPoly.monomial(ring, dst, (1, 1), small_elem(ring, p))}
+    for _ in range(4):
+        assert_same_subst(rand_poly(ring, src, rng, deg=5, terms=6), images,
+                          ring, dst)
+
+
+@pytest.mark.parametrize("ring", POW_RINGS, ids=repr)
+def test_subst_raises_where_reference_raises(ring):
+    # a missing image is refused at the first term, largest first, that
+    # uses it, even after an earlier image vanished; images over another
+    # space are refused before any term; an unused name needs no image
+    src, dst = ("x", "y", "z"), ("u", "v")
+    rng = random.Random(68)
+    f = parse_poly("x^2*z + y + 1", ring, src)
+    images = monomial_images(ring, src, dst, rng)
+    for missing in (("x",), ("y",), ("z",), ("x", "z"), ("x", "y", "z")):
+        partial = {n: img for n, img in images.items() if n not in missing}
+        assert_same_subst(f, partial, ring, dst)
+        partial["x"] = MvPoly.zero(ring, dst)
+        assert_same_subst(f, partial, ring, dst)
+    assert_same_subst(parse_poly("y", ring, src), {"y": images["y"]}, ring, dst)
+    stray = dict(images, w=MvPoly.var(ring, ("u", "v", "w"), "w"))
+    assert_same_subst(f, stray, ring, dst)
+    assert_same_subst(MvPoly.zero(ring, src), stray, ring, dst)
+    assert isinstance(outcome(lambda: f.subst({}, ring, dst)), tuple)

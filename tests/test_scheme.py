@@ -123,19 +123,35 @@ def test_transport_missing_image_raises():
 
 def test_transport_noninvertible_companion_raises():
     # the companion of x must map to the inverse of the image of x; a
-    # non-unit image has no certified inverse in the target chart
+    # non-unit image has no certified inverse in the target chart, on
+    # every call and at both levels, and nothing is kept for it
     ring = BaseRingSpec(3)
     gm = BUILTIN_SCHEMES["gm"](ring).patches[0]
     a1 = affine_space(ring, 1).patches[0]
     f = parse_poly("x_inv", ring, gm.all_vars)
-    with pytest.raises(TransitionError):
-        transport(f, gm, {"x": parse_poly("x", ring, a1.all_vars)}, a1,
-                  level="R")
+    for level in ("R", "res", "R", "res"):
+        with pytest.raises(TransitionError):
+            transport(f, gm, {"x": parse_poly("x", ring, a1.all_vars)}, a1,
+                      level=level)
     table = MonomialImages.transported(
         gm, {"x": parse_poly("x", ring, a1.all_vars)}, a1)
     assert table[(3, 0)].to_text() == "x^3"
     with pytest.raises(TransitionError):
         table[(0, 1)]
+    assert a1.inverses == {}
+    # a certified inverse is kept once per level and image at that
+    # level, and reads the same as one computed afresh
+    gm2 = BUILTIN_SCHEMES["gm"](ring).patches[0]
+
+    def moved(dst, image, level):
+        return transport(f, gm, {"x": parse_poly(image, ring, dst.all_vars)},
+                         dst, level=level)
+
+    for image in ("2*x", "2*x", "5*x", "2*x"):
+        for level in ("R", "res"):
+            fresh = BUILTIN_SCHEMES["gm"](ring).patches[0]
+            assert moved(gm2, image, level) == moved(fresh, image, level)
+    assert sorted(level for level, _ in gm2.inverses) == ["R", "R", "res"]
 
 
 def _transition_maps(p):

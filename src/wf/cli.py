@@ -124,15 +124,18 @@ def _read_json(path):
 
 
 def _base_ring(args):
-    eis = None
-    if getattr(args, "eisenstein", None):
-        eis = _ints(args.eisenstein, "--eisenstein")
-    return BaseRingSpec(args.p, eis, args.precision, args.m)
+    """The ring the flags name; --precision and --m default to 4 and 1."""
+    eis = _ints(args.eisenstein, "--eisenstein") if args.eisenstein else None
+    return BaseRingSpec(args.p, eis,
+                        4 if args.precision is None else args.precision,
+                        1 if args.m is None else args.m)
 
 
 def _load(token, args, builtins, cls, validate):
     """A builtin from the table or a JSON document read by cls, either way
-    checked by validate; the messages name the kind of object cls holds."""
+    checked by validate; the messages name the kind of object cls holds.
+    A document keeps its own ring unless --p is given, so the other ring
+    flags are refused without it rather than ignored."""
     what = "scheme" if cls is GluedScheme else "morphism"
     if token in builtins:
         if args.p is None:
@@ -142,6 +145,11 @@ def _load(token, args, builtins, cls, validate):
         raise WfError("unknown %s %r: not a builtin (%s) and not a file"
                       % (what, token, ", ".join(sorted(builtins))))
     else:
+        given = [flag for flag in ("m", "precision", "eisenstein")
+                 if getattr(args, flag) is not None]
+        if args.p is None and given:
+            raise WfError("--%s needs --p: the %s document %r keeps its own "
+                          "ring otherwise" % (given[0], what, token))
         ring = _base_ring(args) if args.p is not None else None
         loaded = cls.from_json(_read_json(token), ring)
     validate(loaded)
@@ -408,10 +416,11 @@ def _add_output(p):
 def _add_ring_flags(p):
     p.add_argument("--p", type=int, default=None,
                    help="residue characteristic; required for builtin "
-                        "names, overrides the ring stored in a file")
-    p.add_argument("--m", type=int, default=1,
+                        "names, overrides the ring stored in a file and "
+                        "is required there by the other ring flags")
+    p.add_argument("--m", type=int, default=None,
                    help="Frobenius power, q = p^m (default 1)")
-    p.add_argument("--precision", type=int, default=4,
+    p.add_argument("--precision", type=int, default=None,
                    help="pi-adic working precision (default 4)")
     p.add_argument("--eisenstein", metavar="C0,C1,...",
                    help="defining polynomial of the base ring, constant "

@@ -15,42 +15,11 @@ pole degree decides vanishing.
 The chart lifts, the coboundary witness and the lifts that commute with
 a morphism are all systems of such conditions, and one set of helpers
 assembles them: _register adds the unknowns tag + (v, m) for a chart and
-a monomial basis, _conditions lists a chart's affine conditions (one per
-generator, built once and kept with the chart), _add_condition adds one
-condition, constant and normal-formed Jacobian block, and _degree_ladder
-runs the degree-doubling search for both lift searches.
-
-The solver returns the solution whose free variables are zero, and a
-column in the span of the columns before it is never a pivot.  Such a
-column is 0 in that solution, and leaving it out changes neither the
-rank nor any other column's pivot status or value.  The joint system of
-a morphism registers its target unknowns last, and _compatible_attempt
-builds each target column once and adds it only when one incremental
-echelon per target chart finds it independent of the chart's earlier
-columns.  A target chart that the morphism maps onto a curve keeps about
-the affine Hilbert function of the curve instead of every monomial of
-the plane, and on a chart without relations the multiples of a
-dependent monomial are skipped untested.
-
-A zero cocycle, as chart lifts that agree on every overlap give, is
-decided by the zero witness with no system built.
-
-At the residue level normal form and transport are ring maps onto the
-normal-form basis, so the images of basis monomials come from
-wf.scheme.MonomialImages tables (the multiplication-matrix idea of
-Faugere, Gianni, Lazard & Mora's FGLM): each entry is one product of a
-cached smaller entry by a variable's image, normal-formed once.  Every
-Jacobian block entry nf(J * x^m) is the entry m of a table seeded with
-J.  A chart's lift conditions keep one such table per variable and
-generator for as long as the chart lives, so its lift attempts, the
-witness's tangency rows and its compatible-lift attempts share them.
-The other tables are built per call: is_coboundary's one per overlap
-(i, j) and twisted-gradient entry for nf_b(mat * x^m), its table for
-the a-side basis and its transport table for pb -> pa, and the joint
-compatible-lift system's compat blocks and transport table per chart.
-A moved polynomial is sum c * T[e] over its terms: each T[e] is a
-normal form and sums of normal forms are normal forms, so the sum
-takes no normal_form call.
+a monomial basis, _condition builds the condition of one polynomial and
+keeps it with the chart, _conditions lists those of a chart's relations,
+_add_condition adds one condition, constant and normal-formed Jacobian
+block, and _degree_ladder runs the degree-doubling search for both lift
+searches.
 
 Negative coboundary answers are only definitive at or above the
 completeness threshold for the family; below it the solver refuses with
@@ -62,7 +31,7 @@ from __future__ import annotations
 from .bounds import require_at_least
 from .errors import Inconclusive, KindMismatch, NoSolutionAtBound, WfError
 from .gfp import insert_row, solve as gfp_solve
-from .jet import collapse_companion_jets, lift_constant, linearize_mod_pi
+from .jet import collapse_companion_jets, linearize_generator
 from .poly import MvPoly
 from .scheme import (FDerSection, MonomialImages, fder_apply, transport,
                      twisted_gradient)
@@ -211,26 +180,33 @@ def _register(sys, tag, pres, basis):
             sys.col(tag + (v, m))
 
 
-def _jacobian_tables(pres, jac):
-    """Per chart variable v with a Jacobian entry jac[v], the table
-    seeded with it: its entry m is the block entry nf(jac[v] * x^m)."""
-    return {v: MonomialImages.shifted(pres, pres.all_vars, jac[v])
-            for v in pres.vars if v in jac}
+def _condition(pres, g):
+    """(const, Jacobian tables) of the affine condition const + sum_v
+    J_v A_v = 0 that delta(g) = 0 mod pi puts on a lift, companion jets
+    eliminated; tables[v] is seeded with J_v, so its entry m is the
+    block entry nf(J_v * x^m).  The only builder of a lift condition,
+    for relations and pullbacks alike.  The constant depends on g mod
+    pi^2, not on its residue alone, so the condition is kept in
+    pres.conditions by g itself, its terms with their coefficients and
+    precisions: the lift ladder, the witness's tangency rows, every
+    compatible-lift attempt and the discrepancy re-check read the same
+    one.  A table holds no reference back to the chart; callers must not
+    mutate the condition."""
+    key = (g.vars, tuple(g.terms.items()))
+    cond = pres.conditions.get(key)
+    if cond is None:
+        row = collapse_companion_jets(pres, linearize_generator(pres, g))
+        cond = pres.conditions[key] = (row.const, {
+            v: MonomialImages.shifted(pres, pres.all_vars, row.jac[v])
+            for v in pres.vars if v in row.jac})
+    return cond
 
 
 def _conditions(pres):
-    """(const, Jacobian tables) per generator of the chart, companion jets
-    eliminated: the affine conditions const + sum_v J_v A_v = 0 of a
-    lift.  Built on the first call and kept with the chart (as its
-    mod_pi2 clone is), so the lift ladder, the witness's tangency rows
-    and every compatible-lift attempt read the same tables; a table
-    holds no reference back to the chart."""
-    if pres.lift_conditions is None:
-        pres.lift_conditions = tuple(
-            (row.const, _jacobian_tables(pres, row.jac))
-            for row in (collapse_companion_jets(pres, r)
-                        for r in linearize_mod_pi(pres)))
-    return pres.lift_conditions
+    """The lift conditions of the chart's relations.  A companion product
+    u v - 1 adds none: its constant is 0, and its folded Jacobian
+    u^q - u^(2q) v^q has normal form 0."""
+    return [_condition(pres, g) for g in pres.relations]
 
 
 def _add_condition(sys, eq, const, tables, tag, basis):
@@ -550,7 +526,7 @@ def lift_discrepancy(morphism, x_lifts, y_lifts):
     and f*(phi_Y(t)) = P^q + pi * pullback(A^Y_t) mod pi^2, so
     e_i[t] = pullback(A^Y_t) - delta_X(P) - (P(X^q) - P^q)/pi: the
     transported target lift, minus the twisted chain rule on the source
-    lift, minus P's lift constant (wf.jet.lift_constant, which
+    lift, minus P's lift constant (read from _condition, which
     _compatible_attempt solves with too).  These are the components of
     an F-derivation along the morphism; they all vanish exactly when the
     chart lifts commute with the morphism.  The constant is 0 when P is
@@ -568,7 +544,7 @@ def lift_discrepancy(morphism, x_lifts, y_lifts):
                                level="res")
             applied = fder_apply(src, x_lifts[i].fder.coeffs,
                                  chart.pullback[t])
-            const = lift_constant(src, chart.pullback[t])
+            const, _ = _condition(src, chart.pullback[t])
             comp[t] = src.nf(pulled - applied - const)
         out.append(comp)
     return out
@@ -768,9 +744,8 @@ def _compatible_attempt(morphism, degree):
     for idx, chart in enumerate(morphism.charts):
         src = morphism.source.patches[idx]
         for t in morphism.target_patch(idx).vars:
-            f = chart.pullback[t]
-            _add_condition(sys, ("compat", idx, t), lift_constant(src, f),
-                           _jacobian_tables(src, twisted_gradient(src, f)),
+            const, tables = _condition(src, chart.pullback[t])
+            _add_condition(sys, ("compat", idx, t), const, tables,
                            ("AX", idx), src_bases[idx])
     # the target columns: admissibility constants, then each independent
     # column with its compat and ylift entries
@@ -803,7 +778,7 @@ def _compatible_attempt(morphism, degree):
                         for e, c in tables[t][m].terms.items():
                             col[("ylift", idx, r, e)] = c
                 if t in deciding and insert_row(p, echelon, col) is None:
-                    if not conditions:
+                    if not (pres.relations or pres.loc_pairs):
                         dependent.append(m)
                     continue
                 kept.add(m)

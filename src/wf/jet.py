@@ -88,20 +88,6 @@ def linearize_generator(pres: Presentation, g: MvPoly) -> LinearRow:
     return LinearRow(_lift_constant(pres, g), twisted_partials(pres, g))
 
 
-def lift_constant(pres: Presentation, g: MvPoly) -> MvPoly:
-    """The constant of linearize_generator(pres, g), built once per chart
-    and polynomial: wf.di reads it for every pullback on every degree
-    attempt and in the discrepancy re-check.  It depends on g mod pi^2,
-    not on its residue alone, so it is kept in pres.lift_constants by g
-    itself, its terms with their coefficients and precisions; callers
-    must not mutate it."""
-    key = (g.vars, tuple(g.terms.items()))
-    const = pres.lift_constants.get(key)
-    if const is None:
-        const = pres.lift_constants[key] = _lift_constant(pres, g)
-    return const
-
-
 def _lift_constant(pres: Presentation, g: MvPoly) -> MvPoly:
     """nf((g(X^q) - g^q)/pi mod pi), reducing as it goes.
 
@@ -140,7 +126,9 @@ def _power_nf(pres: Presentation, f: MvPoly, k: int) -> MvPoly:
 
 
 def linearize_mod_pi(pres: Presentation):
-    """Linear rows for every relation and companion product of the chart."""
+    """Linear rows for every relation and companion product of the chart.
+    wf.di builds its conditions one polynomial at a time and does not
+    call this."""
     return tuple(linearize_generator(pres, g) for g in pres.generators())
 
 

@@ -18,8 +18,8 @@ ring forces D(v_inv) = -v_inv^(2q) D(v).  That companion rule lives in
 fold_companions alone, and every twisted Jacobian is built from
 twisted_partials (the partials with exponents q-scaled):
 twisted_gradient folds them through it, the étale certificate reads its
-rows from twisted_gradient, and wf.jet linearizes a relation mod pi
-with them and folds the row through it.
+rows from twisted_gradient, and wf.jet linearizes a relation or a
+pullback mod pi with them and folds the row through it.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ class Presentation:
 
     __slots__ = ("name", "ring", "vars", "inverted", "companions", "all_vars",
                  "relations", "res", "relations_res", "red", "red_R",
-                 "loc_pairs", "_mod_pi2", "lift_conditions", "gradients",
-                 "lift_constants", "inverses")
+                 "loc_pairs", "_mod_pi2", "conditions", "gradients",
+                 "inverses")
 
     def __init__(self, name, ring, vars, relations=(), inverted=()):
         self.name = name
@@ -80,13 +80,12 @@ class Presentation:
                                       avoid=self.inverted)
         self._mod_pi2 = None
         # built on first use and kept with the chart, none holding a
-        # reference back to it: wf.di's lift conditions; twisted
-        # gradients, keyed by residue polynomial; wf.jet's lift constants,
-        # keyed by the polynomial itself; certified companion inverses,
-        # keyed by level and the image at that level
-        self.lift_conditions = None
+        # reference back to it: wf.di's lift conditions, keyed by the
+        # polynomial itself; twisted gradients, keyed by residue
+        # polynomial; certified companion inverses, keyed by level and
+        # the image at that level
+        self.conditions = {}
         self.gradients = {}
-        self.lift_constants = {}
         self.inverses = {}
 
     @property
@@ -211,7 +210,8 @@ def transport(expr, src_pres, base_map, dst_pres, level="res"):
 
 class MonomialImages:
     """Residue normal forms nf(seed * prod_n image_of(n)^e_n) in pres, by
-    exponent tuple e over names, filled lazily.
+    exponent tuple e over names, filled lazily: the multiplication-matrix
+    idea of Faugere, Gianni, Lazard & Mora's FGLM.
 
     image_of(n) is called once per name, the first time an exponent
     needs it, so a name that never occurs never raises.  A new entry is
@@ -222,9 +222,9 @@ class MonomialImages:
     rule and sit in no localization pair: a normal form times one of
     them is already a normal form, so those entries skip normal_form.
     A table keeps pres's residue normal form, ring and variables, not
-    pres itself, so a chart can keep its Jacobian tables (wf.di's lift
-    conditions) without a reference cycle; the other tables live for
-    one call.
+    pres itself, so a chart can keep the Jacobian tables of its lift
+    conditions (Presentation.conditions) without a reference cycle; the
+    other tables live for one call.
     """
 
     __slots__ = ("nf", "res", "all_vars", "names", "image_of", "images",

@@ -632,6 +632,39 @@ def test_scheme_file_and_ring_override(tmp_path):
     assert data["vanishes"] is False
 
 
+@pytest.mark.parametrize("command, builtin", [
+    ("di", "weierstrass"), ("lift", "weierstrass"),
+    ("compat", "weierstrass_in_p2")])
+def test_document_ring_flags_need_p(tmp_path, capsys, command, builtin):
+    # a document's ring comes from the document unless --p is given, so
+    # a ring flag without --p would be ignored: it is refused instead
+    table = BUILTIN_MORPHISMS if command == "compat" else BUILTIN_SCHEMES
+    path = tmp_path / (builtin + ".json")
+    path.write_text(json.dumps(table[builtin](BaseRingSpec(5)).to_json()))
+    assert wf.cli.main([command, str(path)]) == 0
+    capsys.readouterr()
+    for flag, value in (("--m", "2"), ("--m", "0"), ("--precision", "3"),
+                        ("--eisenstein", "-5,1")):
+        assert wf.cli.main([command, str(path), flag + "=" + value]) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "WfError"
+        assert err["message"].startswith(flag + " needs --p"), err
+
+
+def test_document_ring_flags_apply_with_p(tmp_path, capsys):
+    path = tmp_path / "weierstrass.json"
+    path.write_text(json.dumps(
+        BUILTIN_SCHEMES["weierstrass"](BaseRingSpec(5)).to_json()))
+    assert wf.cli.main(["di", str(path)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert (data["ring"]["frob_power"], data["threshold"]) == (1, 20)
+    assert wf.cli.main(["di", str(path), "--p", "5", "--m", "2"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert (data["ring"]["frob_power"], data["threshold"]) == (2, 100)
+    assert wf.cli.main(["di", str(path), "--p", "5", "--m", "0"]) == 2
+    capsys.readouterr()
+
+
 def test_output_flag_writes_file(tmp_path):
     out = tmp_path / "report.json"
     proc = run_cli("di", "p1", "--p", "3", "--output", str(out))

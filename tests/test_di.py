@@ -1050,17 +1050,34 @@ def test_witness_matches_reference_assembly(monkeypatch, p):
     assert not verdicts["p2 perturbed"]
 
 
+def value_key(f):
+    return f.vars, frozenset(f.terms.items())
+
+
 def counted_linearizations(monkeypatch):
-    """The chart of each wf.di call of linearize_mod_pi from now on."""
+    """(chart, value of the polynomial) for each wf.di call of
+    linearize_generator from now on; the charts stay referenced, so no
+    two of them share an id."""
     seen = []
-    linearize = wf.di.linearize_mod_pi
+    linearize = wf.di.linearize_generator
 
-    def counting(pres):
-        seen.append(pres)
-        return linearize(pres)
+    def counting(pres, g):
+        seen.append((pres, value_key(g)))
+        return linearize(pres, g)
 
-    monkeypatch.setattr(wf.di, "linearize_mod_pi", counting)
+    monkeypatch.setattr(wf.di, "linearize_generator", counting)
     return seen
+
+
+def assert_each_built_once(seen):
+    keys = [(id(owner), key) for owner, key in seen]
+    assert len(set(keys)) == len(keys)
+
+
+def pullback_keys(pres):
+    """The keys of pres.conditions that are not relations of pres."""
+    relations = {(g.vars, tuple(g.terms.items())) for g in pres.relations}
+    return [key for key in pres.conditions if key not in relations]
 
 
 def reaches(start, target):
@@ -1083,23 +1100,26 @@ def reaches(start, target):
 
 def test_di_builds_each_charts_conditions_once(monkeypatch):
     # the lift ladder and the witness's tangency rows share each chart's
-    # conditions; weierstrass at p = 7 has a nonzero cocycle, so the
-    # witness system is built
+    # conditions, one per relation; weierstrass at p = 7 has a nonzero
+    # cocycle, so the witness system is built
     seen = counted_linearizations(monkeypatch)
     scheme = BUILTIN_SCHEMES["weierstrass"](BaseRingSpec(7))
     report = compute_di_class(scheme)
     assert not report.cochain.is_zero()
-    assert [id(pres) for pres in seen] == [id(pres) for pres in scheme.patches]
+    assert_each_built_once(seen)
+    assert {(id(pres), key) for pres, key in seen} == {
+        (id(pres), value_key(g)) for pres in scheme.patches
+        for g in pres.relations}
     assert reaches(report.lifts[0], scheme.patches[0])
     for pres in scheme.patches:
-        assert pres.lift_conditions
-        assert not reaches(pres.lift_conditions, pres)
+        assert pres.conditions and not pullback_keys(pres)
+        assert not reaches(pres.conditions, pres)
 
 
 def test_compat_builds_each_charts_conditions_once(monkeypatch):
-    # the whole ladder of joint attempts, the lift of the target chart
-    # the morphism misses and the independent lifts read one set of
-    # conditions per chart
+    # the whole ladder of joint attempts, the discrepancy re-check, the
+    # lift of the target chart the morphism misses and the independent
+    # lifts linearize each relation and pullback once per chart
     attempts = recorded_systems(monkeypatch)
     seen = counted_linearizations(monkeypatch)
     m = BUILTIN_MORPHISMS["weierstrass_in_p2"](BaseRingSpec(3))
@@ -1108,27 +1128,71 @@ def test_compat_builds_each_charts_conditions_once(monkeypatch):
     assert len(attempts) > 2
     for pres in charts:
         local_frobenius_lift(pres)
-    assert sorted(id(pres) for pres in seen) == sorted(id(pres)
-                                                      for pres in charts)
+    assert_each_built_once(seen)
+    assert {id(pres) for pres, _ in seen} == {id(pres) for pres in charts
+                                              if pres.relations}
+    for idx, pres in enumerate(m.source.patches):
+        assert len(pullback_keys(pres)) == len(m.target_patch(idx).vars)
+    for pres in m.target.patches:
+        assert not pullback_keys(pres)
     for pres in charts:
-        assert not reaches(pres.lift_conditions, pres)
+        assert not reaches(pres.conditions, pres)
 
 
-def value_key(f):
-    return f.vars, frozenset(f.terms.items())
+def test_companion_products_add_no_condition():
+    # u v - 1 linearizes to the constant 0 and the folded Jacobian
+    # u^q - u^(2q) v^q, which is 0 in the normal form; checked on every
+    # localized chart and overlap view of the builtins
+    checked = 0
+    for p, m in [(2, 1), (3, 1), (5, 1), (3, 2), (7, 2)]:
+        ring = BaseRingSpec(p, frob_power=m)
+        charts = []
+        for build in BUILTIN_SCHEMES.values():
+            try:
+                scheme = build(ring)
+            except NonSmooth:  # weierstrass at p = 2, genus2 at p = 5
+                continue
+            charts += scheme.patches
+            for (i, j) in scheme.overlap_pairs():
+                view = scheme.view(i, j)
+                charts += [view.pres_a, view.pres_b]
+        for pres in charts:
+            for g in pres.generators()[len(pres.relations):]:
+                const, tables = wf.di._condition(pres, g)
+                assert const.is_zero() and tables == {}, (p, m, pres.name)
+                checked += 1
+    assert checked > 50
+
+
+def test_wrong_pullback_table_fails_the_discrepancy_recheck(monkeypatch):
+    # the re-check reads only the constant from the kept condition and
+    # takes the chain rule from fder_apply, so a wrong Jacobian table in
+    # the solve is caught
+    condition = wf.di._condition
+
+    def doubled(pres, g):
+        const, tables = condition(pres, g)
+        if value_key(g) in {value_key(r) for r in pres.relations}:
+            return const, tables
+        grad = twisted_gradient(pres, g)
+        return const, {v: wf.scheme.MonomialImages.shifted(
+            pres, pres.all_vars, grad[v] + grad[v]) for v in tables}
+
+    monkeypatch.setattr(wf.di, "_condition", doubled)
+    m = BUILTIN_MORPHISMS["weierstrass_in_p2"](BaseRingSpec(3))
+    with pytest.raises(WfError, match="failed the discrepancy re-check"):
+        build_compatible_lifts(m)
 
 
 def counted_memo_builds(monkeypatch):
     """Every chart made from now on, and each twisted gradient, lift
-    constant and companion inverse built, as (owner, value of the
-    polynomial): the chart for gradients and constants, its reduction
-    context at the
-    level asked for inverses.  The owners stay referenced, so no two of
-    them share an id."""
-    charts, builds = [], {"gradient": [], "constant": [], "inverse": []}
+    condition and companion inverse built, as (owner, value of the
+    polynomial): the chart for gradients and conditions, its reduction
+    context at the level asked for inverses.  The owners stay
+    referenced, so no two of them share an id."""
+    charts, builds = [], {"gradient": [], "inverse": []}
     init = Presentation.__init__
     partials = wf.scheme.twisted_partials
-    constant = wf.jet._lift_constant
     invert = wf.poly.ReductionContext.try_invert
 
     def making(self, *args, **kwargs):
@@ -1139,18 +1203,14 @@ def counted_memo_builds(monkeypatch):
         builds["gradient"].append((pres, value_key(pres.to_res(f))))
         return partials(pres, f)
 
-    def lift_constant(pres, g):
-        builds["constant"].append((pres, value_key(g)))
-        return constant(pres, g)
-
     def inverse(red, f):
         builds["inverse"].append((red, value_key(f)))
         return invert(red, f)
 
     monkeypatch.setattr(Presentation, "__init__", making)
     monkeypatch.setattr(wf.scheme, "twisted_partials", gradient)
-    monkeypatch.setattr(wf.jet, "_lift_constant", lift_constant)
     monkeypatch.setattr(wf.poly.ReductionContext, "try_invert", inverse)
+    builds["condition"] = counted_linearizations(monkeypatch)
     return charts, builds
 
 
@@ -1159,21 +1219,21 @@ def counted_memo_builds(monkeypatch):
                          ids=" ".join)
 def test_charts_build_each_memo_entry_once(monkeypatch, capsys, argv):
     # fder_apply, transport, the witness rows, the frame change and the
-    # lift discrepancy ask for the same gradients, lift constants and
+    # lift discrepancy ask for the same gradients, conditions and
     # inverses again and again; each chart builds each one once
     charts, builds = counted_memo_builds(monkeypatch)
     assert wf.cli.main(argv) == 0
     capsys.readouterr()
     for kind, seen in builds.items():
         assert seen, kind
-        keys = [(id(owner), key) for owner, key in seen]
-        assert len(set(keys)) == len(keys), kind
+        assert_each_built_once(seen)
     for pres in charts:
-        assert not reaches((pres.gradients, pres.lift_constants, pres.inverses),
+        assert not reaches((pres.gradients, pres.conditions, pres.inverses),
                            pres)
     assert any(pres.gradients for pres in charts)
     assert any(pres.inverses for pres in charts)
-    assert any(pres.lift_constants for pres in charts) == (argv[0] == "compat")
+    assert (any(pullback_keys(pres) for pres in charts)
+            == (argv[0] == "compat"))
 
 
 def test_solution_coefficients_keep_only_nonzero_terms():

@@ -1,6 +1,8 @@
 """Static checks over src/wf: no unused imports, no unreferenced private
-helpers, no parameter a function never reads, and no docstring naming a
-private helper that is gone.  Each is left behind by a refactor."""
+helpers, no parameter a function never reads, no docstring naming a
+private helper that is gone, and no docstring naming a module attribute,
+such as wf.jet.linearize_generator, that the module does not define.
+Each is left behind by a refactor."""
 
 import ast
 import pathlib
@@ -83,17 +85,22 @@ def defined_names(tree):
     return out
 
 
-def docstring_private_names(tree):
-    """(private name, line) for each _name, dunders aside, that a module,
-    class or function docstring mentions."""
+def docstrings(tree):
+    """(docstring, line) of the module and of every class and function."""
     for node in ast.walk(tree):
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
                              ast.AsyncFunctionDef)):
             doc = ast.get_docstring(node, clean=False)
             if doc:
-                line = node.body[0].lineno
-                for name in re.findall(r"(?<![\w])_[A-Za-z]\w*", doc):
-                    yield name, line
+                yield doc, node.body[0].lineno
+
+
+def docstring_private_names(tree):
+    """(private name, line) for each _name, dunders aside, that a module,
+    class or function docstring mentions."""
+    for doc, line in docstrings(tree):
+        for name in re.findall(r"(?<![\w])_[A-Za-z]\w*", doc):
+            yield name, line
 
 
 def test_docstrings_name_only_existing_private_names():
@@ -106,6 +113,46 @@ def test_docstrings_name_only_existing_private_names():
              for private, line in docstring_private_names(tree)
              if private not in known]
     assert not stale, "docstrings name private helpers that are gone: %s" % stale
+
+
+def top_level_names(tree):
+    """Every name the module binds at its top level."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.update(n.id for t in targets for n in ast.walk(t)
+                       if isinstance(n, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            out.update(alias.asname or alias.name.split(".")[0]
+                       for alias in node.names)
+    return out
+
+
+def docstring_module_references(tree, modules):
+    """(module, name, line) for each module.name or wf.module.name that a
+    docstring mentions, module being one of modules; a file name such as
+    jet.py is not a reference."""
+    pattern = re.compile(r"(?<![\w.])(?:wf\.)?(%s)\.(?!py\b)([A-Za-z_]\w*)"
+                         % "|".join(map(re.escape, sorted(modules))))
+    for doc, line in docstrings(tree):
+        for match in pattern.finditer(doc):
+            yield match.group(1), match.group(2), line
+
+
+def test_docstring_module_references_resolve():
+    trees = {path.stem: parse(path) for path in MODULES}
+    names = {stem: top_level_names(tree) for stem, tree in trees.items()}
+    refs = [(stem, module, name, line) for stem, tree in trees.items()
+            for module, name, line in docstring_module_references(tree, trees)]
+    assert refs
+    stale = ["%s.py:%d %s.%s" % (stem, line, module, name)
+             for stem, module, name, line in refs
+             if name not in names[module]]
+    assert not stale, "docstrings name module attributes that are gone: %s" % stale
 
 
 # parameters a function may leave unread, each with its reason
@@ -176,6 +223,21 @@ def test_docstring_check_catches_stale_names():
     assert found == ["_add_condition", "_gone"]
     assert [name for name in found
             if name not in defined_names(tree)] == ["_gone"]
+
+
+def test_reference_check_catches_stale_names():
+    tree = ast.parse('"""See wf.jet.lift_constant and scheme.fold_companions,\n'
+                     'not xscheme.gone, the file jet.py nor wf.scheme alone."""\n')
+    assert list(docstring_module_references(tree, {"jet", "scheme"})) == [
+        ("jet", "lift_constant", 1), ("scheme", "fold_companions", 1)]
+    module = ast.parse("from .poly import MvPoly as P\n"
+                       "N: int = 1\n"
+                       "A, (B, C) = 1, (2, 3)\n"
+                       "def fold_companions(pres):\n"
+                       "    inner = 1\n"
+                       "    return inner\n")
+    assert top_level_names(module) == {"P", "N", "A", "B", "C",
+                                       "fold_companions"}
 
 
 def test_parameter_check_catches_unread_parameters():

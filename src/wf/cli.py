@@ -5,7 +5,9 @@ polynomials (prolong), jet-space chart presentations (jet), chart by
 chart Frobenius lifts (lift), the lifting obstruction class (di),
 pullback/pushforward compatibility along a morphism (compat),
 closed-form arithmetic bounds (bounds), and a seeded run over every
-builtin object (corpus).
+builtin object (corpus).  COMMANDS declares each once; `wf <command>`
+builds only that command's parser, and `wf`, `wf --help` or an unknown
+command build all eight, so help, usage and error text are the same.
 
 Reports share one envelope, {"schema": "wf-report/1", "command": ...},
 and are serialized with sorted keys, two-space indent, and a trailing
@@ -428,16 +430,7 @@ def _add_ring_flags(p):
                         "default is x - p")
 
 
-def _build_parser():
-    top = argparse.ArgumentParser(
-        prog="wf",
-        description="Exact arithmetic for Frobenius lifts: Witt vectors, "
-                    "jet spaces, obstruction classes, and bounds.")
-    sub = top.add_subparsers(dest="command", metavar="command")
-    sub.required = True
-
-    w = sub.add_parser("witt", help="length-two Witt vector arithmetic")
-    _add_output(w)
+def _witt_flags(w):
     w.add_argument("--p", type=int, required=True, help="prime")
     w.add_argument("--m", type=int, default=1, help="Frobenius power")
     w.add_argument("--mod", type=int, default=0, metavar="K",
@@ -447,11 +440,9 @@ def _build_parser():
     w.add_argument("--a", required=True, metavar="A0,A1",
                    help="first operand (a single integer for op delta)")
     w.add_argument("--b", metavar="B0,B1", help="second operand")
-    w.set_defaults(func=cmd_witt)
 
-    pr = sub.add_parser("prolong",
-                        help="universal jet polynomial of an expression")
-    _add_output(pr)
+
+def _prolong_flags(pr):
     pr.add_argument("expr", help="polynomial text, e.g. 'x^2*y - 3'")
     pr.add_argument("--p", type=int, required=True, help="prime")
     pr.add_argument("--m", type=int, default=1, help="Frobenius power")
@@ -462,17 +453,15 @@ def _build_parser():
     pr.add_argument("--jet-at", metavar="D1,D2,...",
                     help="jet coordinates at the point; defaults to the "
                          "canonical derivation of each coordinate")
-    pr.set_defaults(func=cmd_prolong)
 
-    je = sub.add_parser("jet", help="jet-space presentation of each chart")
-    _add_output(je)
+
+def _jet_flags(je):
     je.add_argument("scheme", help="builtin name or JSON file")
     _add_ring_flags(je)
     je.add_argument("--patch", help="restrict to one named patch")
-    je.set_defaults(func=cmd_jet)
 
-    li = sub.add_parser("lift", help="chart-by-chart Frobenius lifts")
-    _add_output(li)
+
+def _lift_flags(li):
     li.add_argument("scheme", help="builtin name or JSON file")
     _add_ring_flags(li)
     li.add_argument("--patch", help="restrict to one named patch")
@@ -480,10 +469,9 @@ def _build_parser():
                     help="starting degree for the coefficient search")
     li.add_argument("--max-deg", type=int, default=None,
                     help="degree ceiling before giving up")
-    li.set_defaults(func=cmd_lift)
 
-    di = sub.add_parser("di", help="obstruction class of a glued scheme")
-    _add_output(di)
+
+def _di_flags(di):
     di.add_argument("scheme", help="builtin name or JSON file")
     _add_ring_flags(di)
     di.add_argument("--deg-bound", type=int, default=None,
@@ -493,12 +481,9 @@ def _build_parser():
                          "defaults to the completeness threshold")
     di.add_argument("--expect-zero", action="store_true",
                     help="exit 1 unless the class vanishes")
-    di.set_defaults(func=cmd_di)
 
-    co = sub.add_parser("compat",
-                        help="pullback/pushforward compatibility of "
-                             "obstruction cocycles along a morphism")
-    _add_output(co)
+
+def _compat_flags(co):
     co.add_argument("morphism", help="builtin name or JSON file")
     _add_ring_flags(co)
     co.add_argument("--independent", action="store_true",
@@ -510,10 +495,9 @@ def _build_parser():
                     help="degree ceiling before giving up")
     co.add_argument("--expect-compatible", action="store_true",
                     help="exit 1 unless the lift discrepancy vanishes")
-    co.set_defaults(func=cmd_compat)
 
-    bo = sub.add_parser("bounds", help="closed-form arithmetic bounds")
-    _add_output(bo)
+
+def _bounds_flags(bo):
     bo.add_argument("--g", type=int, required=True, help="genus, >= 1")
     bo.add_argument("--p", type=int, required=True, help="prime")
     bo.add_argument("--d", type=int, required=True,
@@ -521,16 +505,47 @@ def _build_parser():
     bo.add_argument("--l", type=int, default=5,
                     help="auxiliary prime for the group-order bound "
                          "(default 5)")
-    bo.set_defaults(func=cmd_bounds)
 
-    cp = sub.add_parser("corpus",
-                        help="seeded deterministic run over every builtin "
-                             "scheme, morphism, and bound")
-    _add_output(cp)
+
+def _corpus_flags(cp):
     cp.add_argument("--seed", type=int, default=0,
                     help="seed for the sampled sections (default 0)")
-    cp.set_defaults(func=cmd_corpus)
 
+
+# every subcommand once, in the order `wf --help` lists them:
+# (name, help text, flag builder, handler); each also takes --output
+COMMANDS = (
+    ("witt", "length-two Witt vector arithmetic", _witt_flags, cmd_witt),
+    ("prolong", "universal jet polynomial of an expression", _prolong_flags,
+     cmd_prolong),
+    ("jet", "jet-space presentation of each chart", _jet_flags, cmd_jet),
+    ("lift", "chart-by-chart Frobenius lifts", _lift_flags, cmd_lift),
+    ("di", "obstruction class of a glued scheme", _di_flags, cmd_di),
+    ("compat", "pullback/pushforward compatibility of obstruction cocycles "
+               "along a morphism", _compat_flags, cmd_compat),
+    ("bounds", "closed-form arithmetic bounds", _bounds_flags, cmd_bounds),
+    ("corpus", "seeded deterministic run over every builtin scheme, "
+               "morphism, and bound", _corpus_flags, cmd_corpus),
+)
+
+
+def _build_parser(argv):
+    """The parser for argv: the top parser with only the subparser that
+    argv[0] names, or with every subparser when argv[0] names none (no
+    arguments, --help, an unknown command), so that help, usage and
+    error messages are those of the full tree."""
+    top = argparse.ArgumentParser(
+        prog="wf",
+        description="Exact arithmetic for Frobenius lifts: Witt vectors, "
+                    "jet spaces, obstruction classes, and bounds.")
+    sub = top.add_subparsers(dest="command", metavar="command")
+    sub.required = True
+    named = [cmd for cmd in COMMANDS if cmd[0] in argv[:1]]
+    for name, text, flags, handler in named or COMMANDS:
+        parser = sub.add_parser(name, help=text)
+        _add_output(parser)
+        flags(parser)
+        parser.set_defaults(func=handler)
     return top
 
 
@@ -541,7 +556,8 @@ def main(argv=None):
     if saved is not None:
         sys.set_int_max_str_digits(0)
     try:
-        args = _build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else list(argv)
+        args = _build_parser(argv).parse_args(argv)
         try:
             return args.func(args)
         except ParseError as exc:

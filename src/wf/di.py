@@ -728,6 +728,14 @@ def _compatible_attempt(morphism, degree):
     relations the basis is cut off at degree, and a dependency of (t, m)
     may use columns of another variable of higher degree than m, whose
     multiples fall outside the basis; every column is tested there.
+    Charts with companions are tested in full too.  Their basis strikes
+    u*v, so a product of basis monomials is a multiple only where
+    pullback(u) * pullback(v) = 1 in the source's residue ring.
+    _variable_image certifies that for the companion images it computes,
+    but a chart's pullback may give a companion's image directly, and
+    validate_morphism checks only the relations: on G_m -> G_m with
+    t -> x and t_inv -> x^2, skipping multiples there would drop the
+    pivot column t^3 at degree 3.
     """
     p = morphism.source.ring.p
     sys = LinearSystem(p)

@@ -1,6 +1,7 @@
 """End-to-end runs of the command line, through a real subprocess unless
 a builtin table is patched for the run."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -690,3 +691,68 @@ def test_corpus_byte_determinism():
     assert a.returncode == b.returncode == c.returncode == 0
     assert a.stdout == b.stdout
     assert a.stdout != c.stdout
+
+
+# -- the per-command parser ------------------------------------------------------
+
+
+def subparser(top, name):
+    """The parser top hands the arguments after name to."""
+    (action,) = [a for a in top._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices[name]
+
+
+@pytest.mark.parametrize("name", [cmd[0] for cmd in wf.cli.COMMANDS])
+def test_one_command_parser_matches_the_full_tree(name):
+    one = subparser(wf.cli._build_parser([name, "--help"]), name)
+    full = subparser(wf.cli._build_parser([]), name)
+    assert one.format_help() == full.format_help()
+    assert one.format_usage() == full.format_usage()
+
+
+def run_main(argv, capsys):
+    """(exit code, stdout, stderr) of one in-process wf.cli.main call."""
+    try:
+        code = wf.cli.main(argv)
+    except SystemExit as exc:  # argparse: help, usage errors
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["-h"], ["bogus"], ["--", "di"],
+    ["di"], ["di", "--help"], ["di", "weierstrass", "--bogus"],
+    ["di", "weierstrass", "--p", "x"], ["di", "weierstrass", "--p"],
+    ["witt", "--p", "3", "--op", "nope", "--a", "1,2"], ["bounds", "--g", "1"],
+    ["corpus", "--seed", "z"], ["prolong"],
+    ["witt", "--p", "3", "--op", "add", "--a", "1,2", "--b", "3,4"],
+    ["prolong", "x^2*y - 3", "--p", "3", "--vars", "x,y", "--at", "1,2"],
+    ["jet", "a1", "--p", "3"], ["lift", "a1", "--p", "3"],
+    ["di", "a1", "--p", "3"], ["compat", "a2_to_a1", "--p", "3"],
+    ["bounds", "--g", "1", "--p", "3", "--d", "1"], ["corpus", "--seed", "0"],
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_main_answers_as_the_full_parser_does(argv, monkeypatch, capsys):
+    # help, usage, errors, reports and exit codes are those of the tree
+    # with every subcommand
+    one = run_main(argv, capsys)
+    build = wf.cli._build_parser
+    monkeypatch.setattr(wf.cli, "_build_parser", lambda _: build([]))
+    assert one == run_main(argv, capsys)
+
+
+def test_main_builds_only_the_named_subparser(monkeypatch, capsys):
+    added = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        added.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    assert run_main(["di", "weierstrass", "--p", "3"], capsys)[0] == 0
+    assert added == ["di"]
+    added.clear()
+    assert run_main(["--help"], capsys)[0] == 0
+    assert added == [cmd[0] for cmd in wf.cli.COMMANDS] and len(added) == 8

@@ -394,6 +394,22 @@ def _pole_bound_and_threshold(scheme, pole_bound):
     return pole_bound, threshold
 
 
+def _pair_tables(scheme, i, j):
+    """The b-side blocks of the witness pair rows on overlap (i, j), in
+    a-side coordinates: tables[(v, w)][m] = moved(nf_b(mat * x^m)), where
+    mat = grad[w] is an entry of the twisted gradient of v's image and
+    moved is the transport pb -> pa.  Transport is a ring map and nf_a is
+    canonical, so that is entry m of one table in pa seeded with
+    moved(mat), over patch j's variables."""
+    view = scheme.view(i, j)
+    pa, pb = view.pres_a, view.pres_b
+    return {(v, w): MonomialImages.transported(
+                pb, view.map_ba, pa, seed=transport(mat, pb, view.map_ba, pa),
+                names=scheme.patches[j].all_vars)
+            for v in pa.vars
+            for w, mat in twisted_gradient(pb, view.map_ab[v]).items()}
+
+
 def is_coboundary(scheme, cochain, pole_bound=None):
     """Decide whether a 1-cochain is the coboundary of patch sections.
 
@@ -424,7 +440,9 @@ def is_coboundary(scheme, cochain, pole_bound=None):
         for ridx, (_, tables) in enumerate(_conditions(pres)):
             _add_condition(sys, ("tan", idx, ridx), zero, tables,
                            ("W", idx), bases[idx])
-    # difference equations on every overlap, in a-side coordinates
+    # difference equations on every overlap, in a-side coordinates: the
+    # a-side block reads nf_a(x^m), the b-side block the seeded a-side
+    # tables of _pair_tables
     for (i, j) in scheme.overlap_pairs():
         view = scheme.view(i, j)
         pa, pb = view.pres_a, view.pres_b
@@ -434,23 +452,15 @@ def is_coboundary(scheme, cochain, pole_bound=None):
         for v in pa.vars:
             for m, img in zip(bases[i], images_a):
                 sys.add_terms(("pair", i, j, v), ("W", i, v, m), img)
-        # moved(nf_b(mat * x^m)) from a seeded table per (v, w) and one
-        # transport table for the map pb -> pa
-        to_a = MonomialImages.transported(pb, view.map_ba, pa)
-        shifted_b = {}
-        for v in pa.vars:
-            grad = twisted_gradient(pb, view.map_ab[v])
-            for w, mat in grad.items():
-                shifted_b[(v, w)] = MonomialImages.shifted(
-                    pb, scheme.patches[j].all_vars, mat)
+        tables = _pair_tables(scheme, i, j)
         for w in pb.vars:
             for m in bases[j]:
                 for v in pa.vars:
-                    table = shifted_b.get((v, w))
+                    table = tables.get((v, w))
                     if table is None:
                         continue
                     sys.add_terms(("pair", i, j, v), ("W", j, w, m),
-                                  to_a.apply(table[m]), -1)
+                                  table[m], -1)
         dval = cochain.values[(i, j)]
         for v in pa.vars:
             for e, c in dval.coeffs[v].terms.items():

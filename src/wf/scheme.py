@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import combinations
+from operator import add as _plus
 
 from .base_ring import BaseRingSpec, IntModRing
 from .bounds import require_at_least, require_type
@@ -213,14 +214,24 @@ class MonomialImages:
     exponent tuple e over names, filled lazily: the multiplication-matrix
     idea of Faugere, Gianni, Lazard & Mora's FGLM.
 
+    Two kinds of table exist.  A shifted table's images are the names
+    themselves: seeded with a Jacobian entry J, entry m is nf(J * x^m),
+    the block entry of a lift condition in wf.di.  A transported table's
+    images are those of a transition or chart map; the witness pair rows
+    of wf.di seed one with a moved gradient entry, so its entries are
+    already in the overlap's a-side chart.
+
     image_of(n) is called once per name, the first time an exponent
     needs it, so a name that never occurs never raises.  A new entry is
     the cached entry one lower in its last nonzero exponent times one
     image, normal-formed once.  The residue normal form is canonical, so
-    that equals normal-forming the whole product at once.  The names in
-    `free` are variables whose image is themselves and which head no
-    rule and sit in no localization pair: a normal form times one of
-    them is already a normal form, so those entries skip normal_form.
+    that equals normal-forming the whole product at once.  An image that
+    is one term with coefficient 1 (every image of a shifted table) is
+    kept as its exponent tuple and shifts the entry's exponents, with no
+    product.  The names in `free` are variables whose image is
+    themselves and which head no rule and sit in no localization pair:
+    a normal form times one of them is already a normal form, so those
+    entries skip normal_form.
     A table keeps pres's residue normal form, ring and variables, not
     pres itself, so a chart can keep the Jacobian tables of its lift
     conditions (Presentation.conditions) without a reference cycle; the
@@ -252,12 +263,25 @@ class MonomialImages:
                    free=set(names) - bound)
 
     @classmethod
-    def transported(cls, src_pres, base_map, dst_pres):
-        """transport(x^e, src_pres, base_map, dst_pres) at the residue
-        level, for monomials over src_pres.all_vars."""
-        return cls(dst_pres, src_pres.all_vars,
+    def transported(cls, src_pres, base_map, dst_pres, seed=None, names=None):
+        """nf(seed * transport(x^e, src_pres, base_map, dst_pres)) at the
+        residue level, for monomials over names (default src_pres.all_vars);
+        seed is over dst_pres (default 1)."""
+        if seed is None:
+            seed = MvPoly.const(dst_pres.res, dst_pres.all_vars, 1)
+        return cls(dst_pres, src_pres.all_vars if names is None else names,
                    lambda name: _variable_image(name, src_pres, base_map, dst_pres),
-                   MvPoly.const(dst_pres.res, dst_pres.all_vars, 1))
+                   seed)
+
+    def _image(self, k):
+        """The image of names[k]: its exponent tuple when it is one term
+        with coefficient 1, the polynomial otherwise."""
+        img = self.image_of(self.names[k])
+        if len(img.terms) == 1:
+            (e, c), = img.terms.items()
+            if self.res.eq(c, self.res.one()):
+                return e
+        return img
 
     def __getitem__(self, e):
         entries = self.entries
@@ -270,28 +294,18 @@ class MonomialImages:
         for e, k in reversed(chain):
             img = self.images[k]
             if img is None:
-                img = self.images[k] = self.image_of(self.names[k])
-            val = val * img
+                img = self.images[k] = self._image(k)
+            if img.__class__ is tuple:
+                # adding one exponent tuple is injective: no two terms merge
+                val = MvPoly(self.res, self.all_vars,
+                             {tuple(map(_plus, e2, img)): c
+                              for e2, c in val.terms.items()}, _clean=False)
+            else:
+                val = val * img
             if not self.free[k]:
                 val = self.nf(val)
             entries[e] = val
         return val
-
-    def apply(self, f):
-        """sum c * self[e] over the terms c x^e of the residue polynomial
-        f: the table's map applied to f.  Each entry is a normal form, so
-        the sum is one and takes no normal_form call."""
-        r = self.res
-        add, mul = r.add, r.mul
-        entries = self.entries
-        out = {}
-        for e, c in f.terms.items():
-            img = entries.get(e)
-            if img is None:
-                img = self[e]
-            for e2, c2 in img.terms.items():
-                out[e2] = add(out[e2], mul(c, c2)) if e2 in out else mul(c, c2)
-        return MvPoly(r, self.all_vars, out)
 
 
 def _parse_images(images, ring, pres):
@@ -561,16 +575,26 @@ class SchemeMorphism:
 
 
 def validate_morphism(m: SchemeMorphism):
-    """Both gluings hold; relations pull back to zero; chart maps agree
-    on overlaps."""
+    """Both gluings hold; every pullback names a target chart variable
+    and a companion's given image inverts its base variable's; relations
+    pull back to zero; chart maps agree on overlaps."""
     validate_gluing(m.source)
     validate_gluing(m.target)
     for i, chart in enumerate(m.charts):
         src = m.source.patches[i]
         tgt = m.target_patch(i)
+        for name in chart.pullback:
+            if name not in tgt.all_vars:
+                raise WfError("chart %d pulls back %r, which is not a variable "
+                              "of target chart %r" % (i, name, tgt.name))
         for name in tgt.vars:
             if name not in chart.pullback:
                 raise WfError("chart %d has no pullback for %r" % (i, name))
+        for u, v in tgt.loc_pairs:
+            if u in chart.pullback and not src.nf_R(
+                    chart.pullback[u] * chart.pullback[v] - 1).is_zero():
+                raise WfError("chart %d: the pullback of %r is not the inverse "
+                              "of the pullback of %r" % (i, u, v))
         for g in tgt.relations:
             img = transport(g, tgt, chart.pullback, src, level="R")
             if not img.is_zero():

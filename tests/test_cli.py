@@ -428,6 +428,38 @@ def test_morphism_gluings_are_validated_at_load(tmp_path, monkeypatch, capsys,
             "type": "TransitionError", "message": message}
 
 
+def gm_map_document(pullback):
+    """An etale G_m -> G_m document with the given chart pullback."""
+    def gm(v):
+        return {"name": "Gm", "patches": [{"name": "Gm", "vars": [v],
+                                           "inverted": [v]}]}
+    return {"name": "gm_map", "kind": "etale", "source": gm("x"),
+            "target": gm("t"), "charts": [{"target": 0, "pullback": pullback}]}
+
+
+@pytest.mark.parametrize("pullback, message", [
+    # both ran to "compatible": true, exit 0
+    ({"t": "x", "t_inv": "x^2", "zzz": "5"},
+     "chart 0 pulls back 'zzz', which is not a variable of target chart 'Gm'"),
+    ({"t": "x", "t_inv": "x^2"},
+     "chart 0: the pullback of 't_inv' is not the inverse of the pullback "
+     "of 't'"),
+], ids=["unknown-key", "wrong-companion"])
+def test_chart_pullbacks_must_be_a_ring_map(tmp_path, pullback, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(gm_map_document(pullback)))
+    proc = run_cli("compat", str(path), "--p", "3")
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout)["error"] == {"type": "WfError",
+                                                "message": message}
+
+
+def test_direct_companion_pullback_that_inverts_is_accepted(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(gm_map_document({"t": "x", "t_inv": "x_inv"})))
+    assert run_json("compat", str(path), "--p", "3")["compatible"] is True
+
+
 def test_ring_parameters_checked_alike():
     # every ring constructor refuses these; no traceback, and no q = 1
     for args, message in (

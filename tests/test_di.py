@@ -1251,3 +1251,60 @@ def test_solution_coefficients_keep_only_nonzero_terms():
                       {m: sol.get(("A", v, m), 0) for m in basis})
         assert list(got[v].terms.items()) == list(want.terms.items())
         assert 0 not in got[v].terms.values()
+
+
+# X^4 + Y^4 + Z^4 on the charts Z != 0 and X != 0, which cover it
+QUARTIC = {
+    "name": "X^4 + Y^4 + Z^4", "ring": {"p": 3}, "genus": 3,
+    "patches": [{"name": "Z", "vars": ["x", "y"],
+                 "relations": ["x^4 + y^4 + 1"]},
+                {"name": "X", "vars": ["u", "w"],
+                 "relations": ["u^4 + w^4 + 1"]}],
+    "overlaps": [{"i": 0, "j": 1, "invert_i": "x", "invert_j": "w",
+                  "to_j": {"x": "w_inv", "y": "u*w_inv"},
+                  "to_i": {"u": "y*x_inv", "w": "x_inv"}}]}
+
+
+def _pair_table_cases():
+    for p, m in ((3, 1), (5, 1), (7, 1), (11, 1), (3, 2), (7, 2)):
+        ring = BaseRingSpec(p, frob_power=m)
+        for name in sorted(BUILTIN_SCHEMES):
+            try:
+                yield "%s q=%d" % (name, p ** m), BUILTIN_SCHEMES[name](ring)
+            except NonSmooth:
+                continue
+    for p in (3, 5, 7):
+        for doc in (GENUS3, QUARTIC):
+            yield "%s p=%d" % (doc["name"], p), GluedScheme.from_json(
+                doc, BaseRingSpec(p))
+
+
+def test_pair_rows_match_the_b_side_route():
+    # the old route: a table of nf_b(mat * x^m) seeded in the b-side
+    # chart, each entry transported to the a side afterwards.  It equals
+    # the a-side table's entry only where nf_a is canonical, so no
+    # overlap chart may orient a rule on an inverted variable
+    # (ReductionContext._classify's fallback).  Entries are compared up
+    # to the completeness threshold, capped at pole degree 40 on curves
+    # and 10 on the planes of P2 to keep the large q cases cheap
+    checked = 0
+    for name, scheme in _pair_table_cases():
+        for (i, j) in scheme.overlap_pairs():
+            bound = min(completeness_threshold(scheme),
+                        40 if len(scheme.patches[j].vars) < 3 else 10)
+            view = scheme.view(i, j)
+            pa, pb = view.pres_a, view.pres_b
+            for pres in (pa, pb):
+                assert not set(pres.red.monic_rules) & set(pres.inverted), \
+                    (name, pres.name)
+            tables = wf.di._pair_tables(scheme, i, j)
+            names = scheme.patches[j].all_vars
+            basis = scheme.patches[j].red.monomials_up_to(bound)
+            for v in pa.vars:
+                for w, mat in twisted_gradient(pb, view.map_ab[v]).items():
+                    old = wf.scheme.MonomialImages.shifted(pb, names, mat)
+                    for m in basis:
+                        assert tables[(v, w)][m] == transport(
+                            old[m], pb, view.map_ba, pa), (name, i, j, m)
+                        checked += 1
+    assert checked > 10000

@@ -177,13 +177,66 @@ def test_monomial_tables_match_transport_and_normal_form(p):
         for m in basis:
             mono = MvPoly.monomial(src.res, src.all_vars, m)
             assert table[m] == transport(mono, src, base_map, dst), (src, m)
-        f = src.nf(rand_poly(rng, src.res, src.all_vars, deg=p))
-        assert table.apply(f) == transport(f, src, base_map, dst)
+        # a seeded table's entry is the seed times the moved monomial
         seed = dst.nf(rand_poly(rng, dst.res, dst.all_vars))
+        seeded = MonomialImages.transported(src, base_map, dst, seed=seed)
+        for e in src.nf(rand_poly(rng, src.res, src.all_vars, deg=p)).terms:
+            mono = MvPoly.monomial(src.res, src.all_vars, e)
+            assert seeded[e] == dst.nf(
+                seed * transport(mono, src, base_map, dst)), (src, e)
         shifted = MonomialImages.shifted(dst, dst.all_vars, seed)
         for m in dst.red.monomials_up_to(2 * p):
             assert shifted[m] == dst.nf(
                 seed * MvPoly.monomial(dst.res, dst.all_vars, m)), (dst, m)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_monic_images_shift_like_the_product(p):
+    # an image that is one term with coefficient 1 is kept as its
+    # exponent tuple and shifts the entry; every other image multiplies.
+    # Either way an entry is nf(seed * prod image(n)^e_n).
+    ring = BaseRingSpec(p)
+    rng = random.Random(40 + p)
+    curve = BUILTIN_SCHEMES["weierstrass"](ring)
+    plane = BUILTIN_SCHEMES["p2"](ring)
+    a2 = affine_space(ring, 2).patches[0]
+    eaff = curve.patches[0]
+    cases = [
+        # c -> a_inv and d -> b*a_inv are monic, and so is the image a
+        # of the companion c_inv
+        (plane.view(1, 0), {"c": "monic", "d": "monic", "c_inv": "monic"}),
+        # z -> -y_inv, w -> -x*y_inv and the companion z_inv -> -y are
+        # one term with coefficient -1
+        (curve.view(1, 0), {"w": "product", "z": "product",
+                            "z_inv": "product"}),
+    ]
+    for view, kinds in cases:
+        src, dst = view.pres_a, view.pres_b
+        seed = dst.nf(rand_poly(rng, dst.res, dst.all_vars, deg=2))
+        table = MonomialImages.transported(src, view.map_ab, dst, seed=seed)
+        _check_against_product(table, dst, seed, src.red.monomials_up_to(p + 2))
+        for name, kind in kinds.items():
+            img = table.images[table.names.index(name)]
+            assert isinstance(img, tuple if kind == "monic" else MvPoly), name
+    # multi-term images
+    base_map = {"x": parse_poly("x + y", ring, eaff.all_vars),
+                "y": parse_poly("x*y - 1", ring, eaff.all_vars)}
+    seed = eaff.nf(rand_poly(rng, eaff.res, eaff.all_vars, deg=2))
+    table = MonomialImages.transported(a2, base_map, eaff, seed=seed)
+    _check_against_product(table, eaff, seed, a2.red.monomials_up_to(p + 2))
+    assert all(isinstance(img, MvPoly) for img in table.images)
+
+
+def _check_against_product(table, dst, seed, basis):
+    """Each entry of table equals the seed times the images' powers,
+    multiplied out and normal-formed at every step."""
+    images = [table.image_of(name) for name in table.names]
+    for e in basis:
+        val = dst.nf(seed)
+        for img, k in zip(images, e):
+            for _ in range(k):
+                val = dst.nf(val * img)
+        assert table[e] == val, e
 
 
 def _reference_shifted_entry(pres, seed, e, memo):

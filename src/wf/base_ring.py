@@ -408,17 +408,6 @@ class BaseElem:
     def is_unit(self):
         return self.coeffs[0] % self.spec.p != 0
 
-    def v_pi(self):
-        """pi-adic valuation, or None for (the tracked image of) zero."""
-        spec = self.spec
-        best = None
-        for i, c in enumerate(self.coeffs):
-            if c:
-                v = spec.e * _vp(c, spec.p) + i
-                if best is None or v < best:
-                    best = v
-        return best
-
     def div_pi(self):
         """Exact quotient by pi; one precision digit is spent."""
         spec = self.spec

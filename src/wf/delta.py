@@ -12,7 +12,7 @@ left fold over the canonical (graded lex, largest first) term order:
 with C_pi(a, b) = (a^q + b^q - (a+b)^q)/pi, an exact division because the
 binomial coefficients below q are divisible by p.  Folding the constant
 term last makes prolong(f + c) literally equal
-prolong(f) + base_delta(c) + c_pi(f, c), precision included.  The fold
+prolong(f) + base_delta(c) + C_pi(f, c), precision included.  The fold
 carries acc^q: one step's (acc + t)^q is the next step's acc^q.
 
 Everything here runs over either exact integers (the Fermat-quotient
@@ -50,15 +50,6 @@ class DeltaContext:
         self.q = ring.q
         self._pi_const = ring.pi()
 
-    # -- the three rules ----------------------------------------------------
-
-    def c_pi(self, a: MvPoly, b: MvPoly) -> MvPoly:
-        """(a^q + b^q - (a+b)^q)/pi, coefficientwise exact division."""
-        return self._c_pi_q(a ** self.q, b ** self.q, (a + b) ** self.q)
-
-    def _c_pi_q(self, aq, bq, sq):
-        return (aq + bq - sq).map_coeffs(self.ring.div_pi, self.ring)
-
     def prolong(self, f: MvPoly) -> MvPoly:
         """delta(f) as a polynomial in the variables and their jets; each
         fold step keeps (acc + t)^q as the next step's acc^q."""
@@ -81,7 +72,9 @@ class DeltaContext:
                 acc_q = acc_val ** self.q
             acc_val = acc_val + t_val
             s_q = acc_val ** self.q
-            acc_del = acc_del + t_del + self._c_pi_q(acc_q, t_val ** self.q, s_q)
+            # C_pi(acc, t) = (acc^q + t^q - (acc + t)^q)/pi, divided exactly
+            c_pi = (acc_q + t_val ** self.q - s_q).map_coeffs(self.ring.div_pi, self.ring)
+            acc_del = acc_del + t_del + c_pi
             acc_q = s_q
         return acc_del
 

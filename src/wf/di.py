@@ -742,10 +742,10 @@ def _compatible_attempt(morphism, degree):
     u*v, so a product of basis monomials is a multiple only where
     pullback(u) * pullback(v) = 1 in the source's residue ring.
     _variable_image certifies that for the companion images it computes,
-    but a chart's pullback may give a companion's image directly, and
-    validate_morphism checks only the relations: on G_m -> G_m with
-    t -> x and t_inv -> x^2, skipping multiples there would drop the
-    pivot column t^3 at degree 3.
+    and validate_morphism refuses a companion image given directly that
+    breaks it, but a library caller may pass a morphism that was never
+    validated: on G_m -> G_m with t -> x and t_inv -> x^2, skipping
+    multiples there would drop the pivot column t^3 at degree 3.
     """
     p = morphism.source.ring.p
     sys = LinearSystem(p)

@@ -2,31 +2,34 @@
 
 The jet space of one chart adjoins a jet variable per coordinate
 (companions included) and imposes the prolonged relations next to the
-original ones; `wf jet` prints it and the étale base-change check
-solves in it.  The lift solver needs only delta(g) mod pi, an affine
-function of the jets, and reads it in closed form without prolonging:
-the constant part is (g(X^q) - g^q)/pi and the Jacobian row is
-scheme.twisted_partials, the partials of g with exponents q-scaled
-(Buium, Arithmetic Differential Equations, ch. 2).  The constant is
-read mod pi, so its numerator is needed mod pi^2 only: it is computed
-in the chart's precision-2 clone, normal-formed after every product.
-That gives the same residue because the quotient over R/pi^2 is flat
+original ones; `wf jet` prints it.  The lift solver needs only
+delta(g) mod pi, an affine function of the jets, and reads it in closed
+form without prolonging: the constant part is (g(X^q) - g^q)/pi and the
+Jacobian row is scheme.twisted_partials, the partials of g with
+exponents q-scaled (Buium, Arithmetic Differential Equations, ch. 2).
+The constant is read mod pi, so its numerator is needed mod pi^2 only:
+it is computed in the chart's precision-2 clone, normal-formed after
+every product.  That gives the same residue because the quotient over R/pi^2 is flat
 (free on the normal-form monomials) and the residue normal form is
 canonical; see _lift_constant.
 
 On a localized chart the jet of the companion u = 1/v is not free: the
 prolonged relation u^q dv + v^q du + pi du dv = 0 determines du, and
 since pi is nilpotent at finite precision the solution is an honest
-polynomial in u and dv.  companion_jet_poly builds it; the étale
-base-change check substitutes it before solving numerically.  Mod pi it
-is du = -u^(2q) dv, the companion rule of wf.scheme, and
+polynomial in u and dv.  substitute_companion_jets puts it in place of
+du.  Mod pi it is du = -u^(2q) dv, the companion rule of wf.scheme, and
 collapse_companion_jets folds linear rows through scheme.fold_companions.
+
+The étale base-change check (etale_basechange_check) prolongs each chart
+pullback once, companion jets substituted, and at random points of the
+relation-free charts pushes random source jets forward and solves them
+back by Newton iteration; an étale map must return the jets it sent.
 """
 
 from __future__ import annotations
 
 from .delta import DeltaContext, jet_name
-from .errors import NotEtale, WfError
+from .errors import NotEtale
 from .poly import MvPoly
 from .scheme import (Presentation, fold_companions, relative_jacobian_unit,
                      twisted_partials)
@@ -138,45 +141,32 @@ def collapse_companion_jets(pres: Presentation, row: LinearRow) -> LinearRow:
     return LinearRow(row.const, fold_companions(pres, row.jac))
 
 
-# -- companion jets at full precision ----------------------------------------
+# -- the étale base-change check ----------------------------------------------
 
 
-def companion_jet_poly(pres: Presentation, dctx: DeltaContext, u: str, v: str) -> MvPoly:
-    """delta(u) as a polynomial in u and the jet of v, exact at precision N.
+def substitute_companion_jets(pres: Presentation, dctx: DeltaContext, f: MvPoly) -> MvPoly:
+    """Rewrite each companion jet du in f, over dctx.all_vars, as a
+    polynomial in u and the jet dv of its base variable, exact at
+    precision N.
 
     From u^q dv + v^q du + pi du dv = 0 and u v = 1:
     du = -u^(2q) dv * sum_{k<N} (-pi u^q dv)^k, the geometric series being
     finite because pi^N = 0 at the working precision.
     """
-    ring = pres.ring
-    N = ring.precision
-    q = pres.q
-    vars = dctx.all_vars
-    uq = MvPoly.var(ring, vars, u, q)
-    vdot = MvPoly.var(ring, vars, jet_name(v))
-    t = MvPoly.const(ring, vars, ring.pi()) * uq * vdot
-    geom = MvPoly.const(ring, vars, 1)
-    power = MvPoly.const(ring, vars, 1)
-    for _ in range(1, N):
-        power = -(power * t)
-        if power.is_zero():
-            break
-        geom = geom + power
-    return -(MvPoly.var(ring, vars, u, 2 * q) * vdot * geom)
-
-
-def substitute_companion_jets(pres: Presentation, dctx: DeltaContext, f: MvPoly) -> MvPoly:
-    """Rewrite companion jet variables through companion_jet_poly."""
-    if f.vars != dctx.all_vars:
-        f = f.extend_vars(dctx.all_vars)
-    mapping = {name: MvPoly.var(pres.ring, dctx.all_vars, name)
-               for name in dctx.all_vars}
+    ring, vars = pres.ring, dctx.all_vars
+    mapping = {name: MvPoly.var(ring, vars, name) for name in vars}
     for u, v in pres.loc_pairs:
-        mapping[jet_name(u)] = companion_jet_poly(pres, dctx, u, v)
-    return f.subst(mapping, ring=pres.ring, vars=dctx.all_vars)
-
-
-# -- sampling and the étale base-change check ---------------------------------
+        vdot = MvPoly.var(ring, vars, jet_name(v))
+        t = MvPoly.const(ring, vars, ring.pi()) * MvPoly.var(ring, vars, u, pres.q) * vdot
+        geom = MvPoly.const(ring, vars, 1)
+        power = MvPoly.const(ring, vars, 1)
+        for _ in range(1, ring.precision):
+            power = -(power * t)
+            if power.is_zero():
+                break
+            geom = geom + power
+        mapping[jet_name(u)] = -(MvPoly.var(ring, vars, u, 2 * pres.q) * vdot * geom)
+    return f.subst(mapping, ring=ring, vars=vars)
 
 
 def random_elem(ring, rng, unit=False):
@@ -188,24 +178,11 @@ def random_elem(ring, rng, unit=False):
     return ring.elem(coeffs)
 
 
-def sample_point(pres: Presentation, rng):
-    """Random base-ring point of a relation-free chart, companions set."""
-    if pres.relations:
-        raise WfError("point sampling is only supported on relation-free charts")
-    point = {}
-    for v in pres.vars:
-        point[v] = random_elem(pres.ring, rng, unit=(v in pres.inverted))
-    for u, v in pres.loc_pairs:
-        point[u] = point[v].inverse()
-    return point
-
-
 def _solve_unit_system(mat, rhs):
     """Solve mat * x = rhs over the base ring; pivots must be units."""
     n = len(rhs)
     m = [row[:] for row in mat]
     b = rhs[:]
-    perm = list(range(n))
     for col in range(n):
         piv = None
         for r in range(col, n):
@@ -213,7 +190,7 @@ def _solve_unit_system(mat, rhs):
                 piv = r
                 break
         if piv is None:
-            raise NotEtale("jet system pivot is not a unit")
+            raise NotEtale("induced jet system is singular at the sample point")
         if piv != col:
             m[col], m[piv] = m[piv], m[col]
             b[col], b[piv] = b[piv], b[col]
@@ -230,76 +207,52 @@ def _solve_unit_system(mat, rhs):
     return [b[r] * m[r][r].inverse() for r in range(n)]
 
 
-def induced_jet_solve(morphism, chart_index, point, target_jets):
-    """Jet values over a source point matching given target jets.
-
-    Solves delta(pullback(t)) = dt for the source jets by Newton
-    iteration; the twisted relative Jacobian must stay a unit at the
-    point, otherwise NotEtale.  Returns a dict over source jet names.
-    """
-    src = morphism.source.patches[chart_index]
-    tgt = morphism.target_patch(chart_index)
-    ring = src.ring
-    dctx = DeltaContext(ring, src.all_vars)
-    names = list(src.vars)
-    systems = []
-    for tname in tgt.vars:
-        img = morphism.charts[chart_index].pullback[tname]
-        dimg = substitute_companion_jets(src, dctx, dctx.prolong(img))
-        systems.append((tname, dimg,
-                        [dimg.partial(jet_name(x)) for x in names]))
-    guess = {jet_name(x): ring.zero() for x in names}
-    env = dict(point)
-    for extra in dctx.all_vars:
-        env.setdefault(extra, ring.zero())
-    for _ in range(ring.precision + 2):
-        env.update(guess)
-        residuals = []
-        for tname, dimg, _ in systems:
-            residuals.append(dimg.evaluate(env) - target_jets[tname])
-        if all(r.is_zero() for r in residuals):
-            return dict(guess)
-        mat = [[d.evaluate(env) for d in partials]
-               for _, _, partials in systems]
-        try:
-            step = _solve_unit_system(mat, residuals)
-        except NotEtale:
-            raise NotEtale("induced jet system is singular at the sample point")
-        for k, x in enumerate(names):
-            guess[jet_name(x)] = guess[jet_name(x)] - step[k]
-    raise NotEtale("induced jet iteration did not converge")
-
-
 def etale_basechange_check(morphism, rng):
     """Certify jets pull back bijectively along an étale morphism.
 
     Symbolic certificate first (unit twisted Jacobian per chart), then a
-    numeric round trip at three random points of every relation-free chart:
-    push random source jets forward, solve back, demand recovery.
+    numeric round trip at three random points of every relation-free
+    chart.  Per chart, delta(pullback(t)) with companion jets substituted
+    and its partials in the source jets are built once.  At each point
+    random source jets are pushed forward and solved back by Newton
+    iteration with unit pivots; NotEtale on a singular step or when the
+    sent jets are not recovered.  Recovery is read at the precision the
+    forward values carry: each C_pi carry of the prolongation spends one
+    pi-digit, so an exact match would also compare precisions.
     """
     for i in range(len(morphism.charts)):
         relative_jacobian_unit(morphism, i)
-    for i in range(len(morphism.charts)):
+    for i, chart in enumerate(morphism.charts):
         src = morphism.source.patches[i]
-        tgt = morphism.target_patch(i)
         if src.relations:
             continue
         ring = src.ring
         dctx = DeltaContext(ring, src.all_vars)
-        pullbacks = {t: morphism.charts[i].pullback[t] for t in tgt.vars}
-        prolonged = {t: substitute_companion_jets(src, dctx, dctx.prolong(g))
-                     for t, g in pullbacks.items()}
+        jets = [jet_name(x) for x in src.vars]
+        system = []
+        for t in morphism.target_patch(i).vars:
+            dimg = substitute_companion_jets(src, dctx, dctx.prolong(chart.pullback[t]))
+            system.append((dimg, [dimg.partial(j) for j in jets]))
         for _ in range(3):
-            point = sample_point(src, rng)
-            jets = {jet_name(x): random_elem(ring, rng) for x in src.vars}
-            env = dict(point)
-            env.update(jets)
-            for extra in dctx.all_vars:
-                env.setdefault(extra, ring.zero())
-            forward = {t: g.evaluate(env) for t, g in prolonged.items()}
-            solved = induced_jet_solve(morphism, i, point, forward)
+            env = {name: ring.zero() for name in dctx.all_vars}
             for x in src.vars:
-                if not (solved[jet_name(x)] == jets[jet_name(x)]):
-                    raise NotEtale(
-                        "jet round trip failed at a sample point of chart %d" % (i,))
+                env[x] = random_elem(ring, rng, unit=(x in src.inverted))
+            for u, v in src.loc_pairs:
+                env[u] = env[v].inverse()
+            sent = {j: random_elem(ring, rng) for j in jets}
+            forward = [g.evaluate({**env, **sent}) for g, _ in system]
+            for _ in range(ring.precision + 2):
+                residuals = [g.evaluate(env) - f for (g, _), f in zip(system, forward)]
+                if all(r.is_zero() for r in residuals):
+                    break
+                step = _solve_unit_system(
+                    [[d.evaluate(env) for d in partials] for _, partials in system],
+                    residuals)
+                for j, s in zip(jets, step):
+                    env[j] = env[j] - s
+            else:
+                raise NotEtale("induced jet iteration did not converge")
+            if not all((env[j] - sent[j]).is_zero() for j in jets):
+                raise NotEtale(
+                    "jet round trip failed at a sample point of chart %d" % (i,))
     return True

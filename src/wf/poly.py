@@ -63,11 +63,6 @@ class MvPoly:
         e = tuple(power if v == name else 0 for v in vars)
         return cls(ring, vars, {e: ring.one()}, _clean=False)
 
-    @classmethod
-    def monomial(cls, ring, vars, exps, c=None):
-        c = ring.one() if c is None else c
-        return cls(ring, tuple(vars), {tuple(exps): c})
-
     # -- basics ----------------------------------------------------------
 
     def _check(self, other):

@@ -99,12 +99,14 @@ def test_spec_mismatch_raises():
 def test_pi_and_valuation():
     s = BaseRingSpec(2, [-2, 0, 1], 6)
     pi = s.pi()
-    assert pi.v_pi() == 1
-    assert (pi * pi).v_pi() == 2
-    assert s.from_int(2).v_pi() == 2  # p = pi^2 times a unit
-    assert s.zero().v_pi() is None
+    # valuations 1, 2 and 2: as many divisions by pi leave a unit
+    assert not pi.is_unit() and pi.div_pi().is_unit()
+    assert not (pi * pi).div_pi().is_unit()
+    assert (pi * pi).div_pi().div_pi().is_unit()
+    two = s.from_int(2).div_pi()  # p = pi^2 times a unit
+    assert not two.is_unit() and two.div_pi().is_unit()
+    assert s.zero().div_pi().is_zero()
     assert s.from_int(3).is_unit()
-    assert not pi.is_unit()
 
 
 def test_div_pi_round_trip():
@@ -147,7 +149,7 @@ def test_int_div_pi_keeps_full_precision():
     r = BaseRingSpec(2, [-2, 0, 1], 6)
     # p/pi = pi * unit in a ramified quadratic base
     half = r.int_div_pi(2)
-    assert half.v_pi() == 1
+    assert not half.is_unit() and half.div_pi().is_unit()
     with pytest.raises(NotDivisible):
         IntRing(3).int_div_pi(7)
 

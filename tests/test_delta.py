@@ -21,6 +21,12 @@ def rand_poly(ring, vars, rng, deg=4, terms=5, span=9):
     return MvPoly(ring, vars, out)
 
 
+def c_pi(dctx, a, b):
+    """C_pi(a, b) = (a^q + b^q - (a+b)^q)/pi, coefficientwise exact."""
+    q = dctx.q
+    return (a ** q + b ** q - (a + b) ** q).map_coeffs(dctx.ring.div_pi, dctx.ring)
+
+
 def eval_with_canonical_jets(ring, dctx, g, point):
     full = dict(point)
     for v in dctx.vars:
@@ -73,7 +79,7 @@ def test_sum_and_product_rules():
         fa = f.extend_vars(dctx.all_vars)
         ga = g.extend_vars(dctx.all_vars)
         lhs = dctx.prolong(f + g)
-        rhs = dctx.prolong(f) + dctx.prolong(g) + dctx.c_pi(fa, ga)
+        rhs = dctx.prolong(f) + dctx.prolong(g) + c_pi(dctx, fa, ga)
         assert lhs == rhs
         lhs = dctx.prolong(f * g)
         rhs = (fa ** ring.q * dctx.prolong(g)
@@ -119,7 +125,7 @@ def test_c_pi_exactness_tracked_ring():
     for _ in range(20):
         f = rand_poly(spec, vars, rng, deg=2, terms=3)
         g = rand_poly(spec, vars, rng, deg=2, terms=3)
-        c = dctx.c_pi(f, g)
+        c = c_pi(dctx, f, g)
         # multiply back: pi * c_pi recovers the binomial defect exactly
         # at one digit less precision
         defect = f ** 3 + g ** 3 - (f + g) ** 3
@@ -193,7 +199,7 @@ def test_delta_from_lift_rejects_non_lift():
 
 
 def test_prolong_linear_over_constant_shift():
-    # prolong(f + c) = prolong(f) + delta(c) + c_pi(f, c), by the fold order
+    # prolong(f + c) = prolong(f) + delta(c) + C_pi(f, c), by the fold order
     ring = IntRing(5)
     dctx = DeltaContext(ring, ("x",))
     f = parse_poly("x^3 + 2*x", ring, ("x",))
@@ -201,6 +207,6 @@ def test_prolong_linear_over_constant_shift():
     lhs = dctx.prolong(f + c)
     rhs = (dctx.prolong(f)
            + MvPoly.const(ring, dctx.all_vars, ring.base_delta(7))
-           + dctx.c_pi(f.extend_vars(dctx.all_vars),
-                       c.extend_vars(dctx.all_vars)))
+           + c_pi(dctx, f.extend_vars(dctx.all_vars),
+                      c.extend_vars(dctx.all_vars)))
     assert lhs == rhs

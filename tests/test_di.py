@@ -696,7 +696,7 @@ def test_unsupported_kind_refused():
 
 
 def _ref_basis_monomial(pres, exps, c=1):
-    return MvPoly.monomial(pres.res, pres.all_vars, exps, pres.res.from_int(c))
+    return MvPoly(pres.res, pres.all_vars, {tuple(exps): pres.res.from_int(c)})
 
 
 def _ref_coeffs_from_solution(pres, basis, sol, tag, extra=()):
@@ -796,7 +796,7 @@ def _ref_compatible_attempt(morphism, degree):
                     for e, c in prod.terms.items():
                         sys.add(eqbase + (e,), ("AX", idx, v, m), c)
             for m in tgt_bases[chart.target_index]:
-                mono = MvPoly.monomial(tgt.res, tgt.all_vars, m)
+                mono = MvPoly(tgt.res, tgt.all_vars, {m: tgt.res.one()})
                 moved = transport(mono, tgt, chart.pullback, src, level="res")
                 for e, c in moved.terms.items():
                     sys.add(eqbase + (e,),
@@ -844,7 +844,7 @@ def _ref_is_coboundary(scheme, cochain, pole_bound=None):
         pi_patch, pj_patch = scheme.patches[i], scheme.patches[j]
         for v in pa.vars:
             for m in bases[i]:
-                mono = (MvPoly.monomial(pi_patch.res, pi_patch.all_vars, m)
+                mono = (MvPoly(pi_patch.res, pi_patch.all_vars, {m: pi_patch.res.one()})
                         .extend_vars(pa.all_vars))
                 for e, c in pa.nf(mono).terms.items():
                     sys.add(("pair", i, j, v, e), ("W", i, v, m), c)
@@ -852,7 +852,7 @@ def _ref_is_coboundary(scheme, cochain, pole_bound=None):
                  for v in pa.vars}
         for w in pb.vars:
             for m in bases[j]:
-                mono = (MvPoly.monomial(pj_patch.res, pj_patch.all_vars, m)
+                mono = (MvPoly(pj_patch.res, pj_patch.all_vars, {m: pj_patch.res.one()})
                         .extend_vars(pb.all_vars))
                 for v in pa.vars:
                     mat = grads[v].get(w)

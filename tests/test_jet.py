@@ -5,13 +5,14 @@ import random
 
 import pytest
 
+from wf import jet
 from wf.base_ring import BaseRingSpec
 from wf.delta import DeltaContext, jet_name
 from wf.di import build_compatible_lifts, compatibility_check
 from wf.errors import NonSmooth, NotEtale
 from wf.jet import (JetPresentation, collapse_companion_jets,
-                    etale_basechange_check, induced_jet_solve,
-                    linearize_generator, linearize_mod_pi)
+                    etale_basechange_check, linearize_generator,
+                    linearize_mod_pi)
 from wf.poly import MvPoly, parse_poly
 from wf.scheme import (BUILTIN_MORPHISMS, BUILTIN_SCHEMES, ChartMap,
                        GluedScheme, Presentation, SchemeMorphism,
@@ -293,29 +294,6 @@ def test_affine_square_rejected_not_etale():
         validate_morphism(m)
 
 
-def test_induced_jet_solve_round_trip():
-    rng = random.Random(53)
-    ring = BaseRingSpec(5)
-    m = BUILTIN_MORPHISMS["gm_square"](ring)
-    src = m.source.patches[0]
-    dctx = DeltaContext(ring, src.all_vars)
-    from wf.jet import random_elem, sample_point, substitute_companion_jets
-    point = sample_point(src, rng)
-    jets = {jet_name(v): random_elem(ring, rng) for v in src.vars}
-    env = dict(point)
-    env.update(jets)
-    for extra in dctx.all_vars:
-        env.setdefault(extra, ring.zero())
-    forward = {}
-    for t in m.target_patch(0).vars:
-        img = m.charts[0].pullback[t]
-        dimg = substitute_companion_jets(src, dctx, dctx.prolong(img))
-        forward[t] = dimg.evaluate(env)
-    solved = induced_jet_solve(m, 0, point, forward)
-    for v in src.vars:
-        assert solved[jet_name(v)] == jets[jet_name(v)]
-
-
 def gm_self_map(ring, image):
     """G_m -> G_m, t -> image, declared étale."""
     src = multiplicative_group(ring)
@@ -342,3 +320,55 @@ def test_inversion_through_companions_is_etale():
         for image in ("x_inv^%d" % (p,), "x^%d" % (p,)):
             with pytest.raises(NotEtale):
                 validate_morphism(gm_self_map(ring, image))
+
+
+PLANE_MAPS = {"x+y": ("x + y", "y"), "x+y^2": ("x + y^2", "y"), "swap": ("y", "x")}
+
+
+@pytest.mark.parametrize("images", PLANE_MAPS.values(), ids=PLANE_MAPS.keys())
+def test_plane_automorphisms_are_etale(images, monkeypatch):
+    # a pullback of two terms prolongs with a C_pi carry, so its forward
+    # jets are known to one pi-digit less than the sent ones, and recovery
+    # must be read at that precision, not compared digit for digit
+    steps = []
+
+    def recording_solve(mat, rhs):
+        out = solve(mat, rhs)
+        steps.extend(out)
+        return out
+
+    solve = jet._solve_unit_system
+    monkeypatch.setattr(jet, "_solve_unit_system", recording_solve)
+    for p in (3, 5, 7):
+        ring = BaseRingSpec(p)
+        src = affine_space(ring, 2, name="S")
+        tgt = affine_space(ring, 2, name="T")
+        pullback = {t: parse_poly(img, ring, src.patches[0].all_vars)
+                    for t, img in zip(tgt.patches[0].vars, images)}
+        m = SchemeMorphism("plane_map", src, tgt, [ChartMap(0, pullback)],
+                           kind="etale")
+        assert validate_morphism(m) is True
+        del steps[:]
+        assert etale_basechange_check(m, random.Random(56)) is True
+        # each recovered jet is 0 minus the Newton steps, so it carries
+        # the least precision among them
+        assert steps and min(d.prec for d in steps) >= ring.precision - 1
+        xs, ys = build_compatible_lifts(m)
+        assert compatibility_check(m, xs, ys).compatible is True
+
+
+def test_etale_check_prolongs_each_pullback_once(monkeypatch):
+    # one prolongation per pullback of each relation-free chart, shared by
+    # the forward values and the Newton solves at all three points
+    calls = []
+    prolong = DeltaContext.prolong
+
+    def counted(self, f):
+        calls.append(f)
+        return prolong(self, f)
+
+    monkeypatch.setattr(DeltaContext, "prolong", counted)
+    m = BUILTIN_MORPHISMS["gm_square"](BaseRingSpec(5))
+    assert etale_basechange_check(m, random.Random(57)) is True
+    # one relation-free chart with one target variable
+    assert len(calls) == len(m.target_patch(0).vars) == 1

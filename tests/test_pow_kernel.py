@@ -160,14 +160,13 @@ def one_term_cases(ring, vars, rng):
     precision, a unit known to fewer digits, and constants."""
     p = ring.p
     cases = [rand_poly(ring, vars, rng, deg=3, terms=1) for _ in range(4)]
-    cases += [MvPoly.monomial(ring, vars, (1, 2), small_elem(ring, p)),
-              MvPoly.monomial(ring, vars, (0, 1), small_elem(ring, -p * p)),
-              MvPoly.monomial(ring, vars, (2, 0), small_elem(ring, p + 1, 2)),
-              MvPoly.monomial(ring, vars, (0, 0), small_elem(ring, 2))]
+    cases += [MvPoly(ring, vars, {(1, 2): small_elem(ring, p)}),
+              MvPoly(ring, vars, {(0, 1): small_elem(ring, -p * p)}),
+              MvPoly(ring, vars, {(2, 0): small_elem(ring, p + 1, 2)}),
+              MvPoly(ring, vars, {(0, 0): small_elem(ring, 2)})]
     if isinstance(ring, BaseRingSpec):
-        cases += [MvPoly.monomial(ring, vars, (1, 1), ring.pi(2)),
-                  MvPoly.monomial(ring, vars, (3, 0),
-                                  ring.pi() * ring.from_int(2, 3))]
+        cases += [MvPoly(ring, vars, {(1, 1): ring.pi(2)}),
+                  MvPoly(ring, vars, {(3, 0): ring.pi() * ring.from_int(2, 3)})]
     # over Z/p a multiple of p is already the zero polynomial
     return [f for f in cases if f.terms]
 
@@ -228,7 +227,7 @@ def test_one_term_product_matches_general(ring):
         p = ring.p
         f = MvPoly(ring, vars, {(1, 0): ring.from_int(p), (0, 1): ring.one(),
                                 (0, 0): ring.from_int(p * p, 2)})
-        t = MvPoly.monomial(ring, vars, (0, 2), ring.from_int(p ** 3))
+        t = MvPoly(ring, vars, {(0, 2): ring.from_int(p ** 3)})
         assert_identical(f * t, general_product(f, t))
         if ring.e == 1 and ring.precision == 4:
             assert list((f * t).terms) == [(0, 3)]
@@ -497,7 +496,7 @@ def monomial_images(ring, src, dst, rng):
         e = tuple(rng.randint(0, 2) for _ in dst)
         c = rand_poly(ring, dst, rng, terms=1).terms
         c = next(iter(c.values())) if c else ring.one()
-        out[name] = MvPoly.monomial(ring, dst, e, c)
+        out[name] = MvPoly(ring, dst, {e: c})
     return out
 
 
@@ -531,9 +530,9 @@ def test_subst_matches_reference(ring):
     assert not f.subst({"x": u, "y": u, "z": u}, ring, dst).terms
     # images whose powers vanish at the working precision, next to units
     # known to fewer digits
-    images = {"x": MvPoly.monomial(ring, dst, (1, 0), small_elem(ring, p * p)),
-              "y": MvPoly.monomial(ring, dst, (0, 1), small_elem(ring, p + 1, 2)),
-              "z": MvPoly.monomial(ring, dst, (1, 1), small_elem(ring, p))}
+    images = {"x": MvPoly(ring, dst, {(1, 0): small_elem(ring, p * p)}),
+              "y": MvPoly(ring, dst, {(0, 1): small_elem(ring, p + 1, 2)}),
+              "z": MvPoly(ring, dst, {(1, 1): small_elem(ring, p)})}
     for _ in range(4):
         assert_same_subst(rand_poly(ring, src, rng, deg=5, terms=6), images,
                           ring, dst)

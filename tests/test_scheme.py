@@ -175,19 +175,19 @@ def test_monomial_tables_match_transport_and_normal_form(p):
         table = MonomialImages.transported(src, base_map, dst)
         basis = src.red.monomials_up_to(2 * p)
         for m in basis:
-            mono = MvPoly.monomial(src.res, src.all_vars, m)
+            mono = MvPoly(src.res, src.all_vars, {m: src.res.one()})
             assert table[m] == transport(mono, src, base_map, dst), (src, m)
         # a seeded table's entry is the seed times the moved monomial
         seed = dst.nf(rand_poly(rng, dst.res, dst.all_vars))
         seeded = MonomialImages.transported(src, base_map, dst, seed=seed)
         for e in src.nf(rand_poly(rng, src.res, src.all_vars, deg=p)).terms:
-            mono = MvPoly.monomial(src.res, src.all_vars, e)
+            mono = MvPoly(src.res, src.all_vars, {e: src.res.one()})
             assert seeded[e] == dst.nf(
                 seed * transport(mono, src, base_map, dst)), (src, e)
         shifted = MonomialImages.shifted(dst, dst.all_vars, seed)
         for m in dst.red.monomials_up_to(2 * p):
             assert shifted[m] == dst.nf(
-                seed * MvPoly.monomial(dst.res, dst.all_vars, m)), (dst, m)
+                seed * MvPoly(dst.res, dst.all_vars, {m: dst.res.one()})), (dst, m)
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -277,7 +277,7 @@ def test_shifted_entries_skip_only_redundant_normal_forms(p):
             assert table.free == tuple(v in free for v in pres.all_vars)
             memo = {}
             for m in pres.red.monomials_up_to(2 * p + 1):
-                direct = pres.nf(seed * MvPoly.monomial(pres.res, pres.all_vars, m))
+                direct = pres.nf(seed * MvPoly(pres.res, pres.all_vars, {m: pres.res.one()}))
                 assert table[m] == direct, (name, m)
                 ref = _reference_shifted_entry(pres, seed, m, memo)
                 assert list(table[m].terms.items()) == list(ref.terms.items())

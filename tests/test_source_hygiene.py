@@ -1,8 +1,9 @@
 """Static checks over src/wf: no unused imports, no unreferenced private
-helpers, no parameter a function never reads, no docstring naming a
-private helper that is gone, and no docstring naming a module attribute,
-such as wf.jet.linearize_generator, that the module does not define.
-Each is left behind by a refactor."""
+helpers, no public function, class or method that no module reads, no
+parameter a function never reads, no docstring naming a private helper
+that is gone, and no docstring naming a module attribute, such as
+wf.jet.linearize_generator, that the module does not define.  Each is
+left behind by a refactor."""
 
 import ast
 import pathlib
@@ -10,8 +11,10 @@ import re
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "wf"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "wf"
 MODULES = sorted(SRC.glob("*.py"))
+TRACER = TESTS.parent / "perfbench" / "tracer.py"
 
 
 def parse(path):
@@ -68,6 +71,60 @@ def test_every_private_helper_is_referenced():
                     and node.name not in used):
                 dead.append("%s:%d %s" % (name, node.lineno, node.name))
     assert not dead, "private helpers nothing references: %s" % dead
+
+
+def definitions(tree):
+    """(name, line) of each top-level function and class and of each
+    method of a top-level class, dunders aside."""
+    for node in tree.body:
+        for child in [node] + (node.body if isinstance(node, ast.ClassDef) else []):
+            if (isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.ClassDef))
+                    and not (child.name.startswith("__")
+                             and child.name.endswith("__"))):
+                yield child.name, child.lineno
+
+
+def public_exemptions():
+    """Names read from outside src/wf that the library keeps for them:
+    the attributes perfbench/tracer.py wraps (its TRACED table, read as
+    tests/test_trace_table.py reads it) and every name that
+    tests/test_acceptance.py references."""
+    namespace = {"__name__": "perfbench_tracer", "__file__": str(TRACER)}
+    exec(compile(TRACER.read_text(), str(TRACER), "exec"), namespace)
+    return ({attr for _, _, _, attr in namespace["TRACED"]}
+            | referenced_names(parse(TESTS / "test_acceptance.py")))
+
+
+def unread_public_names(trees, exempt):
+    """file:line name for each public definition that no tree reads."""
+    known = set(exempt).union(*map(referenced_names, trees.values()))
+    return ["%s:%d %s" % (file, line, name)
+            for file, tree in trees.items()
+            for name, line in definitions(tree)
+            if not name.startswith("_") and name not in known]
+
+
+def test_every_public_name_is_read():
+    trees = {path.name: parse(path) for path in MODULES}
+    dead = unread_public_names(trees, public_exemptions())
+    assert not dead, "public names nothing in src/wf reads: %s" % dead
+
+
+def test_public_check_catches_an_uncalled_function():
+    trees = {path.name: parse(path) for path in MODULES}
+    exempt = public_exemptions()
+    assert exempt >= {"linearize_mod_pi", "etale_basechange_check"}
+    trees["jet.py"].body += ast.parse(
+        "def sample_point(pres, rng):\n"
+        "    return pres\n"
+        "class Box:\n"
+        "    def unread(self):\n"
+        "        return self\n"
+        "    def __len__(self):\n"
+        "        return etale_basechange_check\n").body
+    assert unread_public_names(trees, exempt) == [
+        "jet.py:1 sample_point", "jet.py:3 Box", "jet.py:4 unread"]
 
 
 def defined_names(tree):

@@ -9,22 +9,24 @@ Frobenius that descends, an order bound for abelian subgroups, and the
 inequality deciding when the infinitesimal Torelli map fails to be
 injective in characteristic p.
 
-A power p^E is kept in exponent form by PrimePower and only expanded
-when the decimal expansion is certifiably small; lcm(1..n) is likewise
-reported as a recipe with a prime-exponent table only when n is small
-enough to enumerate.
+The divisibility modulus n = p^(2 g e(g, p)) is kept in exponent form
+by PrimePower, and lcm(1..n) is reported as a recipe, never expanded:
+e(g, p) >= |GSp_2(F_5)| = 480, so n >= 2^960 for every valid query.
+The decimal form of n would run to hundreds of digits and the
+prime-exponent table of lcm(1..n) could never be enumerated, so the
+report keeps both fields as null.
 """
 
 from __future__ import annotations
 
-from .errors import ParseError, WfError
-
-# largest digit count we are willing to expand into decimal
-_EXPAND_DIGITS = 64
+from .errors import Inconclusive, ParseError, WfError
 
 
 def is_prime(n):
-    """Deterministic Miller-Rabin, exact for all 64-bit inputs."""
+    """Miller-Rabin to the prime bases up to 37.  False proves n
+    composite; True proves n prime only below 2^64, and above it means
+    only that no base witnessed compositeness (require_prime refuses
+    that verdict)."""
     if n < 2:
         return False
     for r in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -49,9 +51,15 @@ def is_prime(n):
 
 
 def require_prime(value, name):
-    """WfError unless value is a prime integer; name labels the message."""
+    """WfError unless value is a prime integer; name labels the message.
+    A value of 2^64 or more that no base proves composite is refused as
+    Inconclusive: the test cannot tell it from a strong pseudoprime."""
     if not isinstance(value, int) or not is_prime(value):
         raise WfError("%s must be prime, got %r" % (name, value))
+    if value >= 2 ** 64:
+        raise Inconclusive("%s = %d passes Miller-Rabin to the prime bases "
+                           "up to 37, which proves primality only below 2^64"
+                           % (name, value), bound=2 ** 64)
 
 
 def require_at_least(value, floor, name):
@@ -72,12 +80,8 @@ def require_type(value, kind, name):
 
 
 class PrimePower:
-    """base^exponent held symbolically; expanded only when small.
-
-    The size gate is integer-only: the expansion is allowed when
-    exponent * digits(base) stays within _EXPAND_DIGITS, a bound on the
-    decimal length of the value.
-    """
+    """base^exponent held symbolically; its "decimal" is always null,
+    since every n this module builds is at least 2^960."""
 
     __slots__ = ("base", "exponent")
 
@@ -85,18 +89,8 @@ class PrimePower:
         self.base = base
         self.exponent = exponent
 
-    def is_small(self):
-        return self.exponent * len(str(self.base)) <= _EXPAND_DIGITS
-
-    def value(self):
-        if not self.is_small():
-            raise WfError("p^%d is too large to expand" % (self.exponent,))
-        return self.base ** self.exponent
-
     def to_json(self):
-        data = {"base": self.base, "exponent": self.exponent}
-        data["decimal"] = str(self.value()) if self.is_small() else None
-        return data
+        return {"base": self.base, "exponent": self.exponent, "decimal": None}
 
     def __eq__(self, other):
         if not isinstance(other, PrimePower):
@@ -160,40 +154,13 @@ def torelli_noninjective(g, p):
     return h1_curve > h1_ab, h1_curve, h1_ab
 
 
-def lcm_exponent_table(n):
-    """Prime-exponent table of lcm(1..n): {r: largest k with r^k <= n}.
-
-    Only for enumerable n; callers gate on size first.
-    """
-    require_at_least(n, 1, "n")
-    if n > 10 ** 6:
-        raise WfError("lcm table is only computed for n <= 10^6")
-    sieve = bytearray(b"\x01") * (n + 1)
-    table = {}
-    for r in range(2, n + 1):
-        if not sieve[r]:
-            continue
-        for mult in range(r * r, n + 1, r):
-            sieve[mult] = 0
-        k = 1
-        while r ** (k + 1) <= n:
-            k += 1
-        table[r] = k
-    return table
-
-
 def lcm_recipe(g, p):
-    """Symbolic form of lcm(1..n) for n = p^(2 g e(g,p)).
-
-    The value is astronomically large for every honest input, so the
-    report carries the definition and n in exponent form; the exponent
-    table is filled in only when n is small enough to enumerate.
-    """
+    """The report's symbolic form of lcm(1..n) for n = p^(2 g e(g,p)):
+    the definition and n in exponent form.  n >= 2^960, so its prime
+    exponent table is out of reach and "factor_exponents" is null."""
     _, n = frob_power_bound(g, p, 1)
-    table = None
-    if n.is_small() and n.value() <= 10 ** 6:
-        table = lcm_exponent_table(n.value())
-    return {"definition": "lcm(1..n)", "n": n, "factor_exponents": table}
+    return {"definition": "lcm(1..n)", "n": n.to_json(),
+            "factor_exponents": None}
 
 
 def bounds_report(g, p, d, l=5):
@@ -215,7 +182,7 @@ def bounds_report(g, p, d, l=5):
         "n_note": ("r_bound scales with the degree d; "
                    "the divisibility modulus n does not"),
         "abelian_subgroup_bound": abelian_subgroup_bound(g, l),
-        "m": _recipe_json(lcm_recipe(g, p)),
+        "m": lcm_recipe(g, p),
     }
     if g >= 2:
         noninj, h1_curve, h1_ab = torelli_noninjective(g, p)
@@ -225,9 +192,3 @@ def bounds_report(g, p, d, l=5):
         report["torelli"] = {"applicable": False,
                              "reason": "the criterion needs genus at least 2"}
     return report
-
-
-def _recipe_json(recipe):
-    return {"definition": recipe["definition"],
-            "n": recipe["n"].to_json(),
-            "factor_exponents": recipe["factor_exponents"]}

@@ -9,9 +9,12 @@ builtin object (corpus).  COMMANDS declares each once; `wf <command>`
 builds only that command's parser, and `wf`, `wf --help` or an unknown
 command build all eight, so help, usage and error text are the same.
 
-Reports share one envelope, {"schema": "wf-report/1", "command": ...},
-and are serialized with sorted keys, two-space indent, and a trailing
-newline, so identical configurations produce byte-identical output.
+Each handler returns its report's payload and exit code.  main alone
+wraps the payload in the shared envelope, {"schema": "wf-report/1",
+"command": ...}, and writes it to --output or stdout; _fail alone writes
+error reports, always to stdout.  Reports are serialized with sorted
+keys, two-space indent, and a trailing newline, so identical
+configurations produce byte-identical output.
 Integers beyond the 53-bit mantissa of a double are emitted as decimal
 strings; everything smaller stays a JSON number.
 
@@ -65,23 +68,6 @@ def _scrub(value):
 def _dumps(report):
     """The report's bytes: scrubbed, sorted keys, two-space indent."""
     return json.dumps(_scrub(report), indent=2, sort_keys=True) + "\n"
-
-
-def _envelope(command, payload):
-    # every command runs in one thread; wf-report/1 keeps the field
-    report = {"schema": SCHEMA, "command": command, "threads": 1}
-    report.update(payload)
-    return report
-
-
-def _emit(report, args):
-    text = _dumps(report)
-    output = getattr(args, "output", None)
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _fail(args, exc, code, **extra):
@@ -212,8 +198,7 @@ def cmd_witt(args):
                    "sub": lambda: a - b,
                    "mul": lambda: a * b}[args.op]()
             payload["result"] = [out.a0, out.a1]
-    _emit(_envelope("witt", payload), args)
-    return 0
+    return payload, 0
 
 
 def cmd_prolong(args):
@@ -246,18 +231,15 @@ def cmd_prolong(args):
         payload["value"] = out.evaluate(point)
         payload["delta_of_value"] = ring.base_delta(f.evaluate(
             dict(zip(names, base_vals))))
-    _emit(_envelope("prolong", payload), args)
-    return 0
+    return payload, 0
 
 
 def cmd_jet(args):
     scheme = _load_scheme(args.scheme, args)
     charts = _select_patches(scheme, args.patch)
-    payload = {"scheme": scheme.name,
-               "ring": scheme.ring.to_json(),
-               "charts": [JetPresentation(pr).to_json() for pr in charts]}
-    _emit(_envelope("jet", payload), args)
-    return 0
+    return {"scheme": scheme.name,
+            "ring": scheme.ring.to_json(),
+            "charts": [JetPresentation(pr).to_json() for pr in charts]}, 0
 
 
 def cmd_lift(args):
@@ -265,20 +247,15 @@ def cmd_lift(args):
     charts = _select_patches(scheme, args.patch)
     lifts = [local_frobenius_lift(pr, args.deg_bound, args.max_deg)
              for pr in charts]
-    payload = {"scheme": scheme.name,
-               "ring": scheme.ring.to_json(),
-               "lifts": [lift.to_json() for lift in lifts]}
-    _emit(_envelope("lift", payload), args)
-    return 0
+    return {"scheme": scheme.name,
+            "ring": scheme.ring.to_json(),
+            "lifts": [lift.to_json() for lift in lifts]}, 0
 
 
 def cmd_di(args):
     scheme = _load_scheme(args.scheme, args)
     rep = compute_di_class(scheme, args.pole_bound, args.deg_bound)
-    _emit(_envelope("di", rep.to_json()), args)
-    if args.expect_zero and not rep.vanishes:
-        return 1
-    return 0
+    return rep.to_json(), int(args.expect_zero and not rep.vanishes)
 
 
 def cmd_compat(args):
@@ -299,16 +276,11 @@ def cmd_compat(args):
     payload["mode"] = mode
     payload["source_lifts"] = [lift.to_json() for lift in x_lifts]
     payload["target_lifts"] = [lift.to_json() for lift in y_lifts]
-    _emit(_envelope("compat", payload), args)
-    if args.expect_compatible and not rep.compatible:
-        return 1
-    return 0
+    return payload, int(args.expect_compatible and not rep.compatible)
 
 
 def cmd_bounds(args):
-    payload = bounds_report(args.g, args.p, args.d, args.l)
-    _emit(_envelope("bounds", payload), args)
-    return 0
+    return bounds_report(args.g, args.p, args.d, args.l), 0
 
 
 # -- corpus ---------------------------------------------------------------------
@@ -395,16 +367,14 @@ def _corpus_compat():
 
 def cmd_corpus(args):
     rng = random.Random(args.seed)
-    payload = {"seed": args.seed,
-               "witt_samples": _corpus_witt(rng),
-               "prolong_samples": _corpus_prolong(rng),
-               "di": _corpus_di(),
-               "compat": _corpus_compat(),
-               "bounds": [bounds_report(g, p, d)
-                          for (g, p, d) in ((1, 3, 1), (1, 5, 1),
-                                            (2, 2, 1), (2, 3, 1))]}
-    _emit(_envelope("corpus", payload), args)
-    return 0
+    return {"seed": args.seed,
+            "witt_samples": _corpus_witt(rng),
+            "prolong_samples": _corpus_prolong(rng),
+            "di": _corpus_di(),
+            "compat": _corpus_compat(),
+            "bounds": [bounds_report(g, p, d)
+                       for (g, p, d) in ((1, 3, 1), (1, 5, 1),
+                                         (2, 2, 1), (2, 3, 1))]}, 0
 
 
 # -- argument plumbing ----------------------------------------------------------
@@ -513,7 +483,8 @@ def _corpus_flags(cp):
 
 
 # every subcommand once, in the order `wf --help` lists them:
-# (name, help text, flag builder, handler); each also takes --output
+# (name, help text, flag builder, handler); each also takes --output,
+# and each handler returns (payload, exit code) for main to write
 COMMANDS = (
     ("witt", "length-two Witt vector arithmetic", _witt_flags, cmd_witt),
     ("prolong", "universal jet polynomial of an expression", _prolong_flags,
@@ -559,7 +530,17 @@ def main(argv=None):
         argv = sys.argv[1:] if argv is None else list(argv)
         args = _build_parser(argv).parse_args(argv)
         try:
-            return args.func(args)
+            payload, code = args.func(args)
+            # every command runs in one thread; wf-report/1 keeps the field
+            report = {"schema": SCHEMA, "command": args.command, "threads": 1}
+            report.update(payload)
+            text = _dumps(report)
+            if args.output:
+                with open(args.output, "w") as fh:
+                    fh.write(text)
+            else:
+                sys.stdout.write(text)
+            return code
         except ParseError as exc:
             return _fail(args, exc, 2, position=exc.position)
         except Inconclusive as exc:

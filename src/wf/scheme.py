@@ -871,23 +871,6 @@ def weierstrass_curve(ring, a, b):
                        genus=1, family="weierstrass")
 
 
-def _poly_text_from_coeffs(coeffs, var):
-    parts = []
-    for k in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[k]
-        if c == 0:
-            continue
-        if k == 0:
-            parts.append(str(c))
-        elif k == 1:
-            parts.append("%d*%s" % (c, var))
-        else:
-            parts.append("%d*%s^%d" % (c, var, k))
-    if not parts:
-        return "0"
-    return " + ".join(parts)
-
-
 def _univariate_separable(coeffs, p):
     """gcd(h, h') constant over F_p for h given low-to-high."""
     a = [c % p for c in coeffs]
@@ -935,10 +918,18 @@ def hyperelliptic_curve(ring, h_coeffs):
         raise NonSmooth("h has a repeated root mod %d" % (p,))
     if not _univariate_separable(ht, p):
         raise NonSmooth("the chart at infinity is singular mod %d" % (p,))
+
+    def double_cover(names, coeffs):
+        # names[1]^2 - sum of coeffs[k] * names[0]^k, highest k first
+        terms = {(0, 2): ring.one()}
+        for k in range(len(coeffs) - 1, -1, -1):
+            terms[(k, 0)] = ring.from_int(-coeffs[k])
+        return MvPoly(ring, names, terms)
+
     aff = Presentation("Haff", ring, ("x", "y"),
-                       relations=["y^2 - (%s)" % (_poly_text_from_coeffs(h, "x"),)])
+                       relations=[double_cover(("x", "y"), h)])
     inf = Presentation("Hinf", ring, ("v", "w"),
-                       relations=["w^2 - (%s)" % (_poly_text_from_coeffs(ht, "v"),)])
+                       relations=[double_cover(("v", "w"), ht)])
     ov = Overlap(0, 1, "x", "v",
                  to_j={"x": "v_inv", "y": "w*v_inv^%d" % (mdeg,)},
                  to_i={"v": "x_inv", "w": "y*x_inv^%d" % (mdeg,)})

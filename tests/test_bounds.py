@@ -1,14 +1,17 @@
 """Exact arithmetic for the group-order and lifting-power bounds."""
 
-import math
 from itertools import product
 
 import pytest
 
+from wf.base_ring import BaseRingSpec
 from wf.bounds import (PrimePower, abelian_subgroup_bound, bounds_report,
                        e_const, frob_power_bound, gsp_order, is_prime,
-                       lcm_exponent_table, lcm_recipe, torelli_noninjective)
-from wf.errors import WfError
+                       lcm_recipe, require_prime, torelli_noninjective)
+from wf.errors import Inconclusive, WfError
+
+# the least strong pseudoprime to every prime base up to 37
+PSEUDOPRIME = 318665857834031151167461
 
 
 def gl2_count(l):
@@ -66,35 +69,24 @@ def test_torelli_criterion():
         torelli_noninjective(1, 3)
 
 
-def test_lcm_table_matches_math_lcm():
-    for n in (1, 2, 10, 30, 100):
-        table = lcm_exponent_table(n)
-        got = 1
-        for r, k in table.items():
-            assert is_prime(r)
-            assert r ** k <= n < r ** (k + 1)
-            got *= r ** k
-        assert got == math.lcm(*range(1, n + 1))
-    with pytest.raises(WfError):
-        lcm_exponent_table(10 ** 6 + 1)
-
-
-def test_prime_power_expansion_gate():
-    small = PrimePower(3, 4)
-    assert small.is_small()
-    assert small.value() == 81
-    assert small.to_json() == {"base": 3, "exponent": 4, "decimal": "81"}
-    big = PrimePower(3, 960)
-    assert not big.is_small()
-    with pytest.raises(WfError):
-        big.value()
-    assert big.to_json() == {"base": 3, "exponent": 960, "decimal": None}
+def test_n_is_never_small_enough_to_expand():
+    # e(g, p) >= |GSp_2(F_5)| = 480 and grows with g, so n = p^(2 g e)
+    # is smallest at g = 1, p = 2; at p = 5 the level moves to 7
+    for p, exponent in ((2, 960), (5, 4032)):
+        rep = bounds_report(1, p, 1)
+        assert rep["n"] == {"base": p, "exponent": exponent, "decimal": None}
+        assert rep["n"]["exponent"] >= 960
+        assert rep["m"] == {"definition": "lcm(1..n)", "n": rep["n"],
+                            "factor_exponents": None}
+    assert bounds_report(2, 2, 1)["n"]["exponent"] > 960
+    assert PrimePower(3, 960).to_json() == {"base": 3, "exponent": 960,
+                                            "decimal": None}
 
 
 def test_lcm_recipe_stays_symbolic_for_honest_inputs():
     rec = lcm_recipe(1, 3)
     assert rec["definition"] == "lcm(1..n)"
-    assert rec["n"] == PrimePower(3, 960)
+    assert rec["n"] == {"base": 3, "exponent": 960, "decimal": None}
     assert rec["factor_exponents"] is None
 
 
@@ -107,6 +99,25 @@ def test_is_prime_edges():
         assert not is_prime(n)
     assert is_prime(2 ** 61 - 1)
     assert is_prime(10 ** 9 + 7)
+
+
+def test_prime_verdict_past_2_64_is_inconclusive():
+    assert PSEUDOPRIME == 399165290221 * 798330580441
+    # no base witnesses it, so only the size gate keeps it out
+    assert is_prime(PSEUDOPRIME)
+    for refuse in (lambda: require_prime(PSEUDOPRIME, "p"),
+                   lambda: BaseRingSpec(PSEUDOPRIME)):
+        with pytest.raises(Inconclusive) as exc:
+            refuse()
+        assert exc.value.bound == 2 ** 64
+    for p in (2 ** 61 - 1, 2 ** 64 - 59):
+        require_prime(p, "p")
+        assert BaseRingSpec(p).p == p
+    # a composite verdict is a proof at any size
+    for n in (2 ** 70, (2 ** 61 - 1) * (2 ** 64 - 59)):
+        with pytest.raises(WfError) as exc:
+            require_prime(n, "p")
+        assert type(exc.value) is WfError
 
 
 def test_input_gates():

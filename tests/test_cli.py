@@ -788,3 +788,81 @@ def test_main_builds_only_the_named_subparser(monkeypatch, capsys):
     added.clear()
     assert run_main(["--help"], capsys)[0] == 0
     assert added == [cmd[0] for cmd in wf.cli.COMMANDS] and len(added) == 8
+
+
+# -- where reports go -----------------------------------------------------------
+
+
+# one quick run of each command, with the exit code it ends in; the di and
+# compat runs miss their --expect-* flag
+REPORT_RUNS = [
+    (["witt", "--p", "3", "--op", "mul", "--a", "7,3", "--b", "5,2"], 0),
+    (["prolong", "x^2", "--p", "2", "--at", "3"], 0),
+    (["jet", "a1", "--p", "3"], 0),
+    (["lift", "gm", "--p", "3"], 0),
+    (["di", "p1", "--p", "3"], 0),
+    (["di", "weierstrass", "--p", "3", "--expect-zero"], 1),
+    (["compat", "a2_to_a1", "--p", "3"], 0),
+    (["compat", "weierstrass_in_p2", "--p", "3", "--independent",
+      "--expect-compatible"], 1),
+    (["bounds", "--g", "1", "--p", "3", "--d", "1"], 0),
+    (["corpus", "--seed", "0"], 0),
+]
+
+
+@pytest.mark.parametrize("argv, code", REPORT_RUNS,
+                         ids=[" ".join(argv) for argv, _ in REPORT_RUNS])
+def test_output_holds_the_stdout_report(argv, code, tmp_path, capsys):
+    plain, out, err = run_main(argv, capsys)
+    assert (plain, err) == (code, "")
+    path = tmp_path / "report.json"
+    assert run_main(argv + ["--output", str(path)], capsys) == (code, "", "")
+    assert path.read_bytes() == out.encode()
+    # an unwritable path is an input error, reported on stdout
+    missing = tmp_path / "missing" / "report.json"
+    code, out, err = run_main(argv + ["--output", str(missing)], capsys)
+    assert (code, err) == (2, "")
+    report = json.loads(out)
+    assert report["command"] == argv[0]
+    assert report["error"]["type"] == "FileNotFoundError"
+    assert not missing.parent.exists()
+
+
+# an input error of each command that can have one (corpus takes only a seed)
+@pytest.mark.parametrize("argv", [
+    ["witt", "--p", "6", "--op", "neg", "--a", "1,0"],
+    ["prolong", "x^^2", "--p", "3"],
+    ["jet", "nosuch", "--p", "3"],
+    ["lift", "a1", "--p", "3", "--patch", "nosuch"],
+    ["di", "p1", "--p", "3", "--pole-bound", "-1"],
+    ["compat", "nosuch", "--p", "3"],
+    ["bounds", "--g", "0", "--p", "3", "--d", "1"],
+], ids=lambda argv: argv[0])
+def test_error_reports_skip_output(argv, tmp_path, capsys):
+    path = tmp_path / "report.json"
+    code, out, err = run_main(argv + ["--output", str(path)], capsys)
+    assert (code, err) == (2, "")
+    report = json.loads(out)
+    assert (report["schema"], report["command"]) == ("wf-report/1", argv[0])
+    assert set(report) == {"schema", "command", "error"}
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("flag", ["--p", "--l"])
+def test_bounds_prime_past_2_64_is_inconclusive(flag, capsys):
+    def run(value):
+        primes = {"--p": "3", "--l": "5", flag: str(value)}
+        return run_main(["bounds", "--g", "1", "--d", "1",
+                         "--p", primes["--p"], "--l", primes["--l"]], capsys)
+
+    # 399165290221 * 798330580441 passes Miller-Rabin to every prime base
+    # up to 37; past 2^64 a passing verdict is no proof
+    code, out, _ = run(318665857834031151167461)
+    assert code == 3
+    err = json.loads(out)["error"]
+    assert err["type"] == "Inconclusive"
+    assert err["bound"] == str(2 ** 64)
+    assert err["message"].startswith(flag[2:] + " = 318665857834031151167461")
+    assert run(2 ** 61 - 1)[0] == run(2 ** 64 - 59)[0] == 0
+    code, out, _ = run(2 ** 70)
+    assert (code, json.loads(out)["error"]["type"]) == (2, "WfError")

@@ -3,7 +3,8 @@ helpers, no public function, class or method that no module reads, no
 parameter a function never reads, no docstring naming a private helper
 that is gone, and no docstring naming a module attribute, such as
 wf.jet.linearize_generator, that the module does not define.  Each is
-left behind by a refactor."""
+left behind by a refactor.  Also: in wf.cli only main writes reports and
+only _fail writes error reports."""
 
 import ast
 import pathlib
@@ -306,3 +307,45 @@ def test_parameter_check_catches_unread_parameters():
                      "table = {'a': lambda ring: 1}\n")
     assert unread_parameters(tree) == [("C.m", "ring"), ("C.m.inner", "x"),
                                        ("<lambda>", "ring")]
+
+
+# the calls that write a report: serializing one, printing, or opening a
+# file in any mode but plain reading
+OUTPUT_CALLS = {"_dumps", "sys.stdout.write", "print"}
+
+
+def writes_output(call):
+    name = ast.unparse(call.func)
+    if name != "open":
+        return name in OUTPUT_CALLS
+    modes = call.args[1:2] + [k.value for k in call.keywords if k.arg == "mode"]
+    return any(not (isinstance(mode, ast.Constant)
+                    and set(mode.value) <= set("rbt")) for mode in modes)
+
+
+def output_writers(tree):
+    """Each top-level function, main and _fail aside, whose body writes
+    output."""
+    return [node.name for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+            and node.name not in ("main", "_fail")
+            and any(isinstance(call, ast.Call) and writes_output(call)
+                    for call in ast.walk(node))]
+
+
+def test_only_main_and_fail_write_reports():
+    assert output_writers(parse(SRC / "cli.py")) == []
+
+
+def test_writer_check_catches_a_handler_that_writes():
+    for write in ("sys.stdout.write(_dumps({}))", "print(args)",
+                  "open(args.output, 'w')", "open(args.output, mode=m)"):
+        tree = parse(SRC / "cli.py")
+        (handler,) = [node for node in tree.body
+                      if isinstance(node, ast.FunctionDef)
+                      and node.name == "cmd_bounds"]
+        handler.body[:0] = ast.parse(write).body
+        assert output_writers(tree) == ["cmd_bounds"], write
+    assert output_writers(ast.parse(
+        "def _read(path):\n"
+        "    return open(path).read() + open(path, 'rb').read()\n")) == []

@@ -14,14 +14,19 @@ The coefficient Frobenius is the identity here (it fixes Z_p and sends
 pi to pi); the residue Frobenius x -> x^q with q = p^frob_power is what
 all higher layers twist by.
 
-Each ring here also carries the two length-two Witt laws as kernels on
-its raw coefficients (witt_add, witt_mul), which wf.witt dispatches to.
+Each ring here also carries the length-two Witt laws as kernels on its
+raw coefficients (witt_add, witt_mul, witt_neg, witt_ghost), which
+wf.witt dispatches to.  A vector carries f = a0^q in the ring's raw form
+(witt_power builds it); each kernel takes its operands' f and returns
+its result's, so no law raises a coordinate to the q-th power again.
+IntRing's exact powers are refused above 2^20 bits (Inconclusive).
 """
 
 from __future__ import annotations
 
 from .bounds import require_at_least, require_prime, require_type
-from .errors import NotDivisible, ParseError, PrecisionExceeded, SpecMismatch, WfError
+from .errors import (Inconclusive, NotDivisible, ParseError, PrecisionExceeded,
+                     SpecMismatch, WfError)
 
 
 def _vp(n: int, p: int) -> int:
@@ -31,6 +36,26 @@ def _vp(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
+
+
+# past this many bits IntRing refuses an exact power (IntRing._power)
+_POWER_BITS = 1 << 20
+
+
+def _require_ints(*coords):
+    for x in coords:
+        if not isinstance(x, int):
+            raise SpecMismatch("witt coordinate %r is not an integer" % (x,))
+
+
+def _reduce(coeffs, moduli):
+    """Each coefficient reduced mod its own modulus."""
+    n = len(coeffs)
+    if n == 1:
+        return (coeffs[0] % moduli[0],)
+    if n == 2:
+        return (coeffs[0] % moduli[0], coeffs[1] % moduli[1])
+    return tuple([c % m for c, m in zip(coeffs, moduli)])
 
 
 def _mul_coeffs(a, b, eis):
@@ -68,7 +93,7 @@ class BaseRingSpec:
     """
 
     __slots__ = ("p", "eisenstein", "e", "precision", "frob_power", "q",
-                 "_moduli", "_unit0_inv", "_pi_coeffs")
+                 "_moduli", "_power_mods", "_unit0_inv", "_pi_coeffs")
 
     def __init__(self, p, eisenstein=None, precision=4, frob_power=1):
         require_prime(p, "p")
@@ -90,6 +115,7 @@ class BaseRingSpec:
         self.frob_power = int(frob_power)
         self.q = p ** frob_power
         self._moduli = {}
+        self._power_mods = {}
         # constant term is p * unit0; cache unit0 inverses per modulus
         self._unit0_inv = {}
         self._pi_coeffs = (p,) if self.e == 1 else (0, 1) + (0,) * (self.e - 2)
@@ -125,7 +151,9 @@ class BaseRingSpec:
         big = self.moduli(prec)[0]
         d_top = (-(coeffs[0] // p) * self._inv_unit0(big)) % big
         eis = self.eisenstein
-        return tuple(coeffs[i] + d_top * eis[i] for i in range(1, self.e)) + (d_top,)
+        if self.e == 2:
+            return coeffs[1] + d_top * eis[1], d_top
+        return tuple([coeffs[i] + d_top * eis[i] for i in range(1, self.e)]) + (d_top,)
 
     def _pow_coeffs(self, a, k, m):
         """a^k for k >= 1 on coefficient tuples, every coefficient reduced
@@ -225,52 +253,81 @@ class BaseRingSpec:
         return a.div_pi().reduce(self.precision - 1)
 
     # -- Witt laws on raw coefficients ------------------------------------
+    #
+    # A vector (a0, a1) carries f = a0^q as the canonical coefficients of
+    # a0^q mod pi^(P+1), P = min(a0.prec, N).  A sum reads a0^q mod
+    # pi^(prec+1) and a product mod pi^prec, for prec <= P, so f serves
+    # both; a0^q mod pi^(P+1) does not depend on a0's representative,
+    # since (a0 + pi^P t)^q - a0^q is divisible by q pi^P.
 
-    def _witt_prec(self, *coords):
-        """Tracked precision of a Witt output's second coordinate."""
-        prec = self.precision
-        for x in coords:
+    def _power_moduli(self, prec):
+        """Coefficient moduli of the power carried by an a0 known to prec."""
+        mods = self._power_mods.get(prec)
+        if mods is None:
+            mods = self.moduli(min(prec, self.precision) + 1)
+            self._power_mods[prec] = mods
+        return mods
+
+    def _carried_power(self, coeffs, prec):
+        mods = self._power_moduli(prec)
+        return _reduce(self._pow_coeffs(coeffs, self.q, mods[0]), mods)
+
+    def witt_power(self, a0, a1):
+        """The power f a vector (a0, a1) built outside the kernels carries;
+        both coordinates must be elements of this ring."""
+        for x in (a0, a1):
             if x.__class__ is not BaseElem or (x.spec is not self and not self.same(x.spec)):
                 raise SpecMismatch("witt coordinate %r is not in %r" % (x, self))
-            if x.prec < prec:
-                prec = x.prec
-        return prec
+        return self._carried_power(a0.coeffs, a0.prec)
 
-    def witt_add(self, a0, a1, b0, b1):
-        """(a0, a1) + (b0, b1) = (a0 + b0, a1 + b1 - C(a0, b0)) in W_1.
+    def witt_add(self, a0, a1, fa, b0, b1, fb):
+        """(a0, a1) + (b0, b1) = (a0 + b0, a1 + b1 - C(a0, b0)) in W_1,
+        with the sum's power (a0 + b0)^q.
 
         The carry C(x, y) = ((x+y)^q - x^q - y^q)/pi has the integral
         coefficients binom(q,j)/pi, so it does not depend on the
-        representatives: the numerator is computed on the canonical
-        coefficients at precision prec+1 and divided by pi exactly, the
-        padding trick of int_div_pi.
+        representatives: its numerator is taken on the carried powers at
+        precision prec+1 and divided by pi exactly, the padding trick of
+        int_div_pi.
         """
-        prec = self._witt_prec(a0, a1, b0, b1)
+        prec = min(a0.prec, a1.prec, b0.prec, b1.prec, self.precision)
         m = self.moduli(prec + 1)[0]
-        q = self.q
-        x, y = a0.coeffs, b0.coeffs
-        s = tuple([u + v for u, v in zip(x, y)])
-        num = tuple([(u - v - w) % m for u, v, w in zip(
-            self._pow_coeffs(s, q, m), self._pow_coeffs(x, q, m),
-            self._pow_coeffs(y, q, m))])
-        carry = self._div_pi(num, prec + 1)
-        c1 = tuple([u + v - w for u, v, w in zip(a1.coeffs, b1.coeffs, carry)])
-        return (BaseElem(self, s, a0.prec if a0.prec <= b0.prec else b0.prec),
-                BaseElem(self, c1, prec))
+        c0 = BaseElem(self, [u + v for u, v in zip(a0.coeffs, b0.coeffs)],
+                      a0.prec if a0.prec <= b0.prec else b0.prec)
+        fc = self._carried_power(c0.coeffs, c0.prec)
+        carry = self._div_pi([(u - v - w) % m for u, v, w in zip(fc, fa, fb)], prec + 1)
+        c1 = [u + v - w for u, v, w in zip(a1.coeffs, b1.coeffs, carry)]
+        return c0, BaseElem(self, c1, prec), fc
 
-    def witt_mul(self, a0, a1, b0, b1):
-        """(a0, a1) * (b0, b1) = (a0 b0, a1 b0^q + b1 a0^q + pi a1 b1) in W_1."""
-        prec = self._witt_prec(a0, a1, b0, b1)
-        m = self.moduli(prec)[0]
-        q, eis = self.q, self.eisenstein
-        x, y = a0.coeffs, b0.coeffs
+    def witt_mul(self, a0, a1, fa, b0, b1, fb):
+        """(a0, a1) * (b0, b1) = (a0 b0, a1 b0^q + b1 a0^q + pi a1 b1) in W_1,
+        with the product's power a0^q b0^q."""
+        prec = min(a0.prec, a1.prec, b0.prec, b1.prec, self.precision)
+        eis = self.eisenstein
         u, v = a1.coeffs, b1.coeffs
-        t1 = _mul_coeffs(u, self._pow_coeffs(y, q, m), eis)
-        t2 = _mul_coeffs(v, self._pow_coeffs(x, q, m), eis)
+        t1 = _mul_coeffs(u, fb, eis)
+        t2 = _mul_coeffs(v, fa, eis)
         t3 = _mul_coeffs(_mul_coeffs(u, v, eis), self._pi_coeffs, eis)
-        return (BaseElem(self, _mul_coeffs(x, y, eis),
-                         a0.prec if a0.prec <= b0.prec else b0.prec),
-                BaseElem(self, tuple([i + j + k for i, j, k in zip(t1, t2, t3)]), prec))
+        c0 = BaseElem(self, _mul_coeffs(a0.coeffs, b0.coeffs, eis),
+                      a0.prec if a0.prec <= b0.prec else b0.prec)
+        fc = _reduce(_mul_coeffs(fa, fb, eis), self._power_moduli(c0.prec))
+        return c0, BaseElem(self, [i + j + k for i, j, k in zip(t1, t2, t3)], prec), fc
+
+    def witt_neg(self, a0, a1, f, c):
+        """-(a0, a1) = (-a0, -a1 + c a0^q) in W_1, c = (-1 - (-1)^q)/pi,
+        with the power (-1)^q f."""
+        if self.q & 1:
+            f = _reduce([-x for x in f], self._power_moduli(a0.prec))
+        return -a0, -a1 + c * self._power_elem(f, a0), f
+
+    def witt_ghost(self, a0, a1, f, pi):
+        """Ghost coordinates (a0, a0^q + pi a1), a0^q read off f."""
+        return a0, self._power_elem(f, a0) + pi * a1
+
+    def _power_elem(self, f, a0):
+        # f is known to min(a0.prec, N) + 1 digits; the ghost map and
+        # negation add it to an element known to N digits at most
+        return BaseElem(self, f, min(a0.prec, self.precision + 1))
 
     def to_json(self):
         return {"p": self.p, "eisenstein": list(self.eisenstein),
@@ -502,7 +559,7 @@ class IntRing:
         return a * b
 
     def pow(self, a, k):
-        return a ** k
+        return self._power(a, k)
 
     def eq(self, a, b):
         return a == b
@@ -520,19 +577,47 @@ class IntRing:
 
     int_div_pi = div_pi
 
-    def witt_add(self, a0, a1, b0, b1):
-        """(a0, a1) + (b0, b1) in W_1, carry ((a0+b0)^q - a0^q - b0^q)/p."""
-        q = self.q
-        s = a0 + b0
-        return s, a1 + b1 - (s ** q - a0 ** q - b0 ** q) // self.p
+    def _power(self, a, k):
+        """a^k exactly.  k * bit_length(a) bounds its size, and past
+        _POWER_BITS bits it is refused as Inconclusive before any work;
+        |a| <= 1 always passes."""
+        bits = a.bit_length()
+        if bits > 1 and k * bits > _POWER_BITS:
+            raise Inconclusive(
+                "a %d-bit integer to the power %d could have up to %d bits, "
+                "past the bound of %d bits on an exact integer power"
+                % (bits, k, k * bits, _POWER_BITS), bound=_POWER_BITS)
+        return a ** k
 
-    def witt_mul(self, a0, a1, b0, b1):
-        """(a0, a1) * (b0, b1) = (a0 b0, a1 b0^q + b1 a0^q + p a1 b1) in W_1."""
-        q = self.q
-        return a0 * b0, a1 * b0 ** q + b1 * a0 ** q + self.p * a1 * b1
+    def witt_power(self, a0, a1):
+        """The power a0^q a vector (a0, a1) built outside the kernels
+        carries; both coordinates must be integers."""
+        _require_ints(a0, a1)
+        return self._power(a0, self.q)
+
+    def witt_add(self, a0, a1, fa, b0, b1, fb):
+        """(a0, a1) + (b0, b1) in W_1, carry ((a0+b0)^q - a0^q - b0^q)/p,
+        with the sum's power (a0+b0)^q."""
+        s = a0 + b0
+        fs = self._power(s, self.q)
+        return s, a1 + b1 - (fs - fa - fb) // self.p, fs
+
+    def witt_mul(self, a0, a1, fa, b0, b1, fb):
+        """(a0, a1) * (b0, b1) = (a0 b0, a1 b0^q + b1 a0^q + p a1 b1) in W_1,
+        with the product's power, bounded like any other."""
+        c0 = a0 * b0
+        return c0, a1 * fb + b1 * fa + self.p * a1 * b1, self._power(c0, self.q)
+
+    def witt_neg(self, a0, a1, f, c):
+        """-(a0, a1) = (-a0, -a1 + c a0^q) in W_1, c = (-1 - (-1)^q)/p."""
+        return -a0, c * f - a1, -f if self.q & 1 else f
+
+    def witt_ghost(self, a0, a1, f, pi):
+        """Ghost coordinates (a0, a0^q + pi a1)."""
+        return a0, f + pi * a1
 
     def base_delta(self, a):
-        return self.div_pi(a - a ** self.q)
+        return self.div_pi(a - self._power(a, self.q))
 
     def frob(self, a):
         return a
@@ -606,20 +691,37 @@ class IntModRing:
             raise NotDivisible("%d is not divisible by %d" % (v, self.p))
         return (v // self.p) % self.n
 
-    def witt_add(self, a0, a1, b0, b1):
-        """(a0, a1) + (b0, b1) in W_1; the carry's numerator is taken
-        mod p^(k+1) and divided by p exactly before reducing mod p^k."""
-        n, p, q = self.n, self.p, self.q
+    def witt_power(self, a0, a1):
+        """The power a0^q mod p^(k+1) a vector (a0, a1) built outside the
+        kernels carries; both coordinates must be integers."""
+        _require_ints(a0, a1)
+        return pow(a0, self.q, self.n * self.p)
+
+    def witt_add(self, a0, a1, fa, b0, b1, fb):
+        """(a0, a1) + (b0, b1) in W_1, with the sum's power mod p^(k+1);
+        the carry's numerator is taken mod p^(k+1) and divided by p
+        exactly before reducing mod p^k."""
+        n, p = self.n, self.p
         big = n * p
         s = a0 + b0
-        carry = (pow(s, q, big) - pow(a0, q, big) - pow(b0, q, big)) % big // p
-        return s % n, (a1 + b1 - carry) % n
+        fs = pow(s, self.q, big)
+        return s % n, (a1 + b1 - (fs - fa - fb) % big // p) % n, fs
 
-    def witt_mul(self, a0, a1, b0, b1):
-        """(a0, a1) * (b0, b1) = (a0 b0, a1 b0^q + b1 a0^q + p a1 b1) in W_1."""
-        n, q = self.n, self.q
-        return ((a0 * b0) % n,
-                (a1 * pow(b0, q, n) + b1 * pow(a0, q, n) + self.p * a1 * b1) % n)
+    def witt_mul(self, a0, a1, fa, b0, b1, fb):
+        """(a0, a1) * (b0, b1) = (a0 b0, a1 b0^q + b1 a0^q + p a1 b1) in W_1,
+        with the product's power mod p^(k+1)."""
+        n, p = self.n, self.p
+        return ((a0 * b0) % n, (a1 * fb + b1 * fa + p * a1 * b1) % n,
+                fa * fb % (n * p))
+
+    def witt_neg(self, a0, a1, f, c):
+        """-(a0, a1) = (-a0, -a1 + c a0^q) in W_1, c = (-1 - (-1)^q)/p."""
+        n = self.n
+        return -a0 % n, (c * f - a1) % n, -f % (n * self.p) if self.q & 1 else f
+
+    def witt_ghost(self, a0, a1, f, pi):
+        """Ghost coordinates (a0, a0^q + pi a1)."""
+        return a0, (f + pi * a1) % self.n
 
     def base_delta(self, a):
         raise WfError("base_delta needs a precision-tracked ring")

@@ -11,8 +11,13 @@ truncated base ring.  binom(q,j) is divisible by p for 0 < j < q, so the
 carry C is a polynomial with integral coefficients: computed in closed
 form on exact representatives, with the division by pi done before any
 reduction, it does not depend on the representatives chosen.  Each
-coefficient ring implements both laws as one kernel on its raw
-coefficients (witt_add, witt_mul); WittVec only dispatches to them.
+coefficient ring implements the laws, negation and the ghost map as
+kernels on its raw coefficients (witt_add, witt_mul, witt_neg,
+witt_ghost); WittVec only dispatches to them.  Every WittVec carries
+f = a0^q, the power that the carry, the product, negation and the ghost
+map all read: the kernels take the operands' f and return the
+result's.  A sum raises one q-th power, and a product multiplies its
+operands' (over the integers it raises one, to bound its size first).
 Associativity and distributivity are polynomial identities with those
 integral constants, so they hold on the nose, not just mod pi.
 
@@ -31,7 +36,7 @@ class WittContext:
 
     q is always the ring's own.  neg_const is (-1 - (-1)^q)/pi, the
     alternating sum of the carry coefficients binom(q,j)/pi, which
-    negation needs; the sum and product live on the ring's kernels.
+    negation needs; the laws live on the ring's kernels.
     """
 
     __slots__ = ("ring", "q", "pi", "neg_const")
@@ -59,12 +64,23 @@ class WittContext:
 
 
 class WittVec:
-    __slots__ = ("ctx", "a0", "a1")
+    """(a0, a1) in W_1 over ctx's ring, carrying f = a0^q.
 
-    def __init__(self, ctx, a0, a1):
+    f is in the ring's raw form: for a truncated base ring the canonical
+    coefficient tuple of a0^q mod pi^(min(a0.prec, N) + 1), for Z/p^k an
+    int mod p^(k+1), for the integers the exact int.  A vector built
+    outside the kernels (ctx.vec, zero, one, or WittVec(ctx, a0, a1)) has
+    its coordinates checked against the ring and f computed here; every
+    kernel takes the operands' f and returns its result's.
+    """
+
+    __slots__ = ("ctx", "a0", "a1", "f")
+
+    def __init__(self, ctx, a0, a1, f=None):
         self.ctx = ctx
         self.a0 = a0
         self.a1 = a1
+        self.f = ctx.ring.witt_power(a0, a1) if f is None else f
 
     def _check(self, other):
         if not isinstance(other, WittVec) or other.ctx is not self.ctx:
@@ -72,22 +88,22 @@ class WittVec:
 
     def __add__(self, other):
         self._check(other)
-        c0, c1 = self.ctx.ring.witt_add(self.a0, self.a1, other.a0, other.a1)
-        return WittVec(self.ctx, c0, c1)
+        ctx = self.ctx
+        return WittVec(ctx, *ctx.ring.witt_add(self.a0, self.a1, self.f,
+                                               other.a0, other.a1, other.f))
 
     def __neg__(self):
         ctx = self.ctx
-        r = ctx.ring
-        a1 = r.add(r.neg(self.a1), r.mul(ctx.neg_const, r.pow(self.a0, ctx.q)))
-        return WittVec(ctx, r.neg(self.a0), a1)
+        return WittVec(ctx, *ctx.ring.witt_neg(self.a0, self.a1, self.f, ctx.neg_const))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         self._check(other)
-        c0, c1 = self.ctx.ring.witt_mul(self.a0, self.a1, other.a0, other.a1)
-        return WittVec(self.ctx, c0, c1)
+        ctx = self.ctx
+        return WittVec(ctx, *ctx.ring.witt_mul(self.a0, self.a1, self.f,
+                                               other.a0, other.a1, other.f))
 
     def __eq__(self, other):
         if not isinstance(other, WittVec):
@@ -105,5 +121,4 @@ class WittVec:
 
 def ghost(w: WittVec):
     """Ghost coordinates (a0, a0^q + pi a1); componentwise oracle."""
-    r = w.ctx.ring
-    return (w.a0, r.add(r.pow(w.a0, w.ctx.q), r.mul(w.ctx.pi, w.a1)))
+    return w.ctx.ring.witt_ghost(w.a0, w.a1, w.f, w.ctx.pi)

@@ -67,6 +67,32 @@ def test_witt_rejects_composite():
     assert json.loads(proc.stdout)["error"]["type"] == "WfError"
 
 
+@pytest.mark.parametrize("argv", [
+    ["witt", "--op", "add", "--a", "3,0", "--b", "1,0"],
+    ["witt", "--op", "mul", "--a", "1,0", "--b", "3,0"],
+    ["witt", "--op", "delta", "--a", "3"],
+    ["prolong", "x", "--at", "3"],
+], ids=lambda argv: argv[2] if argv[0] == "witt" else argv[0])
+def test_exact_powers_past_the_bound_exit_three(argv, capsys):
+    # 524309, the first prime past 2^19, times bit_length(3) = 2 passes
+    # 2^20.  Unchecked, such a power takes a fraction of a second, so a
+    # missing check fails this test rather than hanging it.
+    code, out, _ = run_main(argv + ["--p", "524309"], capsys)
+    assert code == 3, out
+    err = json.loads(out)["error"]
+    assert (err["type"], err["bound"]) == ("Inconclusive", 2 ** 20)
+    assert err["message"] == (
+        "a 2-bit integer to the power 524309 could have up to 1048618 "
+        "bits, past the bound of 1048576 bits on an exact integer power")
+
+
+def test_exact_powers_of_small_values_pass_the_bound(capsys):
+    code, out, _ = run_main(["witt", "--op", "ghost", "--a=-1,5",
+                             "--p", str(2 ** 61 - 1)], capsys)
+    assert code == 0
+    assert json.loads(out)["result"] == [-1, str(-1 + 5 * (2 ** 61 - 1))]
+
+
 def test_di_rejects_composite_with_large_factors():
     proc = run_cli("di", "a1", "--p", str(1009 * 1013))
     assert proc.returncode == 2

@@ -6,7 +6,7 @@ from math import comb
 import pytest
 
 from wf.base_ring import BaseRingSpec, IntModRing, IntRing
-from wf.errors import SpecMismatch
+from wf.errors import Inconclusive, SpecMismatch
 from wf.witt import WittContext, WittVec, ghost
 
 
@@ -179,6 +179,112 @@ def test_context_mixing_rejected():
     b = WittContext(IntRing(3)).vec(1, 0)
     with pytest.raises(SpecMismatch):
         a + b
+
+
+def test_foreign_coordinates_rejected():
+    # the coordinate check runs when a vector is built, so a foreign
+    # coordinate never reaches a kernel; an int is refused the same way
+    spec = BaseRingSpec(3, [-3, 0, 1], 4)
+    ctx = WittContext(spec)
+    a = ctx.vec(spec.from_int(5), spec.from_int(7))
+    one = spec.one()
+    for other in (BaseRingSpec(5, [-5, 0, 1], 4), BaseRingSpec(3, [-3, 0, 1], 5),
+                  BaseRingSpec(3, [-3, 3, 1], 4), BaseRingSpec(3, [-3, 0, 1], 4, 2)):
+        x = other.from_int(2)
+        for coords in ((x, one), (one, x)):
+            for op in (a.__add__, a.__mul__):
+                with pytest.raises(SpecMismatch):
+                    op(ctx.vec(*coords))
+                with pytest.raises(SpecMismatch):
+                    op(WittVec(ctx, *coords))
+    for coords in ((2, one), (one, 2)):
+        for op in (a.__add__, a.__mul__):
+            with pytest.raises(SpecMismatch):
+                op(WittVec(ctx, *coords))
+    # and an element of Z_3[pi] is no integer coordinate
+    for ring in (IntRing(3), IntModRing(3, 2)):
+        with pytest.raises(SpecMismatch):
+            WittVec(WittContext(ring), one, 0)
+        with pytest.raises(SpecMismatch):
+            WittVec(WittContext(ring), 0, one)
+
+
+def test_equal_spec_built_apart_is_accepted():
+    rng = random.Random(27)
+    for spec in BASE_RINGS:
+        twin = BaseRingSpec(spec.p, list(spec.eisenstein), spec.precision,
+                            spec.frob_power)
+        ctx = WittContext(spec)
+        for _ in range(4):
+            coeffs = [rand_base_elem(spec, rng) for _ in range(4)]
+            a, b = ctx.vec(*coeffs[:2]), ctx.vec(*coeffs[2:])
+            b_twin = ctx.vec(*(twin.elem(x.coeffs, x.prec) for x in coeffs[2:]))
+            for got, want in ((a + b_twin, a + b), (a * b_twin, a * b),
+                              (b_twin + a, b + a), (-b_twin, -b)):
+                assert (got.a0.coeffs, got.a0.prec, got.a1.coeffs, got.a1.prec) == (
+                    want.a0.coeffs, want.a0.prec, want.a1.coeffs, want.a1.prec)
+                assert got.f == want.f
+
+
+def fresh_power(ring, a0):
+    """a0^q as a vector over ring carries it, by repeated multiplication:
+    over a base ring the canonical coefficients mod pi^(min(prec, N) + 1),
+    over Z/p^k the residue mod p^(k+1), over Z the exact power."""
+    if isinstance(ring, BaseRingSpec):
+        prec = min(a0.prec, ring.precision) + 1
+        return power(ring, ring.elem(a0.coeffs, prec), ring.q).coeffs
+    if isinstance(ring, IntModRing):
+        return power(IntModRing(ring.p, ring.k + 1), a0, ring.q)
+    return power(ring, a0, ring.q)
+
+
+def test_carried_power_is_a0_to_the_q():
+    rng = random.Random(28)
+    rings = (BASE_RINGS + [IntModRing(p, k, m) for p in (2, 3, 5)
+                           for k in (1, 4) for m in (1, 2)]
+             + [IntRing(p, m) for p in (2, 3, 5) for m in (1, 2)])
+    for ring in rings:
+        ctx = WittContext(ring)
+        if isinstance(ring, BaseRingSpec):
+            top = ring.precision + 1
+
+            def coord():
+                return rand_base_elem(ring, rng, rng.randint(1, top))
+        else:
+            def coord():
+                return rng.randint(-10 ** 4, 10 ** 4)
+        built = [ctx.zero(), ctx.one()]
+        for _ in range(6):
+            built += [ctx.vec(coord(), coord()), WittVec(ctx, coord(), coord())]
+        derived = []
+        for _ in range(12):
+            a, b = rng.choice(built), rng.choice(built)
+            derived += [a + b, a * b, -a, -(a + b), (a * b) * (a + b)]
+        for w in built + derived:
+            assert w.f == fresh_power(ring, w.a0), (ring, w)
+
+
+def test_exact_powers_are_bounded():
+    # q * bit_length(a) past 2^20 is refused before any power is taken:
+    # at q = 262147, the first prime past 2^18, |a| <= 7 passes and 7 * 7
+    # does not, so the product's power is refused though both factors'
+    # passed; the sum's power and base_delta are refused the same way
+    ring = IntRing(262147)
+    ctx = WittContext(ring)
+    a = ctx.vec(7, 1)
+    with pytest.raises(Inconclusive) as exc:
+        a * a
+    assert exc.value.bound == 2 ** 20
+    for refused in (lambda: a + a, lambda: ctx.vec(8, 0),
+                    lambda: WittVec(ctx, -8, 0), lambda: ring.base_delta(8),
+                    lambda: ring.pow(49, ring.q)):
+        with pytest.raises(Inconclusive):
+            refused()
+    assert ghost(a) == (7, 7 ** ring.q + ring.q)
+    assert ring.base_delta(7) == (7 - 7 ** ring.q) // ring.q
+    # |a| <= 1 passes at any q
+    big = WittContext(IntRing(2 ** 61 - 1))
+    assert ghost(big.vec(-1, 0) * big.vec(-1, 0)) == (1, 1)
 
 
 # -- pi-derivations as Witt-vector homomorphisms (oracles only tests use) --

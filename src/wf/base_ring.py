@@ -10,19 +10,28 @@ propagate the minimum of the operand precisions; exact division by pi
 drops it by one.  That ledger is the whole point: a division that would
 leave less than one tracked digit raises instead of silently lying.
 
+Three coefficient rings answer one protocol, so callers never ask which
+one they hold: BaseRingSpec (the ring above), IntRing (the exact
+integers, pi = p, where the oracles run) and IntModRing (Z/p^k).  Each
+has zero, one, from_int, pi, add, sub, neg, mul, pow, eq, is_zero,
+div_pi, int_div_pi, base_delta, same, unit_inverse (None off the units),
+power_bits (a bound on the bits of one coefficient of the q-th power of
+a sum), precision (None where untracked) and the length-two Witt laws as
+kernels on raw coefficients, witt_power, witt_add, witt_mul, witt_neg
+and witt_ghost, which wf.witt dispatches to.  A vector carries
+f = a0^q in the ring's raw form (witt_power builds it); each kernel
+takes its operands' f and returns its result's, so no law raises a
+coordinate to the q-th power again.  IntRing's exact powers are refused
+above 2^20 bits (Inconclusive).
+
 The coefficient Frobenius is the identity here (it fixes Z_p and sends
 pi to pi); the residue Frobenius x -> x^q with q = p^frob_power is what
 all higher layers twist by.
-
-Each ring here also carries the length-two Witt laws as kernels on its
-raw coefficients (witt_add, witt_mul, witt_neg, witt_ghost), which
-wf.witt dispatches to.  A vector carries f = a0^q in the ring's raw form
-(witt_power builds it); each kernel takes its operands' f and returns
-its result's, so no law raises a coordinate to the q-th power again.
-IntRing's exact powers are refused above 2^20 bits (Inconclusive).
 """
 
 from __future__ import annotations
+
+from math import log2
 
 from .bounds import require_at_least, require_prime, require_type
 from .errors import (Inconclusive, NotDivisible, ParseError, PrecisionExceeded,
@@ -237,9 +246,12 @@ class BaseRingSpec:
     def base_delta(self, a):
         return a.delta()
 
-    def frob(self, a):
-        # identity: the lift fixes Z_p and sends pi to pi
-        return a
+    def unit_inverse(self, c):
+        return c.inverse() if c.is_unit() else None
+
+    def power_bits(self, coeffs):
+        # a power's coefficients lie below the moduli at their top precision
+        return sum(m.bit_length() for m in self.moduli(max(c.prec for c in coeffs)))
 
     def int_div_pi(self, n):
         """n/pi for an exact integer n, carried at full precision.
@@ -262,6 +274,7 @@ class BaseRingSpec:
 
     def _power_moduli(self, prec):
         """Coefficient moduli of the power carried by an a0 known to prec."""
+        # its own memo: calling moduli() on every Witt op was 4.4% slower
         mods = self._power_mods.get(prec)
         if mods is None:
             mods = self.moduli(min(prec, self.precision) + 1)
@@ -530,6 +543,8 @@ class IntRing:
 
     __slots__ = ("p", "frob_power", "q")
 
+    precision = None
+
     def __init__(self, p, frob_power=1):
         require_prime(p, "p")
         require_at_least(frob_power, 1, "frob_power")
@@ -619,8 +634,12 @@ class IntRing:
     def base_delta(self, a):
         return self.div_pi(a - self._power(a, self.q))
 
-    def frob(self, a):
-        return a
+    def unit_inverse(self, c):
+        return c if c in (1, -1) else None
+
+    def power_bits(self, coeffs):
+        # each coefficient of (sum c_i m_i)^q is at most (sum |c_i|)^q
+        return int(self.q * log2(sum(map(abs, coeffs)))) + 1
 
     def same(self, other):
         return isinstance(other, IntRing) and self.p == other.p and self.q == other.q
@@ -638,6 +657,8 @@ class IntModRing:
     """
 
     __slots__ = ("p", "k", "n", "frob_power", "q")
+
+    precision = None
 
     def __init__(self, p, k=1, frob_power=1):
         require_prime(p, "p")
@@ -726,11 +747,12 @@ class IntModRing:
     def base_delta(self, a):
         raise WfError("base_delta needs a precision-tracked ring")
 
-    def frob(self, a):
-        return a
+    def unit_inverse(self, c):
+        return pow(c, -1, self.n) if c % self.p else None
 
-    def inv(self, a):
-        return pow(a, -1, self.n)
+    def power_bits(self, coeffs):
+        # below n, and at most the same coefficient of the power over Z
+        return min(self.n.bit_length(), int(self.q * log2(sum(coeffs))) + 1)
 
     def same(self, other):
         return isinstance(other, IntModRing) and self.n == other.n and self.q == other.q

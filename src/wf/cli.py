@@ -432,9 +432,7 @@ def _jet_flags(je):
 
 
 def _lift_flags(li):
-    li.add_argument("scheme", help="builtin name or JSON file")
-    _add_ring_flags(li)
-    li.add_argument("--patch", help="restrict to one named patch")
+    _jet_flags(li)
     li.add_argument("--deg-bound", type=int, default=None,
                     help="starting degree for the coefficient search")
     li.add_argument("--max-deg", type=int, default=None,

@@ -13,7 +13,9 @@ with C_pi(a, b) = (a^q + b^q - (a+b)^q)/pi, an exact division because the
 binomial coefficients below q are divisible by p.  Folding the constant
 term last makes prolong(f + c) literally equal
 prolong(f) + base_delta(c) + C_pi(f, c), precision included.  The fold
-carries acc^q: one step's (acc + t)^q is the next step's acc^q.
+carries acc^q: one step's (acc + t)^q is the next step's acc^q.  Each
+(acc + t)^q is refused as Inconclusive, before any work, when a bound on
+its size passes 2^20 bits, the bound on IntRing's exact powers.
 
 Everything here runs over either exact integers (the Fermat-quotient
 oracle lives there) or a tracked-precision base ring, where the divisions
@@ -24,7 +26,8 @@ from __future__ import annotations
 
 from math import comb
 
-from .errors import WfError
+from .base_ring import _POWER_BITS
+from .errors import Inconclusive, WfError
 from .poly import MvPoly
 
 JET_SUFFIX = "_dot"
@@ -71,12 +74,27 @@ class DeltaContext:
             if acc_q is None:
                 acc_q = acc_val ** self.q
             acc_val = acc_val + t_val
+            self._check_power_size(acc_val)
             s_q = acc_val ** self.q
             # C_pi(acc, t) = (acc^q + t^q - (acc + t)^q)/pi, divided exactly
             c_pi = (acc_q + t_val ** self.q - s_q).map_coeffs(self.ring.div_pi, self.ring)
             acc_del = acc_del + t_del + c_pi
             acc_q = s_q
         return acc_del
+
+    def _check_power_size(self, f):
+        """Refuse f^q past _POWER_BITS bits, before any work: it has at
+        most min(C(q+t-1, t-1), C(q*deg+v, v)) terms, t being f's terms and
+        v the variables in f, each of at most the ring's power_bits."""
+        q, t = self.q, len(f.terms)
+        v = sum(1 for column in zip(*f.terms) if any(column))
+        count = min(comb(q + t - 1, t - 1), comb(q * f.total_deg() + v, v))
+        bits = count * self.ring.power_bits(f.terms.values())
+        if bits > _POWER_BITS:
+            raise Inconclusive(
+                "the %d-th power of a %d-term sum could have up to %d bits, "
+                "past the bound of %d bits on an exact power"
+                % (q, t, bits, _POWER_BITS), bound=_POWER_BITS)
 
     def _delta_term(self, e, c):
         # delta(c * m) = c^q delta(m) + m^q delta(c) + pi delta(c) delta(m)

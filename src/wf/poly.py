@@ -66,10 +66,8 @@ class MvPoly:
     # -- basics ----------------------------------------------------------
 
     def _check(self, other):
-        if isinstance(other, int):
-            return MvPoly.const(self.ring, self.vars, other)
         if not isinstance(other, MvPoly):
-            # a bare coefficient
+            # an int or a bare coefficient
             return MvPoly.const(self.ring, self.vars, other)
         if self.vars != other.vars:
             raise VariableMismatch("operands over %r and %r" % (self.vars, other.vars))
@@ -251,17 +249,6 @@ class MvPoly:
         """Substitute every variable x by x^q (exponents scale by q)."""
         return MvPoly(self.ring, self.vars,
                       {tuple(a * q for a in e): c for e, c in self.terms.items()},
-                      _clean=False)
-
-    def frob_twist(self):
-        """Apply the coefficient Frobenius entrywise.
-
-        The supported base rings all carry the identity lift (phi fixes
-        Z_p and pi), so this returns an equal polynomial; it exists so the
-        twist is one named step rather than an invisible assumption.
-        """
-        r = self.ring
-        return MvPoly(r, self.vars, {e: r.frob(c) for e, c in self.terms.items()},
                       _clean=False)
 
     # -- substitution -------------------------------------------------------
@@ -562,7 +549,7 @@ class ReductionContext:
             (le, lc), = lead.items()
             if sum(le) != d:
                 continue  # leading term must be the bare power of the variable
-            inv = _unit_inverse(r, lc)
+            inv = r.unit_inverse(lc)
             if inv is None:
                 continue
             rest = {}
@@ -615,7 +602,7 @@ class ReductionContext:
             f = f.extend_vars(self.vars)
         r = self.ring
         is_zero, add, mul = r.is_zero, r.add, r.mul
-        full = getattr(r, "precision", None)
+        full = r.precision
         rules, order, loc = self._rules, self._order, self._loc_index
         out = {}
         # monomials some rule rewrites: merged coefficients, and a heap of
@@ -708,7 +695,7 @@ class ReductionContext:
         if len(nf.terms) != 1:
             return None
         (e, c), = nf.terms.items()
-        cinv = _unit_inverse(self.ring, c)
+        cinv = self.ring.unit_inverse(c)
         if cinv is None:
             return None
         invof = self.invertible_vars()
@@ -721,19 +708,3 @@ class ReductionContext:
             exps[self.vars.index(invof[name])] = k
         return self.normal_form(MvPoly(self.ring, self.vars, {tuple(exps): cinv}))
 
-
-def _unit_inverse(ring, c):
-    """Inverse of a unit coefficient, or None."""
-    if isinstance(c, int):
-        try:
-            return ring.inv(c)
-        except (AttributeError, ValueError):
-            if c in (1, -1):
-                return ring.from_int(c)
-            return None
-    try:
-        if c.is_unit():
-            return c.inverse()
-    except AttributeError:
-        pass
-    return None

@@ -60,6 +60,13 @@ def test_witt_delta_and_mod():
     assert data["result"][0] == (80 + 2) % 81
 
 
+def test_witt_ghost_mod():
+    # 5^3 + 3 * 7 = 146 = 11 mod 27
+    data = run_json("witt", "--p", "3", "--mod", "3", "--op", "ghost",
+                    "--a", "5,7")
+    assert data["result"] == [5, 11]
+
+
 def test_witt_rejects_composite():
     proc = run_cli("witt", "--p", "6", "--op", "add", "--a", "1,0",
                    "--b", "1,0")
@@ -84,6 +91,19 @@ def test_exact_powers_past_the_bound_exit_three(argv, capsys):
     assert err["message"] == (
         "a 2-bit integer to the power 524309 could have up to 1048618 "
         "bits, past the bound of 1048576 bits on an exact integer power")
+
+
+@pytest.mark.parametrize("p", [1031, 16411])
+def test_prolong_sum_powers_past_the_size_bound_exit_three(p, capsys):
+    # (x + y)^q has q + 1 terms of at most q + 1 bits: 1022^2 bits stay
+    # inside 2^20 at p = 1021, and 1032^2 pass it at p = 1031, the next prime.
+    # Unchecked, p = 1031 finishes in about a second, so a missing check
+    # fails this test rather than hanging it.
+    code, out, _ = run_main(["prolong", "x+y", "--vars", "x,y", "--p", str(p)],
+                            capsys)
+    assert code == 3, out[:200]
+    err = json.loads(out)["error"]
+    assert (err["type"], err["bound"]) == ("Inconclusive", 2 ** 20)
 
 
 def test_exact_powers_of_small_values_pass_the_bound(capsys):

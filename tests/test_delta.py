@@ -5,9 +5,9 @@ import random
 
 import pytest
 
-from wf.base_ring import BaseRingSpec, IntRing
+from wf.base_ring import BaseRingSpec, IntModRing, IntRing
 from wf.delta import JET_SUFFIX, DeltaContext, jet_name
-from wf.errors import WfError
+from wf.errors import Inconclusive, WfError
 from wf.poly import MvPoly, parse_poly
 
 
@@ -51,6 +51,29 @@ def test_prolong_of_variable_and_constant():
     five = MvPoly.const(ring, ("x",), 5)
     assert dctx.prolong(five) == MvPoly.const(
         ring, dctx.all_vars, ring.base_delta(5))
+
+
+def test_sum_powers_past_the_size_bound_are_refused():
+    # (x + y)^q over Z: q + 1 terms of at most q + 1 bits, 1022^2 bits at
+    # q = 1021, inside 2^20, and 1032^2 at q = 1031, past it
+    for p, refused in ((1021, False), (1031, True)):
+        dctx = DeltaContext(IntRing(p), ("x", "y"))
+        f = parse_poly("x + y", dctx.ring, dctx.all_vars)
+        if refused:
+            with pytest.raises(Inconclusive) as exc:
+                dctx._check_power_size(f)
+            assert exc.value.bound == 2 ** 20
+        else:
+            dctx._check_power_size(f)
+    # over a truncated ring each coefficient has the bits of the moduli:
+    # (x + y)^16411 at precision 5 could have 16412 terms of 71 bits each
+    ring = BaseRingSpec(16411, precision=5)
+    assert ring.power_bits([ring.one()]) == (16411 ** 5).bit_length() == 71
+    with pytest.raises(Inconclusive):
+        DeltaContext(ring, ("x", "y")).prolong(parse_poly("x + y", ring, ("x", "y")))
+    # over Z/p^k a coefficient lies below p^k and below the integer bound
+    assert IntModRing(3, 4).power_bits([1, 1]) == 4
+    assert IntModRing(3, 1).power_bits([1, 1]) == 2
 
 
 def test_prolong_rejects_jet_input():

@@ -372,6 +372,7 @@ def test_sum_and_difference_match_reference(ring, vars):
             assert_identical(a + b, reference_sum(a, b, 1))
             assert_identical(a - b, reference_sum(a, b, -1))
             assert_identical(a + -b, reference_sum(a, -b, 1))
+        assert_identical(3 - f, reference_sum(MvPoly.const(ring, vars, 3), f, -1))
         if f.terms and len(vars) == 2:
             # some terms cancel, others merge, others pass through
             half = MvPoly(ring, vars, dict(list(f.terms.items())[::2]))

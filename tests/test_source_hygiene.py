@@ -86,15 +86,24 @@ def definitions(tree):
                 yield child.name, child.lineno
 
 
+def imported_from_wf(tree):
+    """Every name the module imports by name from a wf module."""
+    return {alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.module or "").split(".")[0] == "wf"
+            for alias in node.names}
+
+
 def public_exemptions():
     """Names read from outside src/wf that the library keeps for them:
     the attributes perfbench/tracer.py wraps (its TRACED table, read as
-    tests/test_trace_table.py reads it) and every name that
-    tests/test_acceptance.py references."""
+    tests/test_trace_table.py reads it) and the names that
+    tests/test_acceptance.py imports from wf.  A method that only the
+    acceptance tests call is not exempt."""
     namespace = {"__name__": "perfbench_tracer", "__file__": str(TRACER)}
     exec(compile(TRACER.read_text(), str(TRACER), "exec"), namespace)
     return ({attr for _, _, _, attr in namespace["TRACED"]}
-            | referenced_names(parse(TESTS / "test_acceptance.py")))
+            | imported_from_wf(parse(TESTS / "test_acceptance.py")))
 
 
 def unread_public_names(trees, exempt):
@@ -116,16 +125,22 @@ def test_public_check_catches_an_uncalled_function():
     trees = {path.name: parse(path) for path in MODULES}
     exempt = public_exemptions()
     assert exempt >= {"linearize_mod_pi", "etale_basechange_check"}
+    # returncode is an attribute the acceptance tests read, not a name
+    # they import, so a method of that name is still unread
+    assert "returncode" in referenced_names(parse(TESTS / "test_acceptance.py"))
     trees["jet.py"].body += ast.parse(
         "def sample_point(pres, rng):\n"
         "    return pres\n"
         "class Box:\n"
         "    def unread(self):\n"
         "        return self\n"
+        "    def returncode(self):\n"
+        "        return self\n"
         "    def __len__(self):\n"
         "        return etale_basechange_check\n").body
     assert unread_public_names(trees, exempt) == [
-        "jet.py:1 sample_point", "jet.py:3 Box", "jet.py:4 unread"]
+        "jet.py:1 sample_point", "jet.py:3 Box", "jet.py:4 unread",
+        "jet.py:6 returncode"]
 
 
 def defined_names(tree):

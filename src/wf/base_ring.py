@@ -270,7 +270,10 @@ class BaseRingSpec:
     # a0^q mod pi^(P+1), P = min(a0.prec, N).  A sum reads a0^q mod
     # pi^(prec+1) and a product mod pi^prec, for prec <= P, so f serves
     # both; a0^q mod pi^(P+1) does not depend on a0's representative,
-    # since (a0 + pi^P t)^q - a0^q is divisible by q pi^P.
+    # since (a0 + pi^P t)^q - a0^q is divisible by q pi^P.  At e = 2 the
+    # sum and the product are closed forms on coefficient pairs, with
+    # pi^2 = -E1 pi - E0 inlined as in _pow_coeffs; every other e goes
+    # through _mul_coeffs.
 
     def _power_moduli(self, prec):
         """Coefficient moduli of the power carried by an a0 known to prec."""
@@ -305,6 +308,19 @@ class BaseRingSpec:
         """
         prec = min(a0.prec, a1.prec, b0.prec, b1.prec, self.precision)
         m = self.moduli(prec + 1)[0]
+        if self.e == 2:
+            # on coefficient pairs: the numerator pairwise, then _div_pi
+            (x0, x1), (y0, y1) = a0.coeffs, b0.coeffs
+            c0 = BaseElem(self, (x0 + y0, x1 + y1),
+                          a0.prec if a0.prec <= b0.prec else b0.prec)
+            mods = self._power_moduli(c0.prec)
+            # q >= 2, so _pow_coeffs has reduced f0 mod mods[0] already
+            f0, f1 = self._pow_coeffs(c0.coeffs, self.q, mods[0])
+            f1 %= mods[1]
+            d0, d1 = self._div_pi(((f0 - fa[0] - fb[0]) % m, (f1 - fa[1] - fb[1]) % m),
+                                  prec + 1)
+            (u0, u1), (v0, v1) = a1.coeffs, b1.coeffs
+            return c0, BaseElem(self, (u0 + v0 - d0, u1 + v1 - d1), prec), (f0, f1)
         c0 = BaseElem(self, [u + v for u, v in zip(a0.coeffs, b0.coeffs)],
                       a0.prec if a0.prec <= b0.prec else b0.prec)
         fc = self._carried_power(c0.coeffs, c0.prec)
@@ -318,6 +334,22 @@ class BaseRingSpec:
         prec = min(a0.prec, a1.prec, b0.prec, b1.prec, self.precision)
         eis = self.eisenstein
         u, v = a1.coeffs, b1.coeffs
+        if self.e == 2:
+            # on coefficient pairs, pi^2 = -E1 pi - E0: the second
+            # coordinate is u fb + v w with w = fa + pi u, two products
+            e0, e1 = eis[0], eis[1]
+            (u0, u1), (v0, v1), (g0, g1), (h0, h1) = u, v, fa, fb
+            w0, w1 = g0 - e0 * u1, g1 + u0 - e1 * u1
+            t = u1 * h1 + v1 * w1
+            c1 = (u0 * h0 + v0 * w0 - t * e0, u0 * h1 + u1 * h0 + v0 * w1 + v1 * w0 - t * e1)
+            (x0, x1), (y0, y1) = a0.coeffs, b0.coeffs
+            t = x1 * y1
+            c0 = BaseElem(self, (x0 * y0 - t * e0, x0 * y1 + x1 * y0 - t * e1),
+                          a0.prec if a0.prec <= b0.prec else b0.prec)
+            m0, m1 = self._power_moduli(c0.prec)
+            t = g1 * h1
+            fc = (g0 * h0 - t * e0) % m0, (g0 * h1 + g1 * h0 - t * e1) % m1
+            return c0, BaseElem(self, c1, prec), fc
         t1 = _mul_coeffs(u, fb, eis)
         t2 = _mul_coeffs(v, fa, eis)
         t3 = _mul_coeffs(_mul_coeffs(u, v, eis), self._pi_coeffs, eis)

@@ -283,6 +283,21 @@ def test_carried_power_is_a0_to_the_q():
             assert w.f == fresh_power(ring, w.a0), (ring, w)
 
 
+def test_product_power_reads_the_linear_eisenstein_term():
+    # E1 and the pi-coefficient of a q-th power are both divisible by p,
+    # so the E1 term of a product's carried power is a multiple of p^3
+    # that only a precision of 7 or more keeps
+    rng = random.Random(29)
+    for p in (2, 3, 5):
+        ring = BaseRingSpec(p, [-p, p, 1], 8)
+        ctx = WittContext(ring)
+        for _ in range(10):
+            a, b = (ctx.vec(rand_base_elem(ring, rng), rand_base_elem(ring, rng))
+                    for _ in range(2))
+            m = a * b
+            assert m.f == fresh_power(ring, m.a0), (a, b)
+
+
 def test_exact_powers_are_bounded():
     # q * bit_length(a) past 2^20 is refused before any power is taken:
     # at q = 262147, the first prime past 2^18, |a| <= 7 passes and 7 * 7

@@ -9,8 +9,9 @@ Frobenius that descends, an order bound for abelian subgroups, and the
 inequality deciding when the infinitesimal Torelli map fails to be
 injective in characteristic p.
 
-The divisibility modulus n = p^(2 g e(g, p)) is kept in exponent form
-by PrimePower, and lcm(1..n) is reported as a recipe, never expanded:
+The divisibility modulus n = p^(2 g e(g, p)) is kept in exponent form,
+as the object {"base", "exponent", "decimal": null}, and lcm(1..n) is
+reported as a recipe, never expanded:
 e(g, p) >= |GSp_2(F_5)| = 480, so n >= 2^960 for every valid query.
 The decimal form of n would run to hundreds of digits and the
 prime-exponent table of lcm(1..n) could never be enumerated, so the
@@ -79,28 +80,6 @@ def require_type(value, kind, name):
     return value
 
 
-class PrimePower:
-    """base^exponent held symbolically; its "decimal" is always null,
-    since every n this module builds is at least 2^960."""
-
-    __slots__ = ("base", "exponent")
-
-    def __init__(self, base, exponent):
-        self.base = base
-        self.exponent = exponent
-
-    def to_json(self):
-        return {"base": self.base, "exponent": self.exponent, "decimal": None}
-
-    def __eq__(self, other):
-        if not isinstance(other, PrimePower):
-            return NotImplemented
-        return self.base == other.base and self.exponent == other.exponent
-
-    def __repr__(self):
-        return "%d^%d" % (self.base, self.exponent)
-
-
 def gsp_order(g, l):
     """Order of the general symplectic group of genus g over F_l:
     l^(g^2) * (l - 1) * product of (l^(2i) - 1) for i = 1..g."""
@@ -122,14 +101,15 @@ def e_const(g, p):
 
 def frob_power_bound(g, p, d):
     """(r_bound, n): the power of Frobenius that descends divides into
-    r_bound = 2 g e(g,p) d steps, and its size divides n = p^(2 g e(g,p)).
+    r_bound = 2 g e(g,p) d steps, and its size divides n = p^(2 g e(g,p)),
+    given in exponent form with a null "decimal" (n >= 2^960).
 
     r_bound scales with the field-of-moduli degree d; the divisibility
     modulus n does not, so the pair is not redundant.
     """
     require_at_least(d, 1, "d")
     e = e_const(g, p)
-    return 2 * g * e * d, PrimePower(p, 2 * g * e)
+    return 2 * g * e * d, {"base": p, "exponent": 2 * g * e, "decimal": None}
 
 
 def abelian_subgroup_bound(g, l):
@@ -159,7 +139,7 @@ def lcm_recipe(g, p):
     the definition and n in exponent form.  n >= 2^960, so its prime
     exponent table is out of reach and "factor_exponents" is null."""
     _, n = frob_power_bound(g, p, 1)
-    return {"definition": "lcm(1..n)", "n": n.to_json(),
+    return {"definition": "lcm(1..n)", "n": n,
             "factor_exponents": None}
 
 
@@ -178,7 +158,7 @@ def bounds_report(g, p, d, l=5):
         "gsp_order": gsp_order(g, l),
         "e": e_const(g, p),
         "r_bound": r_bound,
-        "n": n.to_json(),
+        "n": n,
         "n_note": ("r_bound scales with the degree d; "
                    "the divisibility modulus n does not"),
         "abelian_subgroup_bound": abelian_subgroup_bound(g, l),

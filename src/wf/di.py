@@ -303,10 +303,9 @@ class Cochain1:
     """F*T-valued 1-cochain: one section per stored overlap, represented
     on the lower-index side."""
 
-    __slots__ = ("scheme", "values")
+    __slots__ = ("values",)
 
-    def __init__(self, scheme, values):
-        self.scheme = scheme
+    def __init__(self, values):
         self.values = dict(values)
 
     def is_zero(self):
@@ -353,7 +352,7 @@ def di_cocycle(scheme, lifts):
         if not (dij + djk == dik):
             raise WfError("cocycle identity failed on triple (%d,%d,%d)"
                           % (i, j, k))
-    return Cochain1(scheme, values)
+    return Cochain1(values)
 
 
 def coboundary_of(scheme, sections):
@@ -361,7 +360,7 @@ def coboundary_of(scheme, sections):
     values = {(i, j): _overlap_difference(scheme, i, j, sections[i],
                                           sections[j])
               for (i, j) in scheme.overlap_pairs()}
-    return Cochain1(scheme, values)
+    return Cochain1(values)
 
 
 def zero_sections(scheme):
@@ -404,8 +403,8 @@ def _pair_tables(scheme, i, j):
     view = scheme.view(i, j)
     pa, pb = view.pres_a, view.pres_b
     return {(v, w): MonomialImages.transported(
-                pb, view.map_ba, pa, seed=transport(mat, pb, view.map_ba, pa),
-                names=scheme.patches[j].all_vars)
+                scheme.patches[j], view.map_ba, pa,
+                seed=transport(mat, pb, view.map_ba, pa))
             for v in pa.vars
             for w, mat in twisted_gradient(pb, view.map_ab[v]).items()}
 

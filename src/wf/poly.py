@@ -234,15 +234,9 @@ class MvPoly:
         for e, c in self.terms.items():
             if e[i] == 0:
                 continue
-            d = list(e)
-            k = d[i]
-            d[i] = k - 1
-            d = tuple(d)
-            c2 = r.mul(c, r.from_int(k))
-            if d in out:
-                out[d] = r.add(out[d], c2)
-            else:
-                out[d] = c2
+            # e -> e - e_i is injective on these terms: no two merge
+            k = e[i]
+            out[e[:i] + (k - 1,) + e[i + 1:]] = r.mul(c, r.from_int(k))
         return MvPoly(r, self.vars, out)
 
     def q_power_vars(self, q):
@@ -501,17 +495,16 @@ class ReductionContext:
     rule-variable exponents in topological order, in a well-order (see
     the module docstring).
 
-    avoid: variable names not to orient rules on when another choice
-    exists.  A rule headed by an inverted variable breaks canonicity of
-    the normal form (u * rhs and the struck power are distinct normal
-    forms of one element), so localized presentations pass their
-    inverted variables here.
+    No rule is headed by a member of a localization pair when another
+    choice exists.  A rule headed by u or v of a pair u*v = 1 breaks
+    canonicity of the normal form (u * rhs and the struck power are
+    distinct normal forms of one element).
     """
 
     __slots__ = ("ring", "vars", "monic_rules", "loc_pairs", "_loc_index",
                  "_rules", "_order")
 
-    def __init__(self, ring, vars, relations=(), loc_pairs=(), avoid=()):
+    def __init__(self, ring, vars, relations=(), loc_pairs=()):
         self.ring = ring
         self.vars = tuple(vars)
         self.loc_pairs = tuple((u, v) for u, v in loc_pairs)
@@ -520,7 +513,7 @@ class ReductionContext:
                 raise NotPrepared("localization pair outside the variable tuple")
         self._loc_index = tuple((self.vars.index(u), self.vars.index(v))
                                 for u, v in self.loc_pairs)
-        avoid = frozenset(avoid)
+        avoid = frozenset(name for pair in self.loc_pairs for name in pair)
         rules = {}
         for g in relations:
             name, deg, rhs = self._classify(g, avoid)
@@ -533,7 +526,7 @@ class ReductionContext:
                             for name, (deg, rhs) in rules.items())
         self._order = self._check_acyclic()
 
-    def _classify(self, g, avoid=frozenset()):
+    def _classify(self, g, avoid):
         if g.vars != self.vars:
             g = g.extend_vars(self.vars)
         r = self.ring

@@ -14,9 +14,11 @@ parsing the maps there; SchemeMorphism parses its chart maps likewise.
 F-derivations (sections of F*T, Frobenius-twisted vector fields) are
 coefficient vectors over the base variables; their action follows the
 twisted Leibniz rule D(fg) = f^q D(g) + D(f) g^q, which on a localized
-ring forces D(v_inv) = -v_inv^(2q) D(v).  That companion rule lives in
-fold_companions alone, and every twisted Jacobian is built from
-twisted_partials (the partials with exponents q-scaled):
+ring forces D(v_inv) = -v_inv^(2q) D(v).  That rule is fold_companions
+mod pi; wf.di.lift_substitution writes phi(u) = u^q - pi u^(2q) A_v mod
+pi^2, and wf.jet.substitute_companion_jets the exact series for du.
+Every twisted Jacobian is built from twisted_partials (the partials with
+exponents q-scaled):
 twisted_gradient folds them through it, the étale certificate reads its
 rows from twisted_gradient, and wf.jet linearizes a relation or a
 pullback mod pi with them and folds the row through it.
@@ -71,14 +73,10 @@ class Presentation:
         self.res = IntModRing(ring.p, 1, ring.frob_power)
         self.relations_res = tuple(
             r for r in (self.to_res(g) for g in self.relations) if not r.is_zero())
-        # rules oriented away from inverted variables keep the localized
-        # normal form canonical
         self.red = ReductionContext(self.res, self.all_vars,
-                                    self.relations_res, self.loc_pairs,
-                                    avoid=self.inverted)
+                                    self.relations_res, self.loc_pairs)
         self.red_R = ReductionContext(ring, self.all_vars,
-                                      self.relations, self.loc_pairs,
-                                      avoid=self.inverted)
+                                      self.relations, self.loc_pairs)
         self._mod_pi2 = None
         # built on first use and kept with the chart, none holding a
         # reference back to it: wf.di's lift conditions, keyed by the
@@ -263,13 +261,13 @@ class MonomialImages:
                    free=set(names) - bound)
 
     @classmethod
-    def transported(cls, src_pres, base_map, dst_pres, seed=None, names=None):
+    def transported(cls, src_pres, base_map, dst_pres, seed=None):
         """nf(seed * transport(x^e, src_pres, base_map, dst_pres)) at the
-        residue level, for monomials over names (default src_pres.all_vars);
-        seed is over dst_pres (default 1)."""
+        residue level, for monomials over src_pres.all_vars; seed is over
+        dst_pres (default 1)."""
         if seed is None:
             seed = MvPoly.const(dst_pres.res, dst_pres.all_vars, 1)
-        return cls(dst_pres, src_pres.all_vars if names is None else names,
+        return cls(dst_pres, src_pres.all_vars,
                    lambda name: _variable_image(name, src_pres, base_map, dst_pres),
                    seed)
 
@@ -337,24 +335,6 @@ def _names(value, what):
     return tuple(value)
 
 
-class Overlap:
-    """Gluing data for one unordered pair of patches, as given: to_j sends
-    side-i base variables to side-j overlap polynomials (or text)."""
-
-    __slots__ = ("i", "j", "invert_i", "invert_j", "to_j", "to_i")
-
-    def __init__(self, i, j, invert_i, invert_j, to_j, to_i):
-        if not (require_type(i, int, "overlap index i")
-                < require_type(j, int, "overlap index j")):
-            raise WfError("store overlaps with i < j")
-        self.i = i
-        self.j = j
-        self.invert_i = invert_i
-        self.invert_j = invert_j
-        self.to_j = dict(require_type(to_j, dict, "overlap to_j"))
-        self.to_i = dict(require_type(to_i, dict, "overlap to_i"))
-
-
 # An overlap seen from the ordered pair (a, b): both localized sides, the
 # transition maps (map_ab: a-side base vars -> polys over pres_b) and the
 # inverted functions.
@@ -363,12 +343,13 @@ OverlapView = namedtuple("OverlapView",
 
 
 class GluedScheme:
-    """Patches glued along overlaps.  Every OverlapView is built here,
-    once: (a, a) for each patch, and both orders of each overlap."""
+    """Patches glued along overlaps, each given as a document writes it
+    (i < j, invert_i, invert_j, to_j, to_i).  Every OverlapView is built
+    here, once: (a, a) for each patch, and both orders of each overlap."""
 
-    __slots__ = ("name", "ring", "patches", "views", "genus", "family")
+    __slots__ = ("name", "ring", "patches", "views", "genus")
 
-    def __init__(self, name, ring, patches, overlaps=(), genus=None, family=None):
+    def __init__(self, name, ring, patches, overlaps=(), genus=None):
         self.name = name
         self.ring = ring
         self.patches = tuple(patches)
@@ -377,22 +358,28 @@ class GluedScheme:
             ident = {v: MvPoly.var(ring, pres.all_vars, v) for v in pres.vars}
             views[(a, a)] = OverlapView(pres, pres, ident, dict(ident), None, None)
         for ov in overlaps:
-            if ov.i < 0 or ov.j >= len(self.patches):
+            i, j, to_j, to_i = _fields(ov, "overlap", "i", "j", "to_j", "to_i")
+            if not (require_type(i, int, "overlap index i")
+                    < require_type(j, int, "overlap index j")):
+                raise WfError("store overlaps with i < j")
+            require_type(to_j, dict, "overlap to_j")
+            require_type(to_i, dict, "overlap to_i")
+            if i < 0 or j >= len(self.patches):
                 raise WfError("overlap (%d,%d) names a patch outside 0..%d"
-                              % (ov.i, ov.j, len(self.patches) - 1))
-            if (ov.i, ov.j) in views:
-                raise WfError("overlap (%d,%d) is given twice" % (ov.i, ov.j))
-            pres_i = self.patches[ov.i].localize((ov.invert_i,))
-            pres_j = self.patches[ov.j].localize((ov.invert_j,))
-            to_j = _parse_images(ov.to_j, ring, pres_j)
-            to_i = _parse_images(ov.to_i, ring, pres_i)
-            views[(ov.i, ov.j)] = OverlapView(pres_i, pres_j, to_j, to_i,
-                                              ov.invert_i, ov.invert_j)
-            views[(ov.j, ov.i)] = OverlapView(pres_j, pres_i, to_i, to_j,
-                                              ov.invert_j, ov.invert_i)
+                              % (i, j, len(self.patches) - 1))
+            if (i, j) in views:
+                raise WfError("overlap (%d,%d) is given twice" % (i, j))
+            invert_i, invert_j = ov.get("invert_i"), ov.get("invert_j")
+            pres_i = self.patches[i].localize((invert_i,))
+            pres_j = self.patches[j].localize((invert_j,))
+            to_j = _parse_images(to_j, ring, pres_j)
+            to_i = _parse_images(to_i, ring, pres_i)
+            views[(i, j)] = OverlapView(pres_i, pres_j, to_j, to_i,
+                                        invert_i, invert_j)
+            views[(j, i)] = OverlapView(pres_j, pres_i, to_i, to_j,
+                                        invert_j, invert_i)
         self.views = views
         self.genus = genus
-        self.family = family
 
     def overlap_pairs(self):
         return sorted((a, b) for (a, b) in self.views if a < b)
@@ -421,8 +408,6 @@ class GluedScheme:
                 "overlaps": overlaps}
         if self.genus is not None:
             data["genus"] = self.genus
-        if self.family is not None:
-            data["family"] = self.family
         return data
 
     @classmethod
@@ -437,11 +422,7 @@ class GluedScheme:
                 pname, ring, _names(pvars, "patch vars"),
                 require_type(p.get("relations", []), list, "patch relations"),
                 _names(p.get("inverted", []), "patch inverted")))
-        overlaps = [Overlap(*_fields(o, "overlap", "i", "j"),
-                            o.get("invert_i"), o.get("invert_j"),
-                            *_fields(o, "overlap", "to_j", "to_i"))
-                    for o in require_type(data.get("overlaps", []), list,
-                                          "scheme overlaps")]
+        overlaps = require_type(data.get("overlaps", []), list, "scheme overlaps")
         genus = data.get("genus")
         if genus is not None:
             require_at_least(require_type(genus, int, "genus"), 0, "genus")
@@ -456,8 +437,7 @@ class GluedScheme:
                             "genus %d exceeds %d, the most a plane curve of "
                             "degree %d has (chart %r)"
                             % (genus, cap, d, pres.name))
-        return cls(name, ring, patches, overlaps,
-                   genus=genus, family=data.get("family"))
+        return cls(name, ring, patches, overlaps, genus=genus)
 
     def __repr__(self):
         return "GluedScheme(%s, %d patches)" % (self.name, len(self.patches))
@@ -818,19 +798,20 @@ def affine_names(n):
 
 def affine_space(ring, n, name=None):
     patch = Presentation("A%d" % (n,), ring, affine_names(n))
-    return GluedScheme(name or "A%d" % (n,), ring, [patch], family="affine")
+    return GluedScheme(name or "A%d" % (n,), ring, [patch])
 
 
 def multiplicative_group(ring):
     patch = Presentation("Gm", ring, ("x",), inverted=("x",))
-    return GluedScheme("Gm", ring, [patch], family="torus")
+    return GluedScheme("Gm", ring, [patch])
 
 
 def projective_line(ring):
     c0 = Presentation("U0", ring, ("x",))
     c1 = Presentation("U1", ring, ("u",))
-    ov = Overlap(0, 1, "x", "u", to_j={"x": "u_inv"}, to_i={"u": "x_inv"})
-    return GluedScheme("P1", ring, [c0, c1], [ov], family="projective")
+    ov = {"i": 0, "j": 1, "invert_i": "x", "invert_j": "u",
+          "to_j": {"x": "u_inv"}, "to_i": {"u": "x_inv"}}
+    return GluedScheme("P1", ring, [c0, c1], [ov])
 
 
 def projective_plane(ring):
@@ -839,17 +820,16 @@ def projective_plane(ring):
     c0 = Presentation("U0", ring, ("a", "b"))
     c1 = Presentation("U1", ring, ("c", "d"))
     c2 = Presentation("U2", ring, ("e", "g"))
-    ov01 = Overlap(0, 1, "a", "c",
-                   to_j={"a": "c_inv", "b": "d*c_inv"},
-                   to_i={"c": "a_inv", "d": "b*a_inv"})
-    ov02 = Overlap(0, 2, "b", "e",
-                   to_j={"a": "g*e_inv", "b": "e_inv"},
-                   to_i={"e": "b_inv", "g": "a*b_inv"})
-    ov12 = Overlap(1, 2, "d", "g",
-                   to_j={"c": "e*g_inv", "d": "g_inv"},
-                   to_i={"e": "c*d_inv", "g": "d_inv"})
-    return GluedScheme("P2", ring, [c0, c1, c2], [ov01, ov02, ov12],
-                       family="projective")
+    ov01 = {"i": 0, "j": 1, "invert_i": "a", "invert_j": "c",
+            "to_j": {"a": "c_inv", "b": "d*c_inv"},
+            "to_i": {"c": "a_inv", "d": "b*a_inv"}}
+    ov02 = {"i": 0, "j": 2, "invert_i": "b", "invert_j": "e",
+            "to_j": {"a": "g*e_inv", "b": "e_inv"},
+            "to_i": {"e": "b_inv", "g": "a*b_inv"}}
+    ov12 = {"i": 1, "j": 2, "invert_i": "d", "invert_j": "g",
+            "to_j": {"c": "e*g_inv", "d": "g_inv"},
+            "to_i": {"e": "c*d_inv", "g": "d_inv"}}
+    return GluedScheme("P2", ring, [c0, c1, c2], [ov01, ov02, ov12])
 
 
 def weierstrass_curve(ring, a, b):
@@ -864,11 +844,11 @@ def weierstrass_curve(ring, a, b):
                        relations=["y^2 - x^3 - %d*x - %d" % (a % p, b % p)])
     inf = Presentation("Einf", ring, ("w", "z"),
                        relations=["w^3 - z + %d*w*z^2 + %d*z^3" % (a % p, b % p)])
-    ov = Overlap(0, 1, "y", "z",
-                 to_j={"x": "w*z_inv", "y": "-z_inv"},
-                 to_i={"w": "-x*y_inv", "z": "-y_inv"})
+    ov = {"i": 0, "j": 1, "invert_i": "y", "invert_j": "z",
+          "to_j": {"x": "w*z_inv", "y": "-z_inv"},
+          "to_i": {"w": "-x*y_inv", "z": "-y_inv"}}
     return GluedScheme("E[%d,%d]" % (a % p, b % p), ring, [aff, inf], [ov],
-                       genus=1, family="weierstrass")
+                       genus=1)
 
 
 def _univariate_separable(coeffs, p):
@@ -914,10 +894,10 @@ def hyperelliptic_curve(ring, h_coeffs):
     ht = [0] * (2 * g + 3)
     for k, c in enumerate(h):
         ht[2 * g + 2 - k] = c
+    # ht is rev(h), or v * rev(h) with rev(h)(0) = h_d != 0; reversal keeps
+    # the multiplicity of every nonzero root, so ht is separable with h
     if not _univariate_separable(h, p):
         raise NonSmooth("h has a repeated root mod %d" % (p,))
-    if not _univariate_separable(ht, p):
-        raise NonSmooth("the chart at infinity is singular mod %d" % (p,))
 
     def double_cover(names, coeffs):
         # names[1]^2 - sum of coeffs[k] * names[0]^k, highest k first
@@ -930,11 +910,10 @@ def hyperelliptic_curve(ring, h_coeffs):
                        relations=[double_cover(("x", "y"), h)])
     inf = Presentation("Hinf", ring, ("v", "w"),
                        relations=[double_cover(("v", "w"), ht)])
-    ov = Overlap(0, 1, "x", "v",
-                 to_j={"x": "v_inv", "y": "w*v_inv^%d" % (mdeg,)},
-                 to_i={"v": "x_inv", "w": "y*x_inv^%d" % (mdeg,)})
-    return GluedScheme("H[deg %d]" % (d,), ring, [aff, inf], [ov],
-                       genus=g, family="hyperelliptic")
+    ov = {"i": 0, "j": 1, "invert_i": "x", "invert_j": "v",
+          "to_j": {"x": "v_inv", "y": "w*v_inv^%d" % (mdeg,)},
+          "to_i": {"v": "x_inv", "w": "y*x_inv^%d" % (mdeg,)}}
+    return GluedScheme("H[deg %d]" % (d,), ring, [aff, inf], [ov], genus=g)
 
 
 BUILTIN_SCHEMES = {
@@ -955,8 +934,7 @@ BUILTIN_SCHEMES = {
 def imm_parabola(ring):
     """V(y - x^2) inside the affine plane, a closed immersion."""
     curve = GluedScheme("parabola", ring,
-                        [Presentation("C", ring, ("x", "y"), relations=["y - x^2"])],
-                        family="affine")
+                        [Presentation("C", ring, ("x", "y"), relations=["y - x^2"])])
     plane = affine_space(ring, 2)
     chart = ChartMap(0, pullback={"x": "x", "y": "y"}, section={"x": "x", "y": "y"})
     return SchemeMorphism("parabola_in_a2", curve, plane, [chart],
@@ -972,8 +950,7 @@ def proj_plane_to_line(ring):
 
 def etale_gm_square(ring):
     src = multiplicative_group(ring)
-    tgt = GluedScheme("Gm", ring, [Presentation("Gm", ring, ("t",), inverted=("t",))],
-                      family="torus")
+    tgt = GluedScheme("Gm", ring, [Presentation("Gm", ring, ("t",), inverted=("t",))])
     chart = ChartMap(0, pullback={"t": "x^2"})
     return SchemeMorphism("gm_square", src, tgt, [chart], kind="etale")
 

@@ -18,8 +18,7 @@ from wf.bounds import gsp_order
 from wf.errors import TransitionError, WfError
 from wf.poly import MvPoly
 from wf.scheme import (BUILTIN_MORPHISMS, BUILTIN_SCHEMES, GluedScheme,
-                       Overlap, SchemeMorphism, validate_morphism,
-                       weierstrass_in_p2)
+                       SchemeMorphism, validate_morphism, weierstrass_in_p2)
 
 
 def run_cli(*args, env_extra=None, timeout=None):
@@ -138,6 +137,51 @@ def test_prolong_worked_value():
     assert data["delta_of_value"] == -36
     assert data["result"] == "2*x^2*x_dot + 2*x_dot^2"
     assert data["jet_at"] == [-3]
+
+
+@pytest.mark.parametrize("p, want", [(2, [-3, -10]), (5, [-3, -1])])
+def test_witt_neg_matches_the_ghost_map(p, want, capsys):
+    code, out, _ = run_main(["witt", "--p", str(p), "--op", "neg",
+                             "--a", "3,1"], capsys)
+    assert code == 0
+    assert json.loads(out)["result"] == want
+    # -a has ghost components (-a0, -a0^q - p*a1), here with q = p
+    (a0, a1), (b0, b1) = (3, 1), want
+    assert (b0, b0 ** p + p * b1) == (-a0, -a0 ** p - p * a1)
+
+
+def test_prolong_with_given_jet_values(capsys):
+    code, out, _ = run_main(["prolong", "x^2", "--p", "3", "--at", "2",
+                             "--jet-at", "5"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert data["jet_at"] == [5]
+    assert data["value"] == 155 == ((2 ** 3 + 3 * 5) ** 2 - (2 ** 2) ** 3) // 3
+
+
+@pytest.mark.parametrize("argv, kind", [
+    (["prolong", "x*y", "--vars", "x,y", "--at", "1"], "WfError"),
+    (["prolong", "x*y", "--vars", "x,y", "--at", "1,2", "--jet-at", "1"],
+     "WfError"),
+    (["prolong", "x", "--vars", "x,x"], "WfError"),
+    (["witt", "--op", "delta", "--a", "3", "--mod", "2"], "WfError"),
+    (["witt", "--op", "add", "--a", "1,2"], "WfError"),
+    (["witt", "--op", "neg", "--a", "1,x"], "ParseError"),
+    (["witt", "--op", "neg", "--a", "1,2,3"], "ParseError"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_malformed_flags_are_input_errors(argv, kind, capsys):
+    code, out, _ = run_main(argv + ["--p", "3"], capsys)
+    assert code == 2, out
+    assert json.loads(out)["error"]["type"] == kind
+
+
+def test_scheme_file_that_is_not_json_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "scheme.json"
+    path.write_text("not json")
+    code, out, _ = run_main(["di", str(path)], capsys)
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert (err["type"], err["position"]) == ("ParseError", 0)
 
 
 def test_parse_error_reports_position():
@@ -425,10 +469,11 @@ def test_reglued_builtin_morphism_is_refused(monkeypatch, capsys):
     # but the chart maps into P2 no longer agree on the overlap
     def reglued(ring):
         m = weierstrass_in_p2(ring)
-        ov = Overlap(0, 1, "y", "z", to_j={"x": "w*z_inv", "y": "z_inv"},
-                     to_i={"w": "x*y_inv", "z": "y_inv"})
+        ov = {"i": 0, "j": 1, "invert_i": "y", "invert_j": "z",
+              "to_j": {"x": "w*z_inv", "y": "z_inv"},
+              "to_i": {"w": "x*y_inv", "z": "y_inv"}}
         curve = GluedScheme(m.source.name, ring, m.source.patches, [ov],
-                            genus=1, family="weierstrass")
+                            genus=1)
         return SchemeMorphism(m.name, curve, m.target, m.charts, kind=m.kind)
 
     monkeypatch.setitem(BUILTIN_MORPHISMS, "weierstrass_in_p2", reglued)

@@ -26,7 +26,7 @@ from wf.jet import (collapse_companion_jets, linearize_generator,
                     linearize_mod_pi)
 from wf.poly import MvPoly, parse_poly
 from wf.scheme import (BUILTIN_MORPHISMS, BUILTIN_SCHEMES, ChartMap,
-                       FDerSection, GluedScheme, Overlap, Presentation,
+                       FDerSection, GluedScheme, Presentation,
                        SchemeMorphism, transport, twisted_gradient,
                        validate_gluing, validate_morphism, weierstrass_curve)
 
@@ -227,7 +227,7 @@ def test_genus2_definitive_negative_and_inconclusive_bound():
     # a chart family with no overlaps refuses it too
     a2 = BUILTIN_SCHEMES["a2"](BaseRingSpec(3))
     with pytest.raises(WfError, match="pole bound must be"):
-        is_coboundary(a2, Cochain1(a2, {}), pole_bound=-1)
+        is_coboundary(a2, Cochain1({}), pole_bound=-1)
 
 
 def hasse_invariant(p, a=1, b=0):
@@ -341,7 +341,7 @@ def cochain_sum(scheme, terms):
             coeffs[v] = MvPoly(pa.res, pa.all_vars,
                                {e: pa.res.from_int(x) for e, x in acc.items()})
         values[key] = FDerSection(pa, coeffs)
-    return Cochain1(scheme, values)
+    return Cochain1(values)
 
 
 def affine_defect(base, c_zero, c_point, t, c_units):
@@ -569,8 +569,7 @@ def weierstrass_origin(ring):
     admissibility through the source rows anyway.
     """
     point = GluedScheme("origin", ring,
-                        [Presentation("P", ring, ("s",), relations=["s"])],
-                        family="affine")
+                        [Presentation("P", ring, ("s",), relations=["s"])])
     curve = BUILTIN_SCHEMES["weierstrass"](ring)
     src, tgt = point.patches[0], curve.patches[0]
     s = parse_poly("s", ring, src.all_vars)
@@ -589,12 +588,10 @@ def origin_in_frobenius_graph(ring):
     the target monomials that can be pivots come from y alone.
     """
     point = GluedScheme("origin", ring,
-                        [Presentation("P", ring, ("s",), relations=["s"])],
-                        family="affine")
+                        [Presentation("P", ring, ("s",), relations=["s"])])
     graph = GluedScheme("graph", ring,
                         [Presentation("G", ring, ("x", "y"),
-                                      relations=["y - x^%d" % ring.p])],
-                        family="affine")
+                                      relations=["y - x^%d" % ring.p])])
     src, tgt = point.patches[0], graph.patches[0]
     s = parse_poly("s", ring, src.all_vars)
     chart = ChartMap(0, pullback={"x": s, "y": s},
@@ -620,11 +617,9 @@ def gm_on_two_charts(ring, power, coefficient=1):
         "Gm2", ring,
         [Presentation("X", ring, ("x",), inverted=("x",)),
          Presentation("U", ring, ("u",), inverted=("u",))],
-        [Overlap(0, 1, None, None, to_j={"x": "u_inv"}, to_i={"u": "x_inv"})],
-        family="torus")
+        [{"i": 0, "j": 1, "to_j": {"x": "u_inv"}, "to_i": {"u": "x_inv"}}])
     target = GluedScheme("Gm", ring,
-                         [Presentation("Gm", ring, ("t",), inverted=("t",))],
-                         family="torus")
+                         [Presentation("Gm", ring, ("t",), inverted=("t",))])
     charts = [ChartMap(0, pullback={"t": "%d*x^%d" % (coefficient, power)}),
               ChartMap(0, pullback={"t": "%d*u_inv^%d" % (coefficient, power)})]
     return SchemeMorphism("gm_power_%d" % power, source, target, charts,
@@ -1023,7 +1018,7 @@ def _witness_cases(ring, rng):
         for (i, j), val in exact.values.items():
             noise = _random_sections(scheme, rng, 2)[i].coeffs
             perturbed[(i, j)] = val + FDerSection(val.pres, noise)
-        yield name + " perturbed", scheme, Cochain1(scheme, perturbed)
+        yield name + " perturbed", scheme, Cochain1(perturbed)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

@@ -298,8 +298,7 @@ def gm_self_map(ring, image):
     """G_m -> G_m, t -> image, declared étale."""
     src = multiplicative_group(ring)
     tgt = GluedScheme("Gm", ring, [Presentation("Gm", ring, ("t",),
-                                                inverted=("t",))],
-                      family="torus")
+                                                inverted=("t",))])
     pullback = {"t": parse_poly(image, ring, src.patches[0].all_vars)}
     return SchemeMorphism("gm_to_" + image, src, tgt, [ChartMap(0, pullback)],
                           kind="etale")

@@ -148,32 +148,32 @@ def test_localization_pairs_strike():
 
 
 def test_normal_form_canonical_on_localized_chart():
-    # the rule must not be headed by an inverted variable: x^5 -> y^2 + 1
-    # would leave x_inv*(y^2 + 1) and x^4 as distinct normal forms of the
-    # same element, so the context reorients to y^2 -> x^5 - 1
+    # the rule must not be headed by a member of a localization pair:
+    # x^5 -> y^2 + 1 would leave x_inv*(y^2 + 1) and x^4 as distinct
+    # normal forms of the same element, so the context reorients to
+    # y^2 -> x^5 - 1, whichever way round the pair is given
     ring = IntModRing(3)
     vars = ("x", "y", "x_inv")
     rel = parse_poly("y^2 - x^5 + 1", ring, vars)
-    red = ReductionContext(ring, vars, [rel], [("x", "x_inv")],
-                           avoid=("x",))
-    assert "y" in red.monic_rules and "x" not in red.monic_rules
-    lhs = parse_poly("x_inv*y^2 + x_inv", ring, vars)
-    assert red.normal_form(lhs) == red.normal_form(
-        parse_poly("x^4", ring, vars))
-    rng = random.Random(35)
-    for _ in range(40):
-        f = rand_poly(ring, vars, rng, deg=6)
-        # multiplying by x*x_inv = 1 must not change the normal form
-        assert red.normal_form(f * parse_poly("x*x_inv", ring, vars)) == \
-            red.normal_form(f)
+    for pair in (("x", "x_inv"), ("x_inv", "x")):
+        red = ReductionContext(ring, vars, [rel], [pair])
+        assert list(red.monic_rules) == ["y"]
+        lhs = parse_poly("x_inv*y^2 + x_inv", ring, vars)
+        assert red.normal_form(lhs) == red.normal_form(
+            parse_poly("x^4", ring, vars))
+        rng = random.Random(35)
+        for _ in range(40):
+            f = rand_poly(ring, vars, rng, deg=6)
+            # multiplying by x*x_inv = 1 must not change the normal form
+            assert red.normal_form(f * parse_poly("x*x_inv", ring, vars)) == \
+                red.normal_form(f)
 
 
 def test_avoid_is_ignored_without_alternative():
     ring = IntModRing(3)
     vars = ("x", "x_inv")
     rel = parse_poly("x^2 - 2", ring, vars)
-    red = ReductionContext(ring, vars, [rel], [("x", "x_inv")],
-                           avoid=("x",))
+    red = ReductionContext(ring, vars, [rel], [("x", "x_inv")])
     assert "x" in red.monic_rules
 
 
@@ -202,8 +202,7 @@ def test_high_power_merges_like_terms():
     ring = IntModRing(7)
     vars = ("x", "y", "x_inv")
     rel = parse_poly("y^2 - x^5 + 1", ring, vars)
-    red = ReductionContext(ring, vars, [rel], [("x", "x_inv")],
-                           avoid=("x",))
+    red = ReductionContext(ring, vars, [rel], [("x", "x_inv")])
     assert red.normal_form(parse_poly("y^42", ring, vars)) == \
         parse_poly("x^5 - 1", ring, vars) ** 21
 
@@ -298,7 +297,8 @@ def assert_same_nf(red, f):
 def synthetic_contexts(ring):
     """Rule shapes the builtins lack: listed against their dependency
     order, a right-hand side that uses another rule's head, and a rule
-    headed by an inverted variable (the avoid fallback)."""
+    headed by an inverted variable (the fallback when no other variable
+    can head it)."""
     chain_vars = ("y", "x", "z")
     chain = [parse_poly(t, ring, chain_vars)
              for t in ("x^2 - x*z - 2", "y^3 - x^2*z - x - y")]
@@ -310,8 +310,7 @@ def synthetic_contexts(ring):
            for t in ("x^3 - 2", "y^2 - x_inv - x*y")]
     return [ReductionContext(ring, chain_vars, chain),
             ReductionContext(ring, deep_vars, deep),
-            ReductionContext(ring, loc_vars, loc, [("x_inv", "x")],
-                             avoid=("x",))]
+            ReductionContext(ring, loc_vars, loc, [("x_inv", "x")])]
 
 
 def test_synthetic_rule_shapes():

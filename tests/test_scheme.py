@@ -10,7 +10,7 @@ from wf.errors import (KindMismatch, NonSmooth, NotEtale, ParseError,
                        TransitionError, WfError)
 from wf.poly import MvPoly, parse_poly
 from wf.scheme import (BUILTIN_MORPHISMS, BUILTIN_SCHEMES, ChartMap,
-                       FDerSection, GluedScheme, MonomialImages, Overlap,
+                       FDerSection, GluedScheme, MonomialImages,
                        Presentation, SchemeMorphism, affine_space, fder_apply,
                        hyperelliptic_curve, transport, validate_gluing,
                        validate_morphism, weierstrass_curve)
@@ -300,7 +300,8 @@ def test_broken_gluing_detected():
     # P1 with one tampered transition entry: the round trip no longer closes
     ring = BaseRingSpec(3)
     p1 = BUILTIN_SCHEMES["p1"](ring)
-    ov = Overlap(0, 1, "x", "u", to_j={"x": "u_inv"}, to_i={"u": "x_inv^2"})
+    ov = {"i": 0, "j": 1, "invert_i": "x", "invert_j": "u",
+          "to_j": {"x": "u_inv"}, "to_i": {"u": "x_inv^2"}}
     broken = GluedScheme("P1", ring, p1.patches, [ov])
     with pytest.raises(TransitionError,
                        match=r"round trip failed on overlap \(0,1\) at 'x': "
@@ -311,7 +312,7 @@ def test_broken_gluing_detected():
 def test_overlap_given_twice_refused():
     ring = BaseRingSpec(3)
     p1 = BUILTIN_SCHEMES["p1"](ring)
-    ov = Overlap(0, 1, "x", "u", to_j={"x": "u_inv"}, to_i={"u": "x_inv"})
+    ov = p1.to_json()["overlaps"][0]
     with pytest.raises(WfError, match=r"overlap \(0,1\) is given twice"):
         GluedScheme("P1", ring, p1.patches, [ov, ov])
 
@@ -344,6 +345,32 @@ def test_scheme_json_round_trip():
             assert validate_gluing(s2) is True
             assert s2.genus == s.genus
             assert [q.name for q in s2.patches] == [q.name for q in s.patches]
+
+
+def test_builtin_overlaps_rebuild_from_their_documents():
+    # builtins, from_json and to_json share one overlap format
+    for p in (3, 5, 7):
+        for s in smooth_builtins(p).values():
+            data = s.to_json()
+            rebuilt = GluedScheme(s.name, s.ring, s.patches, data["overlaps"],
+                                  genus=s.genus)
+            assert rebuilt.to_json() == data
+            # an unknown key such as "family" is ignored
+            assert GluedScheme.from_json(dict(data, family="x")).to_json() == data
+
+
+@pytest.mark.parametrize("field, value, error, message", [
+    ("j", True, ParseError, "overlap index j must be an integer, got True"),
+    ("i", 1, WfError, "store overlaps with i < j"),
+    ("to_j", ["x"], ParseError, "overlap to_j must be an object, got ['x']"),
+    ("to_i", "u", ParseError, "overlap to_i must be an object, got 'u'"),
+])
+def test_malformed_overlap_field_refused(field, value, error, message):
+    data = BUILTIN_SCHEMES["p1"](BaseRingSpec(3)).to_json()
+    data["overlaps"][0][field] = value
+    with pytest.raises(error) as info:
+        GluedScheme.from_json(data)
+    assert type(info.value) is error and str(info.value) == message
 
 
 def test_scheme_json_ring_override():

@@ -1,8 +1,7 @@
 """Prolongation calculus for pi-derivations on polynomial coordinates.
 
 A pi-derivation delta is determined on generators; prolong extends it to
-every polynomial through three rules applied to one monomial at a time,
-left fold over the canonical (graded lex, largest first) term order:
+every polynomial through three rules:
 
     delta(x_i)   = x_i'                       (fresh jet variable)
     delta(c)     = base delta of the coefficient
@@ -10,12 +9,14 @@ left fold over the canonical (graded lex, largest first) term order:
     delta(u v)   = u^q delta(v) + v^q delta(u) + pi delta(u) delta(v)
 
 with C_pi(a, b) = (a^q + b^q - (a+b)^q)/pi, an exact division because the
-binomial coefficients below q are divisible by p.  Folding the constant
-term last makes prolong(f + c) literally equal
-prolong(f) + base_delta(c) + C_pi(f, c), precision included.  The fold
-carries acc^q: one step's (acc + t)^q is the next step's acc^q.  Each
-(acc + t)^q is refused as Inconclusive, before any work, when a bound on
-its size passes 2^20 bits, the bound on IntRing's exact powers.
+binomial coefficients below q are divisible by p.  By induction on the
+sum rule, delta(f) = sum_i delta(t_i) + (sum_i t_i^q - f^q)/pi over the
+terms t_i of f, so f^q is the only power of a sum.  Its one exact
+division spends one pi-digit, as a C_pi does: on full-precision
+coefficients every term keeps the precision the sum rule gives it.
+Each prefix of the graded lex (largest first) term order is refused as
+Inconclusive, before f^q is computed, when a bound on the size of its
+q-th power passes 2^20 bits, the bound on IntRing's exact powers.
 
 Everything here runs over either exact integers (the Fermat-quotient
 oracle lives there) or a tracked-precision base ring, where the divisions
@@ -54,33 +55,26 @@ class DeltaContext:
         self._pi_const = ring.pi()
 
     def prolong(self, f: MvPoly) -> MvPoly:
-        """delta(f) as a polynomial in the variables and their jets; each
-        fold step keeps (acc + t)^q as the next step's acc^q."""
+        """delta(f) as a polynomial in the variables and their jets, by
+        the closed form above.  Each term's delta, in graded lex order,
+        comes before the size check of the prefix it ends, so a refusal
+        names the shortest prefix whose q-th power could pass the bound."""
         if f.vars != self.all_vars:
             f = f.extend_vars(self.all_vars)
         n = len(self.vars)
         if any(any(e[n:]) for e in f.terms):
             raise WfError("prolong input already mentions jet variables")
-        terms = f.sorted_terms()
-        if not terms:
-            return MvPoly.zero(self.ring, self.all_vars)
-        acc_val = acc_del = acc_q = None
-        for e, c in terms:
-            t_val = MvPoly(self.ring, self.all_vars, {e: c})
-            t_del = self._delta_term(e, c)
-            if acc_val is None:
-                acc_val, acc_del = t_val, t_del
-                continue
-            if acc_q is None:
-                acc_q = acc_val ** self.q
-            acc_val = acc_val + t_val
-            self._check_power_size(acc_val)
-            s_q = acc_val ** self.q
-            # C_pi(acc, t) = (acc^q + t^q - (acc + t)^q)/pi, divided exactly
-            c_pi = (acc_q + t_val ** self.q - s_q).map_coeffs(self.ring.div_pi, self.ring)
-            acc_del = acc_del + t_del + c_pi
-            acc_q = s_q
-        return acc_del
+        r, q, all_vars = self.ring, self.q, self.all_vars
+        out, prefix = MvPoly.zero(r, all_vars), {}
+        for e, c in f.sorted_terms():
+            out = out + self._delta_term(e, c)
+            prefix[e] = c
+            if len(prefix) > 1:
+                self._check_power_size(MvPoly(r, all_vars, prefix, _clean=False))
+        # sum_i t_i^q: one term each, and e -> q e merges no two of them
+        t_q = MvPoly(r, all_vars, {tuple([a * q for a in e]): r.pow(c, q)
+                                   for e, c in prefix.items()})
+        return out + (t_q - f ** q).map_coeffs(r.div_pi, r)
 
     def _check_power_size(self, f):
         """Refuse f^q past _POWER_BITS bits, before any work: it has at

@@ -217,7 +217,7 @@ def etale_basechange_check(morphism, rng):
     random source jets are pushed forward and solved back by Newton
     iteration with unit pivots; NotEtale on a singular step or when the
     sent jets are not recovered.  Recovery is read at the precision the
-    forward values carry: each C_pi carry of the prolongation spends one
+    forward values carry: the prolongation's one division by pi spends a
     pi-digit, so an exact match would also compare precisions.
     """
     for i in range(len(morphism.charts)):

@@ -222,7 +222,7 @@ def test_delta_from_lift_rejects_non_lift():
 
 
 def test_prolong_linear_over_constant_shift():
-    # prolong(f + c) = prolong(f) + delta(c) + C_pi(f, c), by the fold order
+    # prolong(f + c) = prolong(f) + delta(c) + C_pi(f, c): the sum rule
     ring = IntRing(5)
     dctx = DeltaContext(ring, ("x",))
     f = parse_poly("x^3 + 2*x", ring, ("x",))
@@ -233,3 +233,87 @@ def test_prolong_linear_over_constant_shift():
            + c_pi(dctx, f.extend_vars(dctx.all_vars),
                       c.extend_vars(dctx.all_vars)))
     assert lhs == rhs
+
+
+# -- the term-by-term fold, kept as an oracle for the closed form --
+
+
+def fold_prolong(dctx, f):
+    """delta(f) by the left fold over f's sorted terms that the closed form
+    replaced: delta(acc + t) = delta(acc) + delta(t) + C_pi(acc, t), each
+    running sum size-checked before its q-th power.  On full-precision
+    coefficients it agrees with prolong term for term, precision included.
+    On mixed precisions the two ledgers can differ, as any two summation
+    orders can while a sum deletes a cancelled coefficient of lower
+    precision (ROADMAP item 8(a)); neither is sound there."""
+    f = f.extend_vars(dctx.all_vars)
+    acc = out = None
+    for e, c in f.sorted_terms():
+        t = MvPoly(dctx.ring, dctx.all_vars, {e: c})
+        t_del = dctx._delta_term(e, c)
+        if acc is None:
+            acc, out = t, t_del
+            continue
+        dctx._check_power_size(acc + t)
+        out = out + t_del + c_pi(dctx, acc, t)
+        acc = acc + t
+    return MvPoly.zero(dctx.ring, dctx.all_vars) if out is None else out
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except WfError as exc:
+        return type(exc).__name__, str(exc)
+
+
+ORACLE_RINGS = [
+    IntRing(2), IntRing(3), IntRing(5), IntRing(2, 2), IntModRing(3, 4),
+    BaseRingSpec(3), BaseRingSpec(3, [-3, 3, 1]), BaseRingSpec(3, frob_power=2),
+]
+
+
+@pytest.mark.parametrize("ring", ORACLE_RINGS, ids=repr)
+def test_prolong_matches_the_fold(ring):
+    # MvPoly equality compares BaseElem precisions too; Z/p^k has no
+    # base_delta, and both sides refuse it with the same error
+    rng = random.Random(46)
+    vars = ("x", "y")
+    dctx = DeltaContext(ring, vars)
+    pi = ring.pi()
+    deg = 2 if ring.q > 5 else 3
+    for _ in range(60):
+        f = rand_poly(ring, vars, rng, deg=deg, terms=rng.randint(1, 5))
+        if rng.random() < 0.5:  # pi-multiples, whole or in one term
+            f = f * pi if rng.random() < 0.5 else f + rand_poly(
+                ring, vars, rng, deg=deg, terms=1) * pi
+        assert outcome(dctx.prolong, f) == outcome(fold_prolong, dctx, f), f
+
+
+@pytest.mark.parametrize("text, messages", [
+    ("x+y+1", {1031: "the 1031-th power of a 2-term sum could have up to "
+                     "1065024 bits, past the bound of 1048576 bits on an "
+                     "exact power",
+               1021: "the 1021-th power of a 3-term sum could have up to "
+                     "846337107 bits, past the bound of 1048576 bits on an "
+                     "exact power"}),
+    ("x^2+x*y+y+3", {1031: "the 1031-th power of a 2-term sum could have up "
+                           "to 1065024 bits, past the bound of 1048576 bits "
+                           "on an exact power",
+                     1021: "the 1021-th power of a 3-term sum could have up "
+                           "to 846337107 bits, past the bound of 1048576 "
+                           "bits on an exact power"}),
+])
+def test_refusals_match_the_fold_and_compute_no_power(text, messages, monkeypatch):
+    # the messages of the term-by-term fold: its first refused running sum
+    # is the 2-term prefix at p = 1031 and the 3-term one at p = 1021
+    def no_power(self, k):
+        raise AssertionError("a refused input computed a polynomial power")
+
+    for p, message in messages.items():
+        dctx = DeltaContext(IntRing(p), ("x", "y"))
+        f = parse_poly(text, dctx.ring, dctx.vars)
+        with monkeypatch.context() as patch, pytest.raises(Inconclusive) as exc:
+            patch.setattr(MvPoly, "__pow__", no_power)
+            dctx.prolong(f)
+        assert (str(exc.value), exc.value.bound) == (message, 2 ** 20)

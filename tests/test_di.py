@@ -492,6 +492,29 @@ def test_perturbed_lift_family_same_class():
         assert back.values[key] == val
 
 
+def test_witness_failing_re_verification_is_refused(monkeypatch):
+    # a solver answer with one entry off solves no witness system: the
+    # coboundary of its sections misses the cocycle, which is_coboundary
+    # must refuse rather than report as a witness
+    ring = BaseRingSpec(3)
+    p1 = BUILTIN_SCHEMES["p1"](ring)
+    u0 = p1.patches[0]
+    odd = LocalLift(u0, {"x": u0.to_res(parse_poly("x^2 + 1", ring,
+                                                   u0.all_vars))})
+    cochain = di_cocycle(p1, [odd, local_frobenius_lift(p1.patches[1])])
+    true_solve = wf.di.gfp_solve
+
+    def one_entry_off(p, rows, rhs, ncols):
+        sol = true_solve(p, rows, rhs, ncols)
+        sol[0] = (sol[0] + 1) % p
+        return sol
+
+    monkeypatch.setattr(wf.di, "gfp_solve", one_entry_off)
+    with pytest.raises(WfError, match="witness failed re-verification on "
+                                      r"overlap \(0, 1\)"):
+        is_coboundary(p1, cochain)
+
+
 def test_di_report_json_shape():
     rep = compute_di_class(BUILTIN_SCHEMES["p1"](BaseRingSpec(3)))
     data = rep.to_json()

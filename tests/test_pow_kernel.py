@@ -1,19 +1,20 @@
 """The power kernel against its unoptimised form.
 
 ``MvPoly.__pow__`` stops before the square past the top bit of k,
-``DeltaContext.prolong`` carries acc^q from one fold step to the next,
-and the delta of a monomial is its closed binomial expansion.  None of
-them may change a term, a coefficient or a coefficient's precision; the
-oracles below are the straightforward forms, which square once more than
-needed, raise acc^q afresh at every step and build the delta of a
-monomial by the product rule, recursively.  The same holds for the
-kernels under them: a square, which takes only the products with
-i <= j, against the general product, and sums and products, which drop
-zeros where they make them, against a second filtering pass.  A
-one-term polynomial is raised in closed form, c^k x^(k e), and
-``MvPoly.subst`` merges every term's image into one running sum in
-place; the oracles are square-and-multiply and the term-by-term
-substitution with a fresh sum per term.
+``DeltaContext.prolong`` raises each term t_i to the q-th power in closed
+form, and the delta of a monomial is its closed binomial expansion.  None
+of them may change a term, a coefficient or a coefficient's precision;
+the oracles below are the straightforward forms, which square once more
+than needed, raise every power of prolong's closed form
+sum_i delta(t_i) + (sum_i t_i^q - f^q)/pi by square-and-multiply and
+build the delta of a monomial by the product rule, recursively.  The
+same holds for the kernels under them: a square, which takes only the
+products with i <= j, against the general product, and sums and
+products, which drop zeros where they make them, against a second
+filtering pass.  A one-term polynomial is raised in closed form,
+c^k x^(k e), and ``MvPoly.subst`` merges every term's image into one
+running sum in place; the oracles are square-and-multiply and the
+term-by-term substitution with a fresh sum per term.
 """
 
 import itertools
@@ -37,12 +38,6 @@ def oracle_pow(f, k):
         base = base * base
         k >>= 1
     return result
-
-
-def oracle_c_pi(dctx, a, b):
-    q = dctx.q
-    num = oracle_pow(a, q) + oracle_pow(b, q) - oracle_pow(a + b, q)
-    return num.map_coeffs(dctx.ring.div_pi, dctx.ring)
 
 
 def oracle_delta_term(dctx, e, c, memo):
@@ -93,22 +88,16 @@ def oracle_delta_mono(dctx, e, memo):
 
 
 def oracle_prolong(dctx, f):
-    """The left fold with C_pi(acc, t) raising all three powers each step,
-    over the recursive delta of each monomial."""
+    """prolong's closed form with every power raised by oracle_pow, over
+    the recursive delta of each monomial."""
     f = f.extend_vars(dctx.all_vars)
     memo = {}
-    acc_val = acc_del = None
+    out = t_q = MvPoly.zero(dctx.ring, dctx.all_vars)
     for e, c in f.sorted_terms():
-        t_val = MvPoly(dctx.ring, dctx.all_vars, {e: c})
-        t_del = oracle_delta_term(dctx, e, c, memo)
-        if acc_val is None:
-            acc_val, acc_del = t_val, t_del
-        else:
-            acc_del = acc_del + t_del + oracle_c_pi(dctx, acc_val, t_val)
-            acc_val = acc_val + t_val
-    if acc_del is None:
-        return MvPoly.zero(dctx.ring, dctx.all_vars)
-    return acc_del
+        out = out + oracle_delta_term(dctx, e, c, memo)
+        t_q = t_q + oracle_pow(MvPoly(dctx.ring, dctx.all_vars, {e: c}), dctx.q)
+    num = t_q - oracle_pow(f, dctx.q)
+    return out + num.map_coeffs(dctx.ring.div_pi, dctx.ring)
 
 
 def assert_identical(got, want):
@@ -272,7 +261,7 @@ def test_prolong_matches_oracle(ring):
         # precision 1 cannot pay the pi-division of C_pi
         f = rand_poly(ring, vars, rng, min_prec=2, deg=2, terms=terms)
         assert_identical(dctx.prolong(f), oracle_prolong(dctx, f))
-        # constant shifts, folded last
+        # constant shifts
         for c in (1, -2, 7):
             g = f + c
             assert_identical(dctx.prolong(g), oracle_prolong(dctx, g))

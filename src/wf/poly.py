@@ -284,18 +284,15 @@ class MvPoly:
         raise WfError("cannot move coefficients between unrelated rings")
 
     def evaluate(self, point):
-        """Evaluate at a dict of ring elements; returns a ring element.
-        Each point[name]^k is computed once per call."""
+        """Evaluate at a dict of ring elements; returns a ring element."""
         r = self.ring
-        acc, powers = r.zero(), {}
+        acc = r.zero()
         for e, c in self.sorted_terms():
             val = c
             for name, k in zip(self.vars, e):
-                if k:
-                    pw = powers.get((name, k))
-                    if pw is None:
-                        pw = powers[name, k] = r.pow(point[name], k)
-                    val = r.mul(val, pw)
+                if k == 0:
+                    continue
+                val = r.mul(val, r.pow(point[name], k))
             acc = r.add(acc, val)
         return acc
 

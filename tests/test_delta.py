@@ -245,7 +245,9 @@ def fold_prolong(dctx, f):
     coefficients it agrees with prolong term for term, precision included.
     On mixed precisions the two ledgers can differ, as any two summation
     orders can while a sum deletes a cancelled coefficient of lower
-    precision (ROADMAP item 8(a)); neither is sound there."""
+    precision (ROADMAP item 8(a)); neither is sound there.  The
+    mixed-precision comparison, with its one pinned split, is
+    test_prolong_matches_oracle in tests/test_pow_kernel.py."""
     f = f.extend_vars(dctx.all_vars)
     acc = out = None
     for e, c in f.sorted_terms():

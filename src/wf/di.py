@@ -155,11 +155,6 @@ class LocalLift:
                 "degree": self.degree,
                 "delta": {v: self.coeffs[v].to_text() for v in self.pres.vars}}
 
-    def __repr__(self):
-        inner = ", ".join("%s: %s" % (v, self.coeffs[v].to_text())
-                          for v in self.pres.vars)
-        return "LocalLift(%s; %s)" % (self.pres.name, inner)
-
 
 def _coeffs_from_solution(pres, basis, sol, tag):
     """A_v = sum of sol[tag + (v, m)] x^m over the basis, per chart
@@ -295,8 +290,22 @@ def _overlap_difference(scheme, a, b, sec_a, sec_b):
 
 
 def di_cocycle_pair(scheme, lifts, a, b):
-    """delta_a - delta_b on the (a, b) overlap, in a-side coordinates."""
-    return _overlap_difference(scheme, a, b, lifts[a].fder, lifts[b].fder)
+    """(phi_a - phi_b)/pi on the (a, b) overlap, in a-side coordinates.
+
+    At an a-side variable v with image P = map_ab[v], phi_b(P) = P^q +
+    pi (D_b(P) + const(P)) mod pi^2, where const(P) = (P(X^q) - P^q)/pi
+    is P's lift constant (_condition); so the value at v is delta_a(v) -
+    D_b(P) - const(P).  The constant is 0 when P is c x^e with c^q = c,
+    as every builtin image is, and is then not computed."""
+    diff = _overlap_difference(scheme, a, b, lifts[a].fder, lifts[b].fder)
+    view, ring = scheme.view(a, b), scheme.ring
+    consts = {}
+    for v, img in view.map_ab.items():
+        c = next(iter(img.terms.values())) if len(img.terms) == 1 else None
+        if c is None or not ring.eq(ring.pow(c, ring.q), c):
+            consts[v] = transport(_condition(view.pres_b, img)[0],
+                                  view.pres_b, view.map_ba, view.pres_a)
+    return diff - FDerSection(view.pres_a, consts) if consts else diff
 
 
 class Cochain1:

@@ -56,10 +56,6 @@ class JetPresentation:
                 "jet_vars": list(self.dctx.jet_vars),
                 "generators": [g.to_text() for g in self.generators]}
 
-    def __repr__(self):
-        return "JetPresentation(%s, %d generators)" % (self.pres.name,
-                                                       len(self.generators))
-
 
 # -- linearization mod pi -----------------------------------------------------
 
@@ -72,11 +68,6 @@ class LinearRow:
     def __init__(self, const, jac):
         self.const = const
         self.jac = jac  # base-or-companion variable name -> residue poly
-
-    def __repr__(self):
-        inner = ", ".join("%s: %s" % (v, g.to_text())
-                          for v, g in sorted(self.jac.items()))
-        return "LinearRow(%s; %s)" % (self.const.to_text(), inner)
 
 
 def linearize_generator(pres: Presentation, g: MvPoly) -> LinearRow:
@@ -151,7 +142,8 @@ def substitute_companion_jets(pres: Presentation, dctx: DeltaContext, f: MvPoly)
 
     From u^q dv + v^q du + pi du dv = 0 and u v = 1:
     du = -u^(2q) dv * sum_{k<N} (-pi u^q dv)^k, the geometric series being
-    finite because pi^N = 0 at the working precision.
+    finite because pi^N = 0 at the working precision.  No power is 0 early:
+    the coefficient of (-pi u^q dv)^k is +-pi^k, nonzero for k < N.
     """
     ring, vars = pres.ring, dctx.all_vars
     mapping = {name: MvPoly.var(ring, vars, name) for name in vars}
@@ -162,8 +154,6 @@ def substitute_companion_jets(pres: Presentation, dctx: DeltaContext, f: MvPoly)
         power = MvPoly.const(ring, vars, 1)
         for _ in range(1, ring.precision):
             power = -(power * t)
-            if power.is_zero():
-                break
             geom = geom + power
         mapping[jet_name(u)] = -(MvPoly.var(ring, vars, u, 2 * pres.q) * vdot * geom)
     return f.subst(mapping, ring=ring, vars=vars)

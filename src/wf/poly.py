@@ -95,9 +95,6 @@ class MvPoly:
             return False
         return all(self.ring.eq(c, other.terms[e]) for e, c in self.terms.items())
 
-    def __hash__(self):
-        return hash((self.vars, frozenset(self.terms)))
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
@@ -404,10 +401,8 @@ class _Parser:
         return int(self.text[start:self.pos])
 
     def take_word(self):
-        self.skip()
+        """The name at pos; factor calls it only on a _WORD_START."""
         start = self.pos
-        if self.pos >= len(self.text) or self.text[self.pos] not in _WORD_START:
-            self.error("expected a name")
         while self.pos < len(self.text) and self.text[self.pos] in _WORD_BODY:
             self.pos += 1
         return self.text[start:self.pos]
@@ -545,20 +540,14 @@ class ReductionContext:
             inv = r.unit_inverse(lc)
             if inv is None:
                 continue
-            rest = {}
-            ok = True
-            for e, c in g.terms.items():
-                if e == le:
-                    continue
-                if e[i] >= d:
-                    ok = False
-                    break
-                rest[e] = r.neg(r.mul(c, inv))
-            if ok:
-                if name not in avoid:
-                    return name, d, MvPoly(r, self.vars, rest)
-                if fallback is None:
-                    fallback = (name, d, MvPoly(r, self.vars, rest))
+            # d is the top degree in name and le its only term there, so
+            # every other term is of lower degree in name
+            rest = {e: r.neg(r.mul(c, inv)) for e, c in g.terms.items()
+                    if e != le}
+            if name not in avoid:
+                return name, d, MvPoly(r, self.vars, rest)
+            if fallback is None:
+                fallback = (name, d, MvPoly(r, self.vars, rest))
         if fallback is not None:
             return fallback
         raise NotPrepared("generator %s is not monic in any variable" % (g.to_text(),))
@@ -671,13 +660,6 @@ class ReductionContext:
         results.sort(key=term_key)
         return results
 
-    def invertible_vars(self):
-        inv = {}
-        for u, v in self.loc_pairs:
-            inv[u] = v
-            inv[v] = u
-        return inv
-
     def try_invert(self, f):
         """Inverse of a unit of the shape c * monomial-in-invertible-vars.
 
@@ -691,7 +673,8 @@ class ReductionContext:
         cinv = self.ring.unit_inverse(c)
         if cinv is None:
             return None
-        invof = self.invertible_vars()
+        invof = dict(self.loc_pairs)
+        invof.update((v, u) for u, v in self.loc_pairs)
         exps = [0] * len(self.vars)
         for i, (name, k) in enumerate(zip(self.vars, e)):
             if k == 0:

@@ -34,13 +34,10 @@ from .base_ring import BaseRingSpec, IntModRing
 from .bounds import require_at_least, require_type
 from .errors import (KindMismatch, NonSmooth, NotEtale, ParseError,
                      SpecMismatch, TransitionError, WfError)
+from .gfp import insert_row
 from .poly import MvPoly, ReductionContext, parse_poly
 
 INV_SUFFIX = "_inv"
-
-
-def companion_name(var: str) -> str:
-    return var + INV_SUFFIX
 
 
 class Presentation:
@@ -59,7 +56,7 @@ class Presentation:
         for v in self.inverted:
             if v not in self.vars:
                 raise WfError("inverted name %r is not a variable" % (v,))
-        self.companions = tuple(companion_name(v) for v in self.inverted)
+        self.companions = tuple(v + INV_SUFFIX for v in self.inverted)
         self.all_vars = self.vars + self.companions
         self.loc_pairs = tuple(zip(self.companions, self.inverted))
         rel = []
@@ -144,9 +141,6 @@ class Presentation:
         return {"name": self.name, "vars": list(self.vars),
                 "inverted": list(self.inverted),
                 "relations": [g.to_text() for g in self.relations]}
-
-    def __repr__(self):
-        return "Presentation(%s)" % (self.name,)
 
 
 def _at_level(poly, pres, level):
@@ -439,9 +433,6 @@ class GluedScheme:
                             % (genus, cap, d, pres.name))
         return cls(name, ring, patches, overlaps, genus=genus)
 
-    def __repr__(self):
-        return "GluedScheme(%s, %d patches)" % (self.name, len(self.patches))
-
 
 # -- gluing validation ---------------------------------------------------------
 
@@ -548,10 +539,6 @@ class SchemeMorphism:
                   for c in require_type(chart_data, list, "morphism charts")]
         return cls(data.get("name", "morphism"), source, target, charts,
                    kind=data.get("kind"))
-
-    def __repr__(self):
-        return "SchemeMorphism(%s: %s -> %s)" % (self.name, self.source.name,
-                                                 self.target.name)
 
 
 def validate_morphism(m: SchemeMorphism):
@@ -720,10 +707,6 @@ class FDerSection:
             return NotImplemented
         return all(self.coeffs[v] == other.coeffs[v] for v in self.pres.vars)
 
-    def __repr__(self):
-        inner = ", ".join("%s: %s" % (v, g.to_text()) for v, g in self.coeffs.items())
-        return "FDerSection(%s)" % (inner,)
-
 
 def fold_companions(pres: Presentation, table):
     """Move entries keyed by companions onto their base variables.
@@ -851,30 +834,15 @@ def weierstrass_curve(ring, a, b):
                        genus=1)
 
 
-def _univariate_separable(coeffs, p):
-    """gcd(h, h') constant over F_p for h given low-to-high."""
-    a = [c % p for c in coeffs]
-    b = [(k * c) % p for k, c in enumerate(coeffs)][1:]
-
-    def trim(u):
-        while u and u[-1] == 0:
-            u.pop()
-        return u
-
-    a, b = trim(list(a)), trim(list(b))
-    while b:
-        inv = pow(b[-1], -1, p)
-        while len(a) >= len(b):
-            if a[-1]:
-                f = (a[-1] * inv) % p
-                shift = len(a) - len(b)
-                for t in range(len(b)):
-                    a[shift + t] = (a[shift + t] - f * b[t]) % p
-            trim(a)
-            if not a:
-                break
-        a, b = b, a
-    return len(a) == 1
+def _univariate_separable(h, p):
+    """gcd(h, h') = 1 over F_p, for h given low-to-high with h[-1] != 0 mod
+    p: the 2d - 1 rows of the Sylvester matrix of h and h', h' taken at
+    formal degree d - 1, are independent.  h' = 0 gives zero rows."""
+    d = len(h) - 1
+    dh = [k * c for k, c in enumerate(h)][1:]
+    table = {}
+    return all(insert_row(p, table, dict(enumerate(f, k))) is not None
+               for f, n in ((h, d - 1), (dh, d)) for k in range(n))
 
 
 def hyperelliptic_curve(ring, h_coeffs):

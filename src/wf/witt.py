@@ -112,9 +112,6 @@ class WittVec:
         r = self.ctx.ring
         return r.eq(self.a0, other.a0) and r.eq(self.a1, other.a1)
 
-    def __hash__(self):
-        return hash((self.a0, self.a1))
-
     def __repr__(self):
         return "WittVec(%r, %r)" % (self.a0, self.a1)
 

@@ -175,6 +175,47 @@ def test_malformed_flags_are_input_errors(argv, kind, capsys):
     assert json.loads(out)["error"]["type"] == kind
 
 
+def test_pi_in_polynomial_text(tmp_path, capsys):
+    # over the integers pi is p
+    code, out, _ = run_main(["prolong", "x + pi", "--vars", "x", "--p", "3"],
+                            capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert data["input"] == "x + 3"
+    assert data["result"] == "-3*x^2 - 9*x + x_dot - 8"
+    # over Z_3[pi]/(pi^2 - 3) a document relation names pi itself
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(
+        {"name": "C", "ring": {"p": 3, "eisenstein": [-3, 0, 1]},
+         "patches": [{"name": "C", "vars": ["x", "y"],
+                      "relations": ["y - x^2 - pi*x"]}]}))
+    code, out, _ = run_main(["jet", str(path)], capsys)
+    assert code == 0
+    assert json.loads(out)["charts"][0]["generators"][0] == (
+        "8*x^2 + (8*pi)*x + y")
+
+
+def test_coefficients_past_pi_print_in_parentheses(capsys):
+    # e = 3, so coefficients carry pi^2 terms and print as (k*pi^2)
+    code, out, _ = run_main(["jet", "genus2", "--p", "3",
+                             "--eisenstein=-3,3,0,1"], capsys)
+    assert code == 0
+    assert json.loads(out)["charts"][0]["generators"][1] == (
+        "4*x^12*x_dot + (2*pi^2)*x^10*y^2 + (2*pi)*x^9*x_dot^2 "
+        "+ (2*pi^2)*x^10 + (2*pi^2)*x^6*x_dot^3 + pi^2*x^5*y^4 "
+        "+ (2*pi^2)*x^5*y^2 + 3*x^3*x_dot^4 + pi^2*x^5 + (2*pi^2)*y^4 "
+        "+ 2*y^3*y_dot + (2*pi^2)*y^2 + pi*y_dot^2 + (2*pi^2)")
+
+
+def test_witt_delta_takes_one_integer(capsys):
+    code, out, _ = run_main(["witt", "--op", "delta", "--a", "1,2",
+                             "--p", "3"], capsys)
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "type": "ParseError",
+        "message": "op delta takes a single integer in --a"}
+
+
 def test_scheme_file_that_is_not_json_is_a_parse_error(tmp_path, capsys):
     path = tmp_path / "scheme.json"
     path.write_text("not json")

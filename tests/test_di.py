@@ -173,6 +173,34 @@ def test_cocycle_checks_pass_on_three_charts():
     assert set(cochain.values) == {(0, 1), (0, 2), (1, 2)}
 
 
+def p2_cocycle(to_j=None, to_i=None):
+    """di_cocycle of the p = 3 lifts of the p2 document with entries of
+    its (1,2) overlap replaced; the gluing is not validated."""
+    doc = BUILTIN_SCHEMES["p2"](BaseRingSpec(3)).to_json()
+    doc["overlaps"][2]["to_j"].update(to_j or {})
+    doc["overlaps"][2]["to_i"].update(to_i or {})
+    scheme = GluedScheme.from_json(doc)
+    return di_cocycle(scheme, [local_frobenius_lift(pres)
+                               for pres in scheme.patches])
+
+
+def test_cocycle_antisymmetry_check_fires():
+    # e -> 2*c*d_inv does not invert c -> e*g_inv, so the (1,2) value
+    # moved from the other side is not its negative
+    with pytest.raises(WfError, match=r"cocycle antisymmetry failed on "
+                                      r"overlap \(1,2\)"):
+        p2_cocycle(to_i={"e": "2*c*d_inv"})
+
+
+def test_cocycle_identity_check_fires():
+    # 4 * 61 = 1 + 3^5: the (1,2) maps invert each other mod 3^4, but
+    # the triple (0,1,2) does not close, and the lift constant of
+    # 4*e*g_inv, (4 - 4^3)/3 * e^3 g_inv^3, leaves the cocycle nonzero
+    with pytest.raises(WfError, match=r"cocycle identity failed on triple "
+                                      r"\(0,1,2\)"):
+        p2_cocycle(to_j={"c": "4*e*g_inv"}, to_i={"e": "61*c*d_inv"})
+
+
 def test_zero_sections_have_zero_coboundary():
     ring = BaseRingSpec(3)
     p1 = BUILTIN_SCHEMES["p1"](ring)
@@ -252,6 +280,29 @@ def test_weierstrass_vanishes_exactly_when_ordinary():
         rep = compute_di_class(BUILTIN_SCHEMES["weierstrass"](BaseRingSpec(p)))
         assert rep.vanishes is (hasse_invariant(p) != 0), p
     assert [p for p in primes if hasse_invariant(p)] == [5, 13]
+
+
+def translated_weierstrass(ring):
+    """The builtin weierstrass curve with Eaff's x moved to x + 1: the same
+    curve over Z_p, but the transition images w*z_inv + 1 and
+    -(x - 1)*y_inv have nonzero lift constants (P(X^q) - P^q)/p."""
+    return GluedScheme("E-translated", ring, [
+        Presentation("Eaff", ring, ("x", "y"),
+                     relations=["y^2 - (x - 1)^3 - (x - 1)"]),
+        Presentation("Einf", ring, ("w", "z"), relations=["w^3 - z + w*z^2"])],
+        [{"i": 0, "j": 1, "invert_i": "y", "invert_j": "z",
+          "to_j": {"x": "w*z_inv + 1", "y": "-z_inv"},
+          "to_i": {"w": "-(x - 1)*y_inv", "z": "-y_inv"}}], genus=1)
+
+
+def test_translated_weierstrass_keeps_the_verdict():
+    # the cocycle subtracts each transition image's lift constant; without
+    # it the class at p = 5 and 13 reads as not vanishing
+    for p in (3, 5, 7, 11, 13):
+        scheme = translated_weierstrass(BaseRingSpec(p))
+        assert validate_gluing(scheme) is True
+        rep = compute_di_class(scheme)
+        assert rep.vanishes is (hasse_invariant(p) != 0), p
 
 
 def weierstrass_lift(p, a, b, a1, b1, frob_power=1):
@@ -695,6 +746,41 @@ def test_compat_lift_constant_on_two_source_charts(p):
     assert [e["t"].to_text() for e in rep.discrepancy] == [
         "%s%s^%d" % ("" if c == 1 else "%d*" % c, x, 2 * p)
         for x in ("x", "u_inv")]
+
+
+def translated_weierstrass_in_p2(ring):
+    """weierstrass_in_p2 on translated_weierstrass: chart 0 pulls a back
+    to x - 1, which has a lift constant too."""
+    charts = [ChartMap(0, pullback={"a": "x - 1", "b": "y"},
+                       section={"x": "a + 1", "y": "b"}),
+              ChartMap(2, pullback={"e": "-z", "g": "-w"},
+                       section={"w": "-g", "z": "-e"})]
+    return SchemeMorphism("translated_in_p2", translated_weierstrass(ring),
+                          BUILTIN_SCHEMES["p2"](ring), charts,
+                          kind="closed_immersion")
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_compat_on_a_translated_chart(p):
+    # with the source cocycle's lift constants, the identity pullback -
+    # pushforward = e_i - e_j holds and the verdicts are the builtin's
+    m = translated_weierstrass_in_p2(BaseRingSpec(p))
+    assert validate_morphism(m) is True
+    xs, ys = build_compatible_lifts(m)
+    assert compatibility_check(m, xs, ys).compatible is True
+    assert compatibility_check(m, *independent_lifts(m)).compatible is False
+
+
+def test_compat_difference_check_fires():
+    # chart 1 pulls g back to -w + z, which disagrees with chart 0 on the
+    # source overlap, so the two cocycles no longer differ by e_i - e_j
+    m = BUILTIN_MORPHISMS["weierstrass_in_p2"](BaseRingSpec(3))
+    charts = [m.charts[0], ChartMap(2, {"e": "-z", "g": "-w + z"})]
+    bent = SchemeMorphism("bent", m.source, m.target, charts)
+    with pytest.raises(WfError, match=r"pullback/pushforward difference on "
+                                      r"overlap \(0,1\) is not the coboundary "
+                                      r"of the lift discrepancy at 'a'"):
+        compatibility_check(bent, *independent_lifts(bent))
 
 
 def test_unsupported_kind_refused():

@@ -5,8 +5,8 @@ Every run must end in exit 0, 2 or 3 without raising, and a document
 that the library refuses at load (from_json plus validation) must be
 refused by the command line with exit 2 and the same error.  A builtin's
 document written another way (a chart's variables reversed, the patches
-reversed, every variable renamed) must give the same exit code and
-``vanishes``.
+reversed, every variable renamed, a chart variable translated by 1) must
+give the same exit code and ``vanishes``.
 """
 
 import copy
@@ -218,6 +218,36 @@ def rename_vars(doc):
     return doc
 
 
+def translate_var(doc):
+    """The first chart variable v that neither its chart nor an overlap
+    inverts, moved to v + 1: v reads (v - 1) in its chart's relations and
+    in the images into its chart, and its own images gain + 1.  None when
+    every variable is inverted somewhere."""
+    doc = copy.deepcopy(doc)
+    for k, patch in enumerate(doc["patches"]):
+        inverted = set(patch["inverted"])
+        inverted |= {ov["invert_" + side] for ov in doc["overlaps"]
+                     for side in "ij" if ov[side] == k}
+        free = [v for v in patch["vars"] if v not in inverted]
+        if free:
+            break
+    else:
+        return None
+    v = free[0]
+
+    def text(t):
+        return NAME.sub(lambda m: "(%s - 1)" % v if m.group(0) == v
+                        else m.group(0), t)
+
+    patch["relations"] = [text(r) for r in patch["relations"]]
+    for ov in doc["overlaps"]:
+        for side, into, out in (("i", "to_i", "to_j"), ("j", "to_j", "to_i")):
+            if ov[side] == k:
+                ov[into] = {w: text(t) for w, t in ov[into].items()}
+                ov[out][v] = "%s + 1" % (ov[out][v],)
+    return doc
+
+
 def di_verdict(doc, path, capsys):
     path.write_text(json.dumps(doc))
     code = wf.cli.main(["di", str(path)])
@@ -235,5 +265,8 @@ def test_verdict_does_not_depend_on_the_presentation(name, p, tmp_path, capsys):
                   for k in range(len(doc["patches"]))]
                  + [("patches reversed", reverse_patches(doc)),
                     ("variables renamed", rename_vars(doc))])
+    translated = translate_var(doc)
+    if translated is not None:
+        rewritten.append(("a variable translated", translated))
     for how, other in rewritten:
         assert di_verdict(other, path, capsys) == want, how

@@ -321,6 +321,36 @@ def test_inversion_through_companions_is_etale():
                 validate_morphism(gm_self_map(ring, image))
 
 
+def test_etale_check_refuses_a_singular_newton_step(monkeypatch):
+    # t -> x^3 is not étale at p = 3; with its Jacobian certificate
+    # skipped, every partial in the jet is divisible by 3 at the sample
+    monkeypatch.setattr(jet, "relative_jacobian_unit", lambda m, i: None)
+    with pytest.raises(NotEtale, match="induced jet system is singular at "
+                                       "the sample point"):
+        etale_basechange_check(gm_self_map(BaseRingSpec(3), "x^3"),
+                               random.Random(58))
+
+
+def test_etale_check_refuses_a_stalled_iteration(monkeypatch):
+    # a Newton step of zero never reduces the residual of t -> x^2
+    monkeypatch.setattr(jet, "_solve_unit_system",
+                        lambda mat, rhs: [r - r for r in rhs])
+    with pytest.raises(NotEtale, match="induced jet iteration did not "
+                                       "converge"):
+        etale_basechange_check(gm_self_map(BaseRingSpec(3), "x^2"),
+                               random.Random(58))
+
+
+def test_etale_check_refuses_a_lost_round_trip(monkeypatch):
+    # every jet term of delta(x^81) is divisible by 3^4, so the sent jets
+    # leave no trace: the residual is 0 at once and the jets come back 0
+    monkeypatch.setattr(jet, "relative_jacobian_unit", lambda m, i: None)
+    with pytest.raises(NotEtale, match="jet round trip failed at a sample "
+                                       "point of chart 0"):
+        etale_basechange_check(gm_self_map(BaseRingSpec(3), "x^81"),
+                               random.Random(58))
+
+
 PLANE_MAPS = {"x+y": ("x + y", "y"), "x+y^2": ("x + y^2", "y"), "swap": ("y", "x")}
 
 

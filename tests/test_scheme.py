@@ -11,9 +11,10 @@ from wf.errors import (KindMismatch, NonSmooth, NotEtale, ParseError,
 from wf.poly import MvPoly, parse_poly
 from wf.scheme import (BUILTIN_MORPHISMS, BUILTIN_SCHEMES, ChartMap,
                        FDerSection, GluedScheme, MonomialImages,
-                       Presentation, SchemeMorphism, affine_space, fder_apply,
-                       hyperelliptic_curve, transport, validate_gluing,
-                       validate_morphism, weierstrass_curve)
+                       Presentation, SchemeMorphism, _univariate_separable,
+                       affine_space, fder_apply, hyperelliptic_curve,
+                       transport, validate_gluing, validate_morphism,
+                       weierstrass_curve)
 
 
 def rand_poly(rng, ring, vars, deg=3, terms=4):
@@ -61,6 +62,38 @@ def test_nonsmooth_constructions_refused():
         weierstrass_curve(BaseRingSpec(3), 0, 1)
     with pytest.raises(NonSmooth):
         hyperelliptic_curve(BaseRingSpec(7), [0, 0, 0, 1])
+
+
+def poly_product(f, g, p):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = (out[i + j] + a * b) % p
+    return out
+
+
+def test_separability_matches_sympy_factorization():
+    # h is separable over F_p exactly when every irreducible factor of h
+    # has multiplicity 1; sympy's Poly.is_sqf is not that test over F_p
+    # (it says True for x^5 - 1 = (x - 1)^5 mod 5), factor_list is
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    rng = random.Random(59)
+    cases = [([-1, 0, 0, 0, 0, 1], 5), ([1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1], 5),
+             ([-1, 0, 0, 0, 0, 1], 3), ([0, 0, 1], 7)]
+    for p in (2, 3, 5, 7, 11, 13):
+        for _ in range(100):
+            h = ([rng.randrange(p) for _ in range(rng.randint(1, 11))]
+                 + [rng.randrange(1, p)])
+            if rng.random() < 0.4:  # a repeated factor (x - r)^k
+                r, k = rng.randrange(p), rng.randint(2, 4)
+                for _ in range(k):
+                    h = poly_product(h, [-r, 1], p)
+            cases.append((h, p))
+    for h, p in cases:
+        _, factors = sympy.Poly(list(reversed(h)), x, modulus=p).factor_list()
+        want = all(k == 1 for _, k in factors)
+        assert _univariate_separable(h, p) is want, (h, p)
 
 
 def test_genus_bookkeeping():
@@ -307,6 +340,18 @@ def test_broken_gluing_detected():
                        match=r"round trip failed on overlap \(0,1\) at 'x': "
                              r"x\^2 != x"):
         validate_gluing(broken)
+
+
+def test_broken_triple_detected():
+    # 4 * 61 = 1 + 3^5, so both round trips of (1,2) close mod 3^4, but
+    # going 0 -> 1 -> 2 meets c -> 4*e*g_inv where 0 -> 2 does not
+    doc = BUILTIN_SCHEMES["p2"](BaseRingSpec(3)).to_json()
+    doc["overlaps"][2]["to_j"]["c"] = "4*e*g_inv"
+    doc["overlaps"][2]["to_i"]["e"] = "61*c*d_inv"
+    with pytest.raises(TransitionError,
+                       match=r"cocycle failed on triple \(0,1,2\) at 'a': "
+                             r"g\*e_inv != 61\*g\*e_inv"):
+        validate_gluing(GluedScheme.from_json(doc))
 
 
 def test_overlap_given_twice_refused():

@@ -33,7 +33,7 @@ import sys
 from .base_ring import BaseRingSpec, IntModRing, IntRing
 from .bounds import bounds_report
 from .delta import DeltaContext
-from .di import (build_compatible_lifts, compatibility_check,
+from .di import (LocalLift, build_compatible_lifts, compatibility_check,
                  compute_di_class, local_frobenius_lift)
 from .errors import (Inconclusive, NonSmooth, NoSolutionAtBound, ParseError,
                      WfError)
@@ -331,7 +331,15 @@ def _corpus_prolong(rng):
     return out
 
 
-def _corpus_di():
+def _chart_key(pres):
+    """An equal chart's key in a corpus lift store: the ring and the whole
+    presentation, since two builtin charts share the name Gm."""
+    return json.dumps([pres.ring.to_json(), pres.to_json()], sort_keys=True)
+
+
+def _corpus_di(lifts):
+    """The di section; each chart lift goes into lifts by _chart_key, as
+    its coefficients' terms and its degree, holding no chart."""
     out = []
     for p in (2, 3, 5):
         ring = BaseRingSpec(p)
@@ -341,13 +349,31 @@ def _corpus_di():
             except NonSmooth as exc:
                 out.append({"scheme": name, "p": p, "skipped": str(exc)})
                 continue
-            entry = compute_di_class(scheme).to_json()
+            rep = compute_di_class(scheme)
+            for lift in rep.lifts:
+                lifts[_chart_key(lift.pres)] = (
+                    {v: a.terms for v, a in lift.coeffs.items()}, lift.degree)
+            entry = rep.to_json()
             entry["p"] = p
             out.append(entry)
     return out
 
 
-def _corpus_compat():
+def _stored_lift(pres, lifts):
+    """The lift of an equal chart from the store, rebuilt on pres, or a
+    fresh local_frobenius_lift.  The default lift is a function of the
+    chart alone, and the stored one was verified when it was solved."""
+    stored = lifts.get(_chart_key(pres))
+    if stored is None:
+        return local_frobenius_lift(pres)
+    terms, degree = stored
+    return LocalLift(pres, {v: MvPoly(pres.res, pres.all_vars, t, _clean=False)
+                            for v, t in terms.items()}, degree)
+
+
+def _corpus_compat(lifts):
+    """The compat section; the independent lifts come from lifts
+    (_stored_lift)."""
     out = []
     for p in (3, 5):
         ring = BaseRingSpec(p)
@@ -355,8 +381,8 @@ def _corpus_compat():
             morphism = BUILTIN_MORPHISMS[name](ring)
             x_lifts, y_lifts = build_compatible_lifts(morphism)
             rep = compatibility_check(morphism, x_lifts, y_lifts)
-            x_ind = [local_frobenius_lift(pr) for pr in morphism.source.patches]
-            y_ind = [local_frobenius_lift(pr) for pr in morphism.target.patches]
+            x_ind = [_stored_lift(pr, lifts) for pr in morphism.source.patches]
+            y_ind = [_stored_lift(pr, lifts) for pr in morphism.target.patches]
             rep_ind = compatibility_check(morphism, x_ind, y_ind)
             out.append({"morphism": name, "p": p, "kind": morphism.kind,
                         "constructed_compatible": rep.compatible,
@@ -367,11 +393,12 @@ def _corpus_compat():
 
 def cmd_corpus(args):
     rng = random.Random(args.seed)
+    lifts = {}  # one run's chart lifts, from the di section to compat
     return {"seed": args.seed,
             "witt_samples": _corpus_witt(rng),
             "prolong_samples": _corpus_prolong(rng),
-            "di": _corpus_di(),
-            "compat": _corpus_compat(),
+            "di": _corpus_di(lifts),
+            "compat": _corpus_compat(lifts),
             "bounds": [bounds_report(g, p, d)
                        for (g, p, d) in ((1, 3, 1), (1, 5, 1),
                                          (2, 2, 1), (2, 3, 1))]}, 0

@@ -16,7 +16,10 @@ division spends one pi-digit, as a C_pi does: on full-precision
 coefficients every term keeps the precision the sum rule gives it.
 Each prefix of the graded lex (largest first) term order is refused as
 Inconclusive, before f^q is computed, when a bound on the size of its
-q-th power passes 2^20 bits, the bound on IntRing's exact powers.
+q-th power passes 2^20 bits, the bound on IntRing's exact powers.  Past
+every size check, f itself is refused when a bound on the coefficient
+products that binary powering spends on f^q passes 2^22, about 19 s of
+BaseRingSpec products on a 2-core Xeon.
 
 Everything here runs over either exact integers (the Fermat-quotient
 oracle lives there) or a tracked-precision base ring, where the divisions
@@ -33,15 +36,28 @@ from .poly import MvPoly
 
 JET_SUFFIX = "_dot"
 
+# bound on the coefficient products of one q-th power of a sum; wf jet on
+# every builtin at p <= 31, or q = 9 and 25, stays under 24,000 of them
+_POWER_PRODUCTS = 1 << 22
+
 
 def jet_name(var: str) -> str:
     return var + JET_SUFFIX
 
 
+def _power_terms(f, k):
+    """A bound on the terms of f^k: min(C(k+t-1, t-1), C(k*deg+v, v)), t
+    being f's terms and v the variables in f."""
+    t = len(f.terms)
+    v = sum(1 for column in zip(*f.terms) if any(column))
+    return min(comb(k + t - 1, t - 1), comb(k * f.total_deg() + v, v))
+
+
 class DeltaContext:
     """Variables plus their jet companions over one coefficient ring."""
 
-    __slots__ = ("ring", "vars", "jet_vars", "all_vars", "q", "_pi_const")
+    __slots__ = ("ring", "vars", "jet_vars", "all_vars", "q", "_pi_const",
+                 "_mono_deltas")
 
     def __init__(self, ring, vars):
         self.ring = ring
@@ -53,12 +69,15 @@ class DeltaContext:
         self.all_vars = self.vars + self.jet_vars
         self.q = ring.q
         self._pi_const = ring.pi()
+        self._mono_deltas = {}  # delta(x^e) by exponent tuple e, never mutated
 
     def prolong(self, f: MvPoly) -> MvPoly:
         """delta(f) as a polynomial in the variables and their jets, by
         the closed form above.  Each term's delta, in graded lex order,
         comes before the size check of the prefix it ends, so a refusal
-        names the shortest prefix whose q-th power could pass the bound."""
+        names the shortest prefix whose q-th power could pass the bound.
+        The work check comes after every size check, so it refuses only
+        inputs whose every prefix has passed the size bound."""
         if f.vars != self.all_vars:
             f = f.extend_vars(self.all_vars)
         n = len(self.vars)
@@ -71,6 +90,8 @@ class DeltaContext:
             prefix[e] = c
             if len(prefix) > 1:
                 self._check_power_size(MvPoly(r, all_vars, prefix, _clean=False))
+        if len(prefix) > 1:
+            self._check_power_work(f)
         # sum_i t_i^q: one term each, and e -> q e merges no two of them
         t_q = MvPoly(r, all_vars, {tuple([a * q for a in e]): r.pow(c, q)
                                    for e, c in prefix.items()})
@@ -78,22 +99,45 @@ class DeltaContext:
 
     def _check_power_size(self, f):
         """Refuse f^q past _POWER_BITS bits, before any work: it has at
-        most min(C(q+t-1, t-1), C(q*deg+v, v)) terms, t being f's terms and
-        v the variables in f, each of at most the ring's power_bits."""
+        most _power_terms(f, q) terms, each of at most the ring's
+        power_bits."""
         q, t = self.q, len(f.terms)
-        v = sum(1 for column in zip(*f.terms) if any(column))
-        count = min(comb(q + t - 1, t - 1), comb(q * f.total_deg() + v, v))
-        bits = count * self.ring.power_bits(f.terms.values())
+        bits = _power_terms(f, q) * self.ring.power_bits(f.terms.values())
         if bits > _POWER_BITS:
             raise Inconclusive(
                 "the %d-th power of a %d-term sum could have up to %d bits, "
                 "past the bound of %d bits on an exact power"
                 % (q, t, bits, _POWER_BITS), bound=_POWER_BITS)
 
+    def _check_power_work(self, f):
+        """Refuse f^q past _POWER_PRODUCTS coefficient products, before any
+        work.  Along the bits of q, MvPoly.__pow__ multiplies the base into
+        the result (n m products) and squares the base (n(n + 1)/2 products
+        on n terms); f^k has at most _power_terms(f, k) terms."""
+        products, res, base, k = 0, 0, 1, self.q
+        while k:
+            if k & 1:
+                products += _power_terms(f, res) * _power_terms(f, base)
+                res += base
+            k >>= 1
+            if k:
+                n = _power_terms(f, base)
+                products += n * (n + 1) // 2
+                base *= 2
+        if products > _POWER_PRODUCTS:
+            raise Inconclusive(
+                "the %d-th power of a %d-term sum could take up to %d "
+                "coefficient products, past the bound of %d products on a "
+                "polynomial power"
+                % (self.q, len(f.terms), products, _POWER_PRODUCTS),
+                bound=_POWER_PRODUCTS)
+
     def _delta_term(self, e, c):
         # delta(c * m) = c^q delta(m) + m^q delta(c) + pi delta(c) delta(m)
         r = self.ring
-        dm = self._delta_mono(e)
+        dm = self._mono_deltas.get(e)
+        if dm is None:
+            dm = self._mono_deltas[e] = self._delta_mono(e)
         dc = r.base_delta(c)
         cq = r.pow(c, self.q)
         out = dm * cq

@@ -105,6 +105,16 @@ def test_prolong_sum_powers_past_the_size_bound_exit_three(p, capsys):
     assert (err["type"], err["bound"]) == ("Inconclusive", 2 ** 20)
 
 
+def test_jet_past_the_power_work_bound_exits_three():
+    # (y^2 - x^3 - x)^211 passes the size bound; unchecked, its binary
+    # powering runs for minutes, so the timeout fails a missing check
+    proc = run_cli("jet", "weierstrass", "--p", "211", timeout=30)
+    assert proc.returncode == 3, proc.stdout[:200]
+    err = json.loads(proc.stdout)["error"]
+    assert (err["type"], err["bound"]) == ("Inconclusive", 2 ** 22)
+    assert "coefficient products" in err["message"]
+
+
 def test_exact_powers_of_small_values_pass_the_bound(capsys):
     code, out, _ = run_main(["witt", "--op", "ghost", "--a=-1,5",
                              "--p", str(2 ** 61 - 1)], capsys)
@@ -846,6 +856,41 @@ def test_thread_env_reported_not_parallel():
         data = run_json("bounds", "--g", "1", "--p", "3", "--d", "1",
                         env_extra={"WF_THREADS": value})
         assert data["threads"] == 1
+
+
+def test_corpus_compat_reuses_the_di_sections_chart_lifts(monkeypatch):
+    # the di section stores every chart lift; compat's independent lifts
+    # solve only the charts no builtin scheme has: parabola_in_a2's C and
+    # gm_square's Gm over t (gm's chart, also Gm, is over x)
+    calls = []
+    real = wf.cli.local_frobenius_lift
+
+    def counting(pres, *args):
+        calls.append((pres.ring.p, pres.name, pres.vars))
+        return real(pres, *args)
+
+    stores = []
+    real_di = wf.cli._corpus_di
+
+    def recording_di(lifts):
+        stores.append(len(lifts))
+        return real_di(lifts)
+
+    monkeypatch.setattr(wf.cli, "local_frobenius_lift", counting)
+    monkeypatch.setattr(wf.cli, "_corpus_di", recording_di)
+    args = argparse.Namespace(seed=0)
+    first, _ = wf.cli.cmd_corpus(args)
+    misses = [(3, "C", ("x", "y")), (3, "Gm", ("t",)),
+              (5, "C", ("x", "y")), (5, "Gm", ("t",))]
+    assert sorted(calls) == misses
+    # a second run in the same process starts from an empty store
+    calls.clear()
+    second, _ = wf.cli.cmd_corpus(args)
+    assert sorted(calls) == misses and second == first
+    assert stores == [0, 0]
+    calls.clear()
+    assert wf.cli._corpus_compat({}) == first["compat"]
+    assert len(calls) == 22
 
 
 def test_corpus_byte_determinism():

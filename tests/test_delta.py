@@ -76,6 +76,57 @@ def test_sum_powers_past_the_size_bound_are_refused():
     assert IntModRing(3, 1).power_bits([1, 1]) == 2
 
 
+def test_sum_powers_past_the_work_bound_are_refused(monkeypatch):
+    # (y^2 - x^3 - x)^211 passes the size bound, and binary powering could
+    # take 32,858,640 coefficient products, past 2^22.  With a constant term
+    # the 4-term prefix passes the size bound, which is checked first.
+    ring = BaseRingSpec(211)
+    dctx = DeltaContext(ring, ("x", "y"))
+    cases = [(parse_poly(text, ring, dctx.vars), message, bound)
+             for text, message, bound in (
+        ("y^2 - x^3 - x", "the 211-th power of a 3-term sum could take up "
+         "to 32858640 coefficient products, past the bound of 4194304 "
+         "products on a polynomial power", 2 ** 22),
+        ("y^2 - x^3 - x + 1", "the 211-th power of a 4-term sum could have "
+         "up to 6240145 bits, past the bound of 1048576 bits on an exact "
+         "power", 2 ** 20))]
+
+    def no_power(self, k):
+        raise AssertionError("a refused input computed a polynomial power")
+
+    monkeypatch.setattr(MvPoly, "__pow__", no_power)
+    for f, message, bound in cases:
+        with pytest.raises(Inconclusive) as exc:
+            dctx.prolong(f)
+        assert (str(exc.value), exc.value.bound) == (message, bound)
+
+
+@pytest.mark.parametrize("text", ["x + y", "x^2 + x*y + 1", "y^2 - x^3 - x",
+                                  "x^3 + 2*x*y^2 - y + 4", "x + y + 1"])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_power_work_bound_covers_binary_powering(text, p, monkeypatch):
+    # the bound, read from the message with the limit at 0, is at least the
+    # products __pow__ spends: n m per product, n(n + 1)/2 per square
+    ring = IntRing(p)
+    dctx = DeltaContext(ring, ("x", "y"))
+    f = parse_poly(text, ring, dctx.all_vars)
+    monkeypatch.setattr("wf.delta._POWER_PRODUCTS", 0)
+    with pytest.raises(Inconclusive) as exc:
+        dctx._check_power_work(f)
+    bound = int(str(exc.value).split("up to ")[1].split()[0])
+    spent = [0]
+    real_mul = MvPoly.__mul__
+
+    def counting_mul(self, other):
+        n, m = len(self.terms), len(other.terms)
+        spent[0] += n * (n + 1) // 2 if other is self else n * m
+        return real_mul(self, other)
+
+    monkeypatch.setattr(MvPoly, "__mul__", counting_mul)
+    f ** dctx.q
+    assert 0 < spent[0] <= bound
+
+
 def test_prolong_rejects_jet_input():
     ring = IntRing(2)
     dctx = DeltaContext(ring, ("x",))
@@ -289,7 +340,11 @@ def test_prolong_matches_the_fold(ring):
         if rng.random() < 0.5:  # pi-multiples, whole or in one term
             f = f * pi if rng.random() < 0.5 else f + rand_poly(
                 ring, vars, rng, deg=deg, terms=1) * pi
-        assert outcome(dctx.prolong, f) == outcome(fold_prolong, dctx, f), f
+        # the fold on a fresh context computes every delta(x^e) anew; dctx
+        # keeps them across inputs, and the second call reads each from it
+        want = outcome(fold_prolong, DeltaContext(ring, vars), f)
+        assert outcome(dctx.prolong, f) == want, f
+        assert outcome(dctx.prolong, f) == want, f
 
 
 @pytest.mark.parametrize("text, messages", [

@@ -33,14 +33,15 @@ import sys
 from .base_ring import BaseRingSpec, IntModRing, IntRing
 from .bounds import bounds_report
 from .delta import DeltaContext
-from .di import (LocalLift, build_compatible_lifts, compatibility_check,
+from .di import (build_compatible_lifts, compatibility_check,
                  compute_di_class, local_frobenius_lift)
 from .errors import (Inconclusive, NonSmooth, NoSolutionAtBound, ParseError,
                      WfError)
 from .jet import JetPresentation
 from .poly import MvPoly, parse_poly
 from .scheme import (BUILTIN_MORPHISMS, BUILTIN_SCHEMES, GluedScheme,
-                     SchemeMorphism, validate_gluing, validate_morphism)
+                     SchemeMorphism, builtin_scheme, validate_gluing,
+                     validate_morphism)
 from .witt import WittContext, ghost
 
 SCHEMA = "wf-report/1"
@@ -331,77 +332,61 @@ def _corpus_prolong(rng):
     return out
 
 
-def _chart_key(pres):
-    """An equal chart's key in a corpus lift store: the ring and the whole
-    presentation, since two builtin charts share the name Gm."""
-    return json.dumps([pres.ring.to_json(), pres.to_json()], sort_keys=True)
-
-
-def _corpus_di(lifts):
-    """The di section; each chart lift goes into lifts by _chart_key, as
-    its coefficients' terms and its degree, holding no chart."""
+def _corpus_di(ring, schemes, lifts):
+    """One prime's di entries: each builtin scheme is built into schemes
+    and each of its chart lifts goes into lifts, keyed by the chart."""
     out = []
-    for p in (2, 3, 5):
-        ring = BaseRingSpec(p)
-        for name in sorted(BUILTIN_SCHEMES):
-            try:
-                scheme = BUILTIN_SCHEMES[name](ring)
-            except NonSmooth as exc:
-                out.append({"scheme": name, "p": p, "skipped": str(exc)})
-                continue
-            rep = compute_di_class(scheme)
-            for lift in rep.lifts:
-                lifts[_chart_key(lift.pres)] = (
-                    {v: a.terms for v, a in lift.coeffs.items()}, lift.degree)
-            entry = rep.to_json()
-            entry["p"] = p
-            out.append(entry)
+    for name in sorted(BUILTIN_SCHEMES):
+        try:
+            scheme = builtin_scheme(name, ring, schemes)
+        except NonSmooth as exc:
+            out.append({"scheme": name, "p": ring.p, "skipped": str(exc)})
+            continue
+        rep = compute_di_class(scheme)
+        lifts.update((lift.pres, lift) for lift in rep.lifts)
+        entry = rep.to_json()
+        entry["p"] = ring.p
+        out.append(entry)
     return out
 
 
-def _stored_lift(pres, lifts):
-    """The lift of an equal chart from the store, rebuilt on pres, or a
-    fresh local_frobenius_lift.  The default lift is a function of the
-    chart alone, and the stored one was verified when it was solved."""
-    stored = lifts.get(_chart_key(pres))
-    if stored is None:
-        return local_frobenius_lift(pres)
-    terms, degree = stored
-    return LocalLift(pres, {v: MvPoly(pres.res, pres.all_vars, t, _clean=False)
-                            for v, t in terms.items()}, degree)
-
-
-def _corpus_compat(lifts):
-    """The compat section; the independent lifts come from lifts
-    (_stored_lift)."""
+def _corpus_compat(ring, schemes, lifts):
+    """One prime's compat entries over the schemes of its di entries.  An
+    independent lift is the verified di lift of its chart, or a fresh one
+    on a chart no builtin scheme has: the two would be equal."""
     out = []
-    for p in (3, 5):
-        ring = BaseRingSpec(p)
-        for name in sorted(BUILTIN_MORPHISMS):
-            morphism = BUILTIN_MORPHISMS[name](ring)
-            x_lifts, y_lifts = build_compatible_lifts(morphism)
-            rep = compatibility_check(morphism, x_lifts, y_lifts)
-            x_ind = [_stored_lift(pr, lifts) for pr in morphism.source.patches]
-            y_ind = [_stored_lift(pr, lifts) for pr in morphism.target.patches]
-            rep_ind = compatibility_check(morphism, x_ind, y_ind)
-            out.append({"morphism": name, "p": p, "kind": morphism.kind,
-                        "constructed_compatible": rep.compatible,
-                        "independent_compatible": rep_ind.compatible,
-                        "identity_holds": True})
+    for name in sorted(BUILTIN_MORPHISMS):
+        morphism = BUILTIN_MORPHISMS[name](ring, schemes)
+        x_lifts, y_lifts = build_compatible_lifts(morphism)
+        rep = compatibility_check(morphism, x_lifts, y_lifts)
+        x_ind, y_ind = ([lifts.get(pr) or local_frobenius_lift(pr)
+                         for pr in side.patches]
+                        for side in (morphism.source, morphism.target))
+        rep_ind = compatibility_check(morphism, x_ind, y_ind)
+        out.append({"morphism": name, "p": ring.p, "kind": morphism.kind,
+                    "constructed_compatible": rep.compatible,
+                    "independent_compatible": rep_ind.compatible,
+                    "identity_holds": True})
     return out
 
 
 def cmd_corpus(args):
     rng = random.Random(args.seed)
-    lifts = {}  # one run's chart lifts, from the di section to compat
-    return {"seed": args.seed,
-            "witt_samples": _corpus_witt(rng),
-            "prolong_samples": _corpus_prolong(rng),
-            "di": _corpus_di(lifts),
-            "compat": _corpus_compat(lifts),
-            "bounds": [bounds_report(g, p, d)
-                       for (g, p, d) in ((1, 3, 1), (1, 5, 1),
-                                         (2, 2, 1), (2, 3, 1))]}, 0
+    payload = {"seed": args.seed,
+               "witt_samples": _corpus_witt(rng),
+               "prolong_samples": _corpus_prolong(rng),
+               "di": [], "compat": []}
+    for p in (2, 3, 5):
+        # one prime's builtin schemes and chart lifts, shared by its di
+        # and compat entries and dropped before the next prime's are built
+        ring, schemes, lifts = BaseRingSpec(p), {}, {}
+        payload["di"] += _corpus_di(ring, schemes, lifts)
+        if p != 2:
+            payload["compat"] += _corpus_compat(ring, schemes, lifts)
+    payload["bounds"] = [bounds_report(g, p, d)
+                         for (g, p, d) in ((1, 3, 1), (1, 5, 1),
+                                           (2, 2, 1), (2, 3, 1))]
+    return payload, 0
 
 
 # -- argument plumbing ----------------------------------------------------------

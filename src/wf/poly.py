@@ -575,8 +575,11 @@ class ReductionContext:
             seen[n] = 2
             finished.append(n)
 
-        for n in deps:
-            visit(n)
+        try:
+            for n in deps:
+                visit(n)
+        finally:
+            del visit  # a closure that calls itself is a reference cycle
         return tuple(self.vars.index(n) for n in reversed(finished))
 
     def normal_form(self, f):
@@ -657,6 +660,7 @@ class ReductionContext:
                 acc.pop()
 
         rec(0, bound, [])
+        del rec  # as visit in _check_acyclic
         results.sort(key=term_key)
         return results
 

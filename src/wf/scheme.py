@@ -896,37 +896,47 @@ BUILTIN_SCHEMES = {
 }
 
 
+def builtin_scheme(name, ring, schemes=None):
+    """BUILTIN_SCHEMES[name] over ring: built afresh, or given a dict of
+    schemes over ring, the dict's entry for name, built on first use."""
+    if schemes is None:
+        return BUILTIN_SCHEMES[name](ring)
+    if name not in schemes:
+        schemes[name] = BUILTIN_SCHEMES[name](ring)
+    return schemes[name]
+
+
 # -- built-in morphisms ----------------------------------------------------------
 
 
-def imm_parabola(ring):
+def imm_parabola(ring, schemes=None):
     """V(y - x^2) inside the affine plane, a closed immersion."""
     curve = GluedScheme("parabola", ring,
                         [Presentation("C", ring, ("x", "y"), relations=["y - x^2"])])
-    plane = affine_space(ring, 2)
+    plane = builtin_scheme("a2", ring, schemes)
     chart = ChartMap(0, pullback={"x": "x", "y": "y"}, section={"x": "x", "y": "y"})
     return SchemeMorphism("parabola_in_a2", curve, plane, [chart],
                           kind="closed_immersion")
 
 
-def proj_plane_to_line(ring):
-    plane = affine_space(ring, 2)
-    line = affine_space(ring, 1)
+def proj_plane_to_line(ring, schemes=None):
+    plane = builtin_scheme("a2", ring, schemes)
+    line = builtin_scheme("a1", ring, schemes)
     chart = ChartMap(0, pullback={"x": "x"})
     return SchemeMorphism("a2_to_a1", plane, line, [chart], kind="projection")
 
 
-def etale_gm_square(ring):
-    src = multiplicative_group(ring)
+def etale_gm_square(ring, schemes=None):
+    src = builtin_scheme("gm", ring, schemes)
     tgt = GluedScheme("Gm", ring, [Presentation("Gm", ring, ("t",), inverted=("t",))])
     chart = ChartMap(0, pullback={"t": "x^2"})
     return SchemeMorphism("gm_square", src, tgt, [chart], kind="etale")
 
 
-def weierstrass_in_p2(ring):
+def weierstrass_in_p2(ring, schemes=None):
     """The curve y^2 = x^3 + x inside the projective plane."""
-    curve = weierstrass_curve(ring, 1, 0)
-    plane = projective_plane(ring)
+    curve = builtin_scheme("weierstrass", ring, schemes)
+    plane = builtin_scheme("p2", ring, schemes)
     chart0 = ChartMap(0, pullback={"a": "x", "b": "y"},
                       section={"x": "a", "y": "b"})
     chart1 = ChartMap(2, pullback={"e": "-z", "g": "-w"},

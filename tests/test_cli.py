@@ -859,9 +859,11 @@ def test_thread_env_reported_not_parallel():
 
 
 def test_corpus_compat_reuses_the_di_sections_chart_lifts(monkeypatch):
-    # the di section stores every chart lift; compat's independent lifts
-    # solve only the charts no builtin scheme has: parabola_in_a2's C and
-    # gm_square's Gm over t (gm's chart, also Gm, is over x)
+    # each prime's di entries build its builtin schemes and store every
+    # chart lift; its compat entries run over the same schemes, so their
+    # independent lifts solve only the charts no builtin scheme has:
+    # parabola_in_a2's C and gm_square's Gm over t (gm's chart, also Gm,
+    # is over x)
     calls = []
     real = wf.cli.local_frobenius_lift
 
@@ -872,25 +874,54 @@ def test_corpus_compat_reuses_the_di_sections_chart_lifts(monkeypatch):
     stores = []
     real_di = wf.cli._corpus_di
 
-    def recording_di(lifts):
-        stores.append(len(lifts))
-        return real_di(lifts)
+    def recording_di(ring, schemes, lifts):
+        stores.append((ring.p, len(schemes), len(lifts)))
+        return real_di(ring, schemes, lifts)
+
+    built = []
+    real_init = GluedScheme.__init__
+
+    def counting_init(self, name, ring, *args, **kwargs):
+        built.append((ring.p, name))
+        real_init(self, name, ring, *args, **kwargs)
 
     monkeypatch.setattr(wf.cli, "local_frobenius_lift", counting)
     monkeypatch.setattr(wf.cli, "_corpus_di", recording_di)
+    monkeypatch.setattr(GluedScheme, "__init__", counting_init)
     args = argparse.Namespace(seed=0)
     first, _ = wf.cli.cmd_corpus(args)
     misses = [(3, "C", ("x", "y")), (3, "Gm", ("t",)),
               (5, "C", ("x", "y")), (5, "Gm", ("t",))]
     assert sorted(calls) == misses
-    # a second run in the same process starts from an empty store
+    # 21 di schemes (weierstrass and genus2 are singular at 2, genus2 at
+    # 5) and per compat prime the two schemes that are not builtins;
+    # building each morphism's schemes afresh made 37
+    assert len(built) == 25
+    assert len(set(built)) == 23  # the two Gm targets are named Gm
+    # a second run in the same process rebuilds from nothing
     calls.clear()
     second, _ = wf.cli.cmd_corpus(args)
     assert sorted(calls) == misses and second == first
-    assert stores == [0, 0]
+    assert stores == [(p, 0, 0) for p in (2, 3, 5)] * 2
+    # over fresh schemes with an empty store every independent lift is
+    # solved, with the same entries
     calls.clear()
-    assert wf.cli._corpus_compat({}) == first["compat"]
+    assert [e for p in (3, 5)
+            for e in wf.cli._corpus_compat(BaseRingSpec(p), {}, {})] \
+        == first["compat"]
     assert len(calls) == 22
+
+
+def test_builtin_morphisms_share_the_schemes_they_are_given():
+    ring = BaseRingSpec(3)
+    fresh = weierstrass_in_p2(ring)
+    assert fresh.target is not weierstrass_in_p2(ring).target
+    schemes = {}
+    shared = weierstrass_in_p2(ring, schemes)
+    assert sorted(schemes) == ["p2", "weierstrass"]
+    assert shared.source is schemes["weierstrass"]
+    assert weierstrass_in_p2(ring, schemes).target is schemes["p2"]
+    assert shared.to_json() == fresh.to_json()
 
 
 def test_corpus_byte_determinism():

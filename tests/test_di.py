@@ -342,6 +342,36 @@ def test_serre_tate_lift_sweep(a, b, ordinary):
         assert vanishing == [(0, 3), (1, 2), (2, 1), (3, 0), (4, 4)]
 
 
+def cm_lift(p, j):
+    """(a, b, a1, b1) of y^2 = x^3 + A x + B with A = 3j(1728 - j) and
+    B = 2j(1728 - j)^2 mod p^2, written as A = a + p a1 and B = b + p b1:
+    a model of j-invariant j."""
+    A = 3 * j * (1728 - j) % p ** 2
+    B = 2 * j * (1728 - j) ** 2 % p ** 2
+    return A % p, B % p, A // p, B // p
+
+
+@pytest.mark.parametrize("D, j_D, p, split", [
+    (-11, -32768, 5, True), (-19, -884736, 7, True), (-7, -3375, 11, True),
+    (-8, 8000, 11, True), (-19, -884736, 13, False)])
+def test_cm_curve_is_the_canonical_lift(D, j_D, p, split):
+    # Deuring and Serre-Tate: a curve with CM by an order of discriminant
+    # D, p split in Q(sqrt D), is the canonical lift of its ordinary
+    # reduction; with j_D mod p not 0 or 1728, j is a coordinate on the
+    # lifts, so the lift with j = j_D mod p^2 carries a Frobenius lift and
+    # the one moved by p in b1 does not.  With p inert the reduction is
+    # supersingular and no lift carries one.  The classes come from the
+    # engine and the rule from j_D alone (Cox, Primes of the Form
+    # x^2 + ny^2, sections 12-13).
+    assert pow(D % p, (p - 1) // 2, p) == (1 if split else p - 1)
+    assert j_D % p not in (0, 1728 % p)
+    a, b, a1, b1 = cm_lift(p, j_D)
+    assert compute_di_class(weierstrass_lift(p, a, b, a1, b1)).vanishes \
+        is split
+    assert not compute_di_class(
+        weierstrass_lift(p, a, b, a1, (b1 + 1) % p)).vanishes
+
+
 @pytest.mark.parametrize("p, a, b, a1, b1", [
     (5, 0, 1, 0, 0), (5, 0, 1, 1, 2), (3, 1, 1, 1, 0),
     (5, 1, 1, 0, 3), (5, 1, 1, 0, 0), (5, 1, 1, 2, 2),

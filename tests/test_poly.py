@@ -1,5 +1,6 @@
 """Sparse polynomial arithmetic, parsing, and monic normal forms."""
 
+import gc
 import itertools
 import random
 from graphlib import TopologicalSorter
@@ -9,7 +10,7 @@ import pytest
 from wf.base_ring import BaseRingSpec, IntModRing, IntRing
 from wf.errors import NonSmooth, NotPrepared, ParseError, VariableMismatch
 from wf.poly import MvPoly, ReductionContext, parse_poly
-from wf.scheme import BUILTIN_MORPHISMS, BUILTIN_SCHEMES
+from wf.scheme import BUILTIN_MORPHISMS, BUILTIN_SCHEMES, Presentation
 
 
 def rand_poly(ring, vars, rng, deg=4, terms=6, span=9, coeff=None):
@@ -194,6 +195,29 @@ def test_cyclic_rules_refused():
     r2 = parse_poly("y^4 - x", ring, vars)
     with pytest.raises(NotPrepared):
         ReductionContext(ring, vars, [r1, r2])
+
+
+def test_reduction_contexts_leave_no_reference_cycles():
+    # the recursive helpers of _check_acyclic and monomials_up_to are
+    # closures that call themselves; each is cleared after use, on the
+    # refusal path too, so a chart is freed by reference counting alone
+    ring = BaseRingSpec(3)
+    vars = ("x", "y")
+    cyclic = [parse_poly("x^2 - y", ring, vars),
+              parse_poly("y^2 - x*y", ring, vars)]
+    gc.collect()
+    gc.disable()
+    try:
+        pres = Presentation("E", ring, vars, relations=["y^2 - x^3 - x"])
+        basis = pres.red.monomials_up_to(10)
+        assert len(basis) == 30  # x^a y^b, a <= 2 under the rule for x^3
+        del pres, basis
+        assert gc.collect() == 0
+        with pytest.raises(NotPrepared, match="form a cycle at 'x'"):
+            ReductionContext(ring, vars, cyclic)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_high_power_merges_like_terms():
